@@ -3,7 +3,7 @@ atoms and permutations, raw terms with delayed permutations, canonical forms
 modulo alpha, a freshness-constraint solver, rule-format checkers, and a
 proof-search engine for deriving transitions."""
 
-from .alpha import NominalTerm, alpha_eq, normalize, nt_fresh, nt_support
+from .alpha import alpha_eq, normalize, nt_fresh, nt_support
 from .atoms import (
     AbsSort,
     Atom,

@@ -7,10 +7,8 @@ coincides with alpha-equivalence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atoms import Atom, Permutation, fresh_atoms
-from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, _concrete_perm, is_ground
+from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, _concrete_perm
 
 
 class NotGroundError(ValueError):
@@ -64,18 +62,22 @@ def _free_atoms(t: RawTerm) -> frozenset[Atom]:
 def _swap(a: Atom, b: Atom, t: RawTerm) -> RawTerm:
     """Transposition applied structurally to a susp-free ground term."""
     p = Permutation.swap(a, b)
-    match t:
-        case Atm(c):
-            assert isinstance(c, Atom)
-            return Atm(p(c))
-        case Abs(c, s):
-            assert isinstance(c, Atom)
-            return Abs(p(c), _swap(a, b, s))
-        case Tup(items):
-            return Tup(tuple(_swap(a, b, s) for s in items))
-        case App(f, s):
-            return App(f, _swap(a, b, s))
-    raise TypeError(f"unexpected node in susp-free term: {t!r}")
+
+    def go(t: RawTerm) -> RawTerm:
+        match t:
+            case Atm(c):
+                assert isinstance(c, Atom)
+                return Atm(p(c))
+            case Abs(c, s):
+                assert isinstance(c, Atom)
+                return Abs(p(c), go(s))
+            case Tup(items):
+                return Tup(tuple(go(s) for s in items))
+            case App(f, s):
+                return App(f, go(s))
+        raise TypeError(f"unexpected node in susp-free term: {t!r}")
+
+    return go(t)
 
 
 def _canon(t: RawTerm) -> RawTerm:
@@ -114,25 +116,3 @@ def nt_support(p: RawTerm) -> frozenset[Atom]:
 def nt_fresh(a: Atom, p: RawTerm) -> bool:
     """a # p at the nominal-term level."""
     return a not in nt_support(p)
-
-
-@dataclass(frozen=True)
-class NominalTerm:
-    """A ground raw term in canonical form, standing for its whole
-    alpha-equivalence class."""
-
-    term: RawTerm
-
-    @staticmethod
-    def of(t: RawTerm) -> "NominalTerm":
-        if not is_ground(t):
-            raise NotGroundError("nominal terms are interpretations of ground terms")
-        return NominalTerm(normalize(t))
-
-    def support(self) -> frozenset[Atom]:
-        return _free_atoms(self.term)
-
-    def __str__(self) -> str:
-        from .printer import term_str
-
-        return term_str(self.term)

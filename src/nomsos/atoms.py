@@ -75,6 +75,10 @@ class Permutation:
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(a) == self(other(a))."""
+        if not self.pairs:
+            return other
+        if not other.pairs:
+            return self
         atoms = {a for a, _ in self.pairs} | {a for a, _ in other.pairs}
         return Permutation.of({a: self(other(a)) for a in atoms})
 
@@ -123,8 +127,6 @@ class ProdSort:
 
 
 NominalSort = Union[BaseSort, AtomSortRef, AbsSort, ProdSort]
-
-UNIT: NominalSort = ProdSort(())
 
 
 def prod(parts: Iterable[NominalSort]) -> NominalSort:

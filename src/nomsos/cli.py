@@ -2,7 +2,8 @@
 access to the freshness/alpha/support primitives.
 
 Exit codes: 0 success (or all checks pass), 1 failed check / unprovable
-claim / false judgement, 2 usage or parse errors."""
+claim / false judgement, 2 usage or parse errors, or a term nested too
+deeply for the recursion limit."""
 
 from __future__ import annotations
 
@@ -231,6 +232,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: term nests too deeply", file=sys.stderr)
         return 2
 
 

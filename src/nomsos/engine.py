@@ -3,8 +3,12 @@ discharging premises and freshness side conditions, and assembling proof
 trees.
 
 The search is tabled: a memo maps each (state, candidate-atom set) subgoal
-to the residuals found so far, cycles are cut by returning the current
-table entry, and the whole search reruns until the table is stable.  Atom
+to the residuals found so far, and a cycle is cut by returning the current
+table entry.  Such a read is stale, as is the entry of a subgoal the depth
+budget cuts off: it may still grow.  The search reruns only after a pass
+that made a stale read and added a residual; a pass without stale reads
+built every entry from complete ones, so another pass would find nothing
+new, and the first tree found for each residual is kept.  Atom
 instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit."""
@@ -19,14 +23,13 @@ from .alpha import alpha_eq, normalize, nt_fresh, nt_support
 from .atoms import Atom
 from .matching import AtomPool, MatchState, instantiate_full, match_term
 from .printer import atom_str, term_str
-from .spec import Rule, Spec
+from .spec import Formula, Rule, Spec
 from .terms import (
     App,
     MetaAtom,
     RawTerm,
     Variable,
     instantiate,
-    is_ground,
     meta_atoms,
     subst_apply,
     term_vars,
@@ -82,23 +85,73 @@ def transition_str(tr: Transition) -> str:
     return f"{term_str(tr.state)} -> {term_str(tr.residual)}"
 
 
+def _by_name(metas: Iterable[MetaAtom]) -> tuple[MetaAtom, ...]:
+    return tuple(sorted(metas, key=lambda m: m.name))
+
+
+@dataclass(frozen=True)
+class _PremisePlan:
+    premise: Formula
+    metas: tuple[MetaAtom, ...]
+    variables: frozenset[Variable]
+
+
+@dataclass(frozen=True)
+class _RulePlan:
+    """What the search needs of a rule beyond the rule itself, worked out
+    once: the schematic atoms the conclusion still has to bind, the
+    variables the residual and freshness conditions need, and the names a
+    proof tree records. Schematic atoms are sorted by name."""
+
+    rule: Rule
+    premises: tuple[_PremisePlan, ...]
+    pending: tuple[MetaAtom, ...]
+    conclusion_vars: frozenset[Variable]
+    names: frozenset[str]
+    rule_vars: frozenset[Variable]
+
+    @staticmethod
+    def of(rule: Rule) -> "_RulePlan":
+        pending = set(meta_atoms(rule.conclusion.target))
+        conclusion_vars = set(term_vars(rule.conclusion.target))
+        for ra in rule.env:
+            pending |= meta_atoms(ra.term)
+            if isinstance(ra.atom, MetaAtom):
+                pending.add(ra.atom)
+            conclusion_vars |= term_vars(ra.term)
+        return _RulePlan(
+            rule=rule,
+            premises=tuple(
+                _PremisePlan(p, _by_name(meta_atoms(p.source)), term_vars(p.source))
+                for p in rule.premises
+            ),
+            pending=_by_name(pending),
+            conclusion_vars=frozenset(conclusion_vars),
+            names=frozenset(m.name for m in rule.metas),
+            rule_vars=frozenset().union(*(term_vars(t) for t in rule.terms())),
+        )
+
+
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
         self.spec = spec
         self.budget = budget
+        self.plans = tuple(_RulePlan.of(rule) for rule in spec.rules)
         self.table: dict[tuple, dict[RawTerm, ProofTree]] = {}
         self.truncated = False
         self.changed = False
+        self.stale = False
         self.active: set[tuple] = set()
         self.settled: set[tuple] = set()
 
     def run(self, state: RawTerm, extra: frozenset[Atom]) -> dict[RawTerm, ProofTree]:
         while True:
             self.changed = False
+            self.stale = False
             self.active = set()
             self.settled = set()
             self._solve(state, extra, self.budget.depth)
-            if not self.changed:
+            if not (self.changed and self.stale):
                 break
         return self.table[(state, extra)]
 
@@ -107,25 +160,29 @@ class _Search:
     ) -> dict[RawTerm, ProofTree]:
         key = (state, extra)
         entry = self.table.setdefault(key, {})
-        if key in self.active or key in self.settled:
+        if key in self.settled:
+            return entry
+        if key in self.active:
+            self.stale = True
             return entry
         if depth <= 0:
             self.truncated = True
+            self.stale = True
             return entry
         self.active.add(key)
         pool = AtomPool(
             tuple(sorted(set(nt_support(state)) | extra)), self.budget.fresh
         )
-        for rule in self.spec.rules:
-            for st in match_term(rule.conclusion.source, state, MatchState(), pool):
-                self._premises(rule, 0, st, (), state, extra, depth, pool, entry)
+        for plan in self.plans:
+            for st in match_term(plan.rule.conclusion.source, state, MatchState(), pool):
+                self._premises(plan, 0, st, (), state, extra, depth, pool, entry)
         self.active.discard(key)
         self.settled.add(key)
         return entry
 
     def _premises(
         self,
-        rule: Rule,
+        plan: _RulePlan,
         i: int,
         st: MatchState,
         children: tuple[ProofTree, ...],
@@ -135,38 +192,37 @@ class _Search:
         pool: AtomPool,
         entry: dict[RawTerm, ProofTree],
     ) -> None:
-        if i == len(rule.premises):
-            self._conclude(rule, st, children, state, pool, entry)
+        if i == len(plan.premises):
+            self._conclude(plan, st, children, state, pool, entry)
             return
-        premise = rule.premises[i]
-        for st1 in self._bind_metas(meta_atoms(premise.source), st, pool):
-            src = instantiate_full(premise.source, st1)
-            if not is_ground(src):
-                continue
-            src = normalize(src)
+        pp = plan.premises[i]
+        # Matching binds variables to ground terms only, so the source is
+        # ground exactly when all of its variables are bound.
+        if not st.subst.keys() >= pp.variables:
+            return
+        for st1 in self._bind_metas(pp.metas, st, pool):
+            src = normalize(instantiate_full(pp.premise.source, st1))
             inner_extra = extra | set(st1.metas.values())
             subgoals = self._solve(src, frozenset(inner_extra), depth - 1)
             for residual, subtree in list(subgoals.items()):
-                for st2 in match_term(premise.target, residual, st1, pool):
+                for st2 in match_term(pp.premise.target, residual, st1, pool):
                     self._premises(
-                        rule, i + 1, st2, children + (subtree,), state, extra, depth, pool, entry
+                        plan, i + 1, st2, children + (subtree,), state, extra, depth, pool, entry
                     )
 
     def _conclude(
         self,
-        rule: Rule,
+        plan: _RulePlan,
         st: MatchState,
         children: tuple[ProofTree, ...],
         state: RawTerm,
         pool: AtomPool,
         entry: dict[RawTerm, ProofTree],
     ) -> None:
-        pending: set[MetaAtom] = set(meta_atoms(rule.conclusion.target))
-        for ra in rule.env:
-            pending |= meta_atoms(ra.term)
-            if isinstance(ra.atom, MetaAtom):
-                pending.add(ra.atom)
-        for st1 in self._bind_metas(pending, st, pool):
+        rule = plan.rule
+        if not st.subst.keys() >= plan.conclusion_vars:
+            return
+        for st1 in self._bind_metas(plan.pending, st, pool):
             if not self._admissible(rule, st1):
                 continue
             discharged = []
@@ -174,26 +230,21 @@ class _Search:
             for ra in rule.env:
                 atom = st1.metas[ra.atom.name] if isinstance(ra.atom, MetaAtom) else ra.atom
                 t = instantiate_full(ra.term, st1)
-                if not is_ground(t) or not nt_fresh(atom, t):
+                if not nt_fresh(atom, t):
                     ok = False
                     break
                 discharged.append((atom, normalize(t)))
             if not ok:
                 continue
-            residual = instantiate_full(rule.conclusion.target, st1)
-            if not is_ground(residual):
-                continue
-            residual = normalize(residual)
+            residual = normalize(instantiate_full(rule.conclusion.target, st1))
             if residual in entry:
                 continue
-            names = {m.name for m in rule.metas}
             atoms = tuple(
-                (n, a) for n, a in sorted(st1.metas.items()) if n in names
+                (n, a) for n, a in sorted(st1.metas.items()) if n in plan.names
             )
-            rule_vars = set().union(*(term_vars(t) for t in rule.terms()))
             subst = tuple(
                 (v, t) for v, t in sorted(st1.subst.items(), key=lambda kv: kv[0].name)
-                if v in rule_vars
+                if v in plan.rule_vars
             )
             entry[residual] = ProofTree(
                 rule_name=rule.name,
@@ -216,11 +267,9 @@ class _Search:
         return True
 
     def _bind_metas(
-        self, metas: Iterable[MetaAtom], st: MatchState, pool: AtomPool
+        self, metas: tuple[MetaAtom, ...], st: MatchState, pool: AtomPool
     ) -> list[MatchState]:
-        unbound = sorted(
-            (m for m in metas if m.name not in st.metas), key=lambda m: m.name
-        )
+        unbound = [m for m in metas if m.name not in st.metas]
         if not unbound:
             return [st]
         out = []

@@ -38,10 +38,6 @@ class Assertion:
 FreshnessEnv = frozenset[Assertion]
 
 
-def env(assertions: Iterable[Assertion]) -> FreshnessEnv:
-    return frozenset(assertions)
-
-
 @dataclass(frozen=True)
 class ReducedEnv:
     """The normal form of an environment, split into the inconsistent

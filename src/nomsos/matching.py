@@ -72,12 +72,6 @@ def _meta_candidates(
     return [(a, state.with_meta(meta.name, a)) for a in cands if a.sort == meta.sort]
 
 
-def _perm_swaps(perm) -> tuple:
-    if isinstance(perm, Permutation):
-        return tuple()  # concrete, no metas to bind
-    return perm
-
-
 def match_term(
     pattern: RawTerm,
     subject: RawTerm,
@@ -193,6 +187,8 @@ def _instantiate_perm(perm, metas: dict[str, Atom]) -> Permutation:
 
 
 def _dedup(states: list[MatchState]) -> list[MatchState]:
+    if len(states) < 2:
+        return states
     seen = set()
     out = []
     for st in states:

@@ -153,11 +153,6 @@ class Spec:
         return None
 
 
-def _label_of(spec: Spec, formula: Formula) -> Optional[RawTerm]:
-    pair = spec.split_residual(formula.target)
-    return pair[0] if pair else None
-
-
 def bn_eval(spec: Spec, label: RawTerm) -> frozenset[AtomLike]:
     """Binding names of an action: the atoms (or schematic atoms) at the
     declared binding positions of the label's head constructor."""

@@ -115,6 +115,9 @@ def test_error_exit_codes(capsys):
     assert main(["check", "/nonexistent.spec"]) == 2
     assert main(["derive", PI, "out(a b"]) == 2
     assert main(["derive", PI, "nosuchfunc(a)"]) == 2
+    deep = "new([c]" * 1000 + "null" + ")" * 1000
+    assert main(["supp", PI, deep]) == 2
+    assert "error: term nests too deeply" in capsys.readouterr().err
 
 
 def test_usage_error(capsys):

@@ -4,7 +4,9 @@ import random
 
 from nomsos import (
     Budget,
+    corpus_path,
     enumerate_transitions,
+    parse_spec,
     parse_term_str,
     prove,
     replay,
@@ -143,3 +145,20 @@ def test_fresh_budget_controls_input_width(pi_spec):
     assert rs == ["(inA(a, a), null)", "(inA(a, b), null)"]
     rs = _residuals(pi_spec, "in(a, [c]null)", budget=Budget(fresh=3))
     assert len(rs) == 4
+
+
+def test_stale_read_forces_another_pass():
+    # Comm reads sum(x2,x1) while sum(x1,x2) is still being solved: the
+    # first pass sees a partial table entry, so a second pass must run.
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    text = text[: text.index("rule SumR")] + text[text.index("rule ParL") :]
+    text = text.replace(
+        "rule SumL",
+        "rule Comm :\n  premise sum(x2,x1) -> (l, y) ;\n"
+        "  conclusion sum(x1,x2) -> (l, y) ;\n\nrule SumL",
+    )
+    spec = parse_spec(text)
+    state = "par(sum(out(a,b,null), in(b,[c]null)), sum(in(b,[c]null), out(a,b,null)))"
+    enum = enumerate_transitions(spec, _t(spec, state))
+    assert len(enum.derivations) == 8
+    assert not enum.truncated
