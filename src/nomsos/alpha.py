@@ -3,7 +3,14 @@
 A ground raw term is normalized by discharging every delayed permutation and
 renaming each binder, outside-in, to the least-index atom of its sort that is
 not free in the abstraction body. Structural equality of canonical forms then
-coincides with alpha-equivalence."""
+coincides with alpha-equivalence.
+
+Canonical form is local: whether `[a]t` is canonical depends only on `a`
+being the least atom not free in `t` and on `t` being canonical. So every
+subterm of a canonical term is canonical, a tuple or application of
+canonical terms is canonical, and `canon_abs` closes a canonical body under
+a binder by renaming that binder alone (and re-normalising the body only
+when the binder moves)."""
 
 from __future__ import annotations
 
@@ -80,21 +87,34 @@ def _swap(a: Atom, b: Atom, t: RawTerm) -> RawTerm:
     return go(t)
 
 
+def _least_binder(a: Atom, body: RawTerm) -> Atom:
+    """The canonical binder of `[a]body`: the least atom of its sort not
+    free in the abstraction."""
+    return fresh_atoms(a.sort, _free_atoms(body) - {a}, 1)[0]
+
+
 def _canon(t: RawTerm) -> RawTerm:
     match t:
         case Atm(_):
             return t
         case Abs(a, s):
             assert isinstance(a, Atom)
-            free = _free_atoms(s) - {a}
-            c = fresh_atoms(a.sort, free, 1)[0]
-            body = s if c == a else _swap(a, c, s)
-            return Abs(c, _canon(body))
+            c = _least_binder(a, s)
+            return Abs(c, _canon(s if c == a else _swap(a, c, s)))
         case Tup(items):
             return Tup(tuple(_canon(s) for s in items))
         case App(f, s):
             return App(f, _canon(s))
     raise TypeError(f"unexpected node in susp-free term: {t!r}")
+
+
+def canon_abs(a: Atom, body: RawTerm) -> RawTerm:
+    """Canonical form of `[a]body` for a canonical `body`; the body is kept
+    as it is when `a` is already the canonical binder."""
+    c = _least_binder(a, body)
+    if c == a:
+        return Abs(a, body)
+    return Abs(c, _canon(_swap(a, c, body)))
 
 
 def normalize(t: RawTerm) -> RawTerm:

@@ -11,7 +11,16 @@ built every entry from complete ones, so another pass would find nothing
 new, and the first tree found for each residual is kept.  Atom
 instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
-the fresh representatives stand for their whole orbit."""
+the fresh representatives stand for their whole orbit.
+
+Every term in the search is canonical by construction: the entry points
+normalise the state (and `prove` its target) once, matching binds variables
+only to canonical terms, and `instantiate_canon` builds premise sources,
+freshness terms and residuals in canonical form, normalising only under the
+rule's own abstractions and delayed permutations.  Matching itself
+normalises a subject only where it flips it under an abstraction or a
+delayed permutation.  `replay` does not rely on this: it re-checks a tree
+with full normalisation."""
 
 from __future__ import annotations
 
@@ -19,9 +28,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
-from .alpha import alpha_eq, normalize, nt_fresh, nt_support
+from .alpha import _free_atoms, alpha_eq, normalize, nt_fresh
 from .atoms import Atom
-from .matching import AtomPool, MatchState, instantiate_full, match_term
+from .matching import AtomPool, MatchState, instantiate_canon, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec
 from .terms import (
@@ -171,7 +180,7 @@ class _Search:
             return entry
         self.active.add(key)
         pool = AtomPool(
-            tuple(sorted(set(nt_support(state)) | extra)), self.budget.fresh
+            tuple(sorted(_free_atoms(state) | extra)), self.budget.fresh
         )
         for plan in self.plans:
             for st in match_term(plan.rule.conclusion.source, state, MatchState(), pool):
@@ -201,7 +210,7 @@ class _Search:
         if not st.subst.keys() >= pp.variables:
             return
         for st1 in self._bind_metas(pp.metas, st, pool):
-            src = normalize(instantiate_full(pp.premise.source, st1))
+            src = instantiate_canon(pp.premise.source, st1)
             inner_extra = extra | set(st1.metas.values())
             subgoals = self._solve(src, frozenset(inner_extra), depth - 1)
             for residual, subtree in list(subgoals.items()):
@@ -229,14 +238,14 @@ class _Search:
             ok = True
             for ra in rule.env:
                 atom = st1.metas[ra.atom.name] if isinstance(ra.atom, MetaAtom) else ra.atom
-                t = instantiate_full(ra.term, st1)
-                if not nt_fresh(atom, t):
+                t = instantiate_canon(ra.term, st1)
+                if atom in _free_atoms(t):
                     ok = False
                     break
-                discharged.append((atom, normalize(t)))
+                discharged.append((atom, t))
             if not ok:
                 continue
-            residual = normalize(instantiate_full(rule.conclusion.target, st1))
+            residual = instantiate_canon(rule.conclusion.target, st1)
             if residual in entry:
                 continue
             atoms = tuple(
@@ -288,12 +297,12 @@ def enumerate_transitions(
     extra_atoms: Iterable[Atom] = (),
 ) -> Enumeration:
     s = normalize(state)
-    base = set(nt_support(s)) | set(extra_atoms)
+    base = _free_atoms(s) | set(extra_atoms)
     search = _Search(spec, budget)
     table = search.run(s, frozenset(extra_atoms))
     derivations = []
     for residual, tree in table.items():
-        fresh = tuple(sorted(set(nt_support(residual)) - base))
+        fresh = tuple(sorted(_free_atoms(residual) - base))
         derivations.append(Derivation(Transition(s, residual), tree, fresh))
     derivations.sort(key=lambda d: term_str(d.transition.residual))
     return Enumeration(tuple(derivations), search.truncated)
@@ -305,7 +314,7 @@ def prove(
     s = normalize(source)
     r = normalize(target)
     enum = enumerate_transitions(
-        spec, s, budget, extra_atoms=tuple(sorted(nt_support(r)))
+        spec, s, budget, extra_atoms=tuple(sorted(_free_atoms(r)))
     )
     for d in enum.derivations:
         if d.transition.residual == r:

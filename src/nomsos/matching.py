@@ -7,20 +7,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .atoms import Atom, AtomSort, Permutation, fresh_atoms
-from .alpha import _free_atoms, normalize
-from .terms import (
-    Abs,
-    App,
-    Atm,
-    MetaAtom,
-    RawTerm,
-    Susp,
-    Tup,
-    Var,
-    Variable,
-    act,
-    instantiate,
-)
+from .alpha import _canon, _free_atoms, _push, canon_abs
+from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var, Variable
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ def match_term(
             out: list[MatchState] = []
             for st in _bind_perm_metas(perm, state, pool):
                 concrete = _instantiate_perm(perm, st.metas)
-                flipped = normalize(act(concrete.inverse(), subject))
+                flipped = _canon(_push(concrete.inverse(), subject))
                 out.extend(match_term(inner, flipped, st, pool))
             return _dedup(out)
         case Abs(binder, body):
@@ -135,7 +123,7 @@ def match_term(
                 if a == d:
                     body_subject = q
                 elif a not in _free_atoms(q):
-                    body_subject = normalize(act(Permutation.swap(a, d), q))
+                    body_subject = _canon(_push(Permutation.swap(a, d), q))
                 else:
                     continue
                 out.extend(match_term(body, body_subject, st, pool))
@@ -199,9 +187,24 @@ def _dedup(states: list[MatchState]) -> list[MatchState]:
     return out
 
 
-def instantiate_full(t: RawTerm, state: MatchState) -> RawTerm:
-    """Apply a match solution to a pattern: schematic atoms first, then the
-    variable substitution."""
-    from .terms import subst_apply
-
-    return subst_apply(state.subst, instantiate(t, state.metas))
+def instantiate_canon(t: RawTerm, state: MatchState) -> RawTerm:
+    """The canonical form of a pattern instantiated by a match solution.
+    Matching binds variables to canonical terms only, and canonical form is
+    local (see `alpha`), so a bound term is used as it is and only the
+    pattern's own abstractions and delayed permutations are normalised."""
+    match t:
+        case Var(v):
+            return state.subst[v]
+        case Atm(a):
+            return Atm(state.metas[a.name]) if isinstance(a, MetaAtom) else t
+        case Susp(perm, s):
+            concrete = _instantiate_perm(perm, state.metas)
+            return _canon(_push(concrete, instantiate_canon(s, state)))
+        case Abs(a, s):
+            binder = state.metas[a.name] if isinstance(a, MetaAtom) else a
+            return canon_abs(binder, instantiate_canon(s, state))
+        case Tup(items):
+            return Tup(tuple(instantiate_canon(s, state) for s in items))
+        case App(f, s):
+            return App(f, instantiate_canon(s, state))
+    raise TypeError(f"not a pattern: {t!r}")

@@ -5,9 +5,11 @@ import random
 
 from nomsos import (
     Abs,
+    App,
     Atm,
     Permutation,
     Susp,
+    Tup,
     alpha_eq,
     act,
     app,
@@ -32,12 +34,29 @@ def test_canonical_binder_is_least_available():
     assert normalize(t) == Abs(b, app("out", Atm(a), Atm(b), app("null")))
 
 
+def _subterms(t):
+    yield t
+    match t:
+        case Abs(_, s) | App(_, s):
+            yield from _subterms(s)
+        case Tup(items):
+            for s in items:
+                yield from _subterms(s)
+
+
 def test_normalize_idempotent(pi_spec):
+    # and local: every subterm of a normal form is a normal form, and so are
+    # tuples and applications of normal forms
     rng = random.Random(23)
     for _ in range(300):
         t = random_term(rng, pi_spec, susp=True)
         n = normalize(t)
         assert normalize(n) == n
+        m = normalize(random_term(rng, pi_spec, susp=True))
+        assert normalize(Tup((n, m))) == Tup((n, m))
+        assert normalize(App("rep", n)) == App("rep", n)
+        for sub in _subterms(n):
+            assert normalize(sub) == sub
 
 
 def test_normalize_discharges_suspensions():

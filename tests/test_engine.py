@@ -1,11 +1,15 @@
 """Transition derivation: proof-tree search, enumeration, and replay."""
 
 import random
+from collections import Counter
+from itertools import product
 
 from nomsos import (
     Budget,
     corpus_path,
     enumerate_transitions,
+    normalize,
+    nt_support,
     parse_spec,
     parse_term_str,
     prove,
@@ -15,8 +19,10 @@ from nomsos import (
     tree_dict,
     tree_text,
 )
+from nomsos.matching import AtomPool, MatchState, instantiate_canon, match_term
+from nomsos.terms import instantiate, subst_apply, term_vars
 
-from conftest import random_state
+from conftest import atoms, random_state, random_term
 
 
 def _t(spec, s):
@@ -162,3 +168,57 @@ def test_stale_read_forces_another_pass():
     enum = enumerate_transitions(spec, _t(spec, state))
     assert len(enum.derivations) == 8
     assert not enum.truncated
+
+
+def _complete(rng, spec, rule, st, pool):
+    """Every binding of the rule's remaining schematic atoms from the pool,
+    with each remaining variable bound to a random canonical term."""
+    unbound = [m for m in rule.metas if m.name not in st.metas]
+    for combo in product(*(pool.candidates(m.sort) for m in unbound)):
+        st1 = st
+        for m, a in zip(unbound, combo):
+            st1 = st1.with_meta(m.name, a)
+        free = set().union(*map(term_vars, rule.terms())) - st1.subst.keys()
+        for v in sorted(free, key=lambda v: v.name):
+            st1 = st1.with_var(v, normalize(random_term(rng, spec, v.sort, 2, atoms(3))))
+        yield st1
+
+
+def test_instantiate_canon_is_full_normalisation(pi_spec):
+    # Matching binds variables to canonical terms and canonical form is
+    # local, so the engine's instantiation needs no normalising pass.
+    rng = random.Random(31)
+    checked = Counter()
+    moved = Counter()  # instances that full normalisation changes
+    for _ in range(40):
+        state = normalize(random_state(rng, pi_spec, depth=3))
+        pool = AtomPool(tuple(sorted(nt_support(state))), 2)
+        for rule in pi_spec.rules:
+            for st in match_term(rule.conclusion.source, state, MatchState(), pool):
+                for st1 in _complete(rng, pi_spec, rule, st, pool):
+                    patterns = [rule.conclusion.target]
+                    patterns += [p.source for p in rule.premises]
+                    patterns += [ra.term for ra in rule.env]
+                    for p in patterns:
+                        raw = subst_apply(st1.subst, instantiate(p, st1.metas))
+                        full = normalize(raw)
+                        assert instantiate_canon(p, st1) == full, rule.name
+                        checked[rule.name] += 1
+                        moved[rule.name] += raw != full
+    # binder-free, a binder that is not yet least, a delayed permutation
+    assert checked["ParL"] and not moved["ParL"]
+    assert moved["Res"] and moved["CloseL"]
+    assert moved["In"]
+
+
+def test_deep_chain_fits_the_stack(pi_spec):
+    # A sum chain 150 deep derives its one transition untruncated; one
+    # about 240 deep overflows the stack hashing the first table key.
+    deep = "out(a, b, null)"
+    for _ in range(150):
+        deep = f"sum({deep}, null)"
+    enum = enumerate_transitions(pi_spec, _t(pi_spec, deep))
+    assert not enum.truncated
+    assert [term_str(d.transition.residual) for d in enum.derivations] == [
+        "(outA(a, b), null)"
+    ]
