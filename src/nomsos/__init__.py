@@ -78,7 +78,6 @@ from .terms import (
     sort_check,
     subst_act,
     subst_apply,
-    subst_compose,
     support,
     unit,
 )

@@ -15,7 +15,7 @@ when the binder moves)."""
 from __future__ import annotations
 
 from .atoms import Atom, Permutation, fresh_atoms
-from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, _concrete_perm
+from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, _concrete_perm, act
 
 
 class NotGroundError(ValueError):
@@ -66,27 +66,6 @@ def _free_atoms(t: RawTerm) -> frozenset[Atom]:
     raise TypeError(f"unexpected node in susp-free term: {t!r}")
 
 
-def _swap(a: Atom, b: Atom, t: RawTerm) -> RawTerm:
-    """Transposition applied structurally to a susp-free ground term."""
-    p = Permutation.swap(a, b)
-
-    def go(t: RawTerm) -> RawTerm:
-        match t:
-            case Atm(c):
-                assert isinstance(c, Atom)
-                return Atm(p(c))
-            case Abs(c, s):
-                assert isinstance(c, Atom)
-                return Abs(p(c), go(s))
-            case Tup(items):
-                return Tup(tuple(go(s) for s in items))
-            case App(f, s):
-                return App(f, go(s))
-        raise TypeError(f"unexpected node in susp-free term: {t!r}")
-
-    return go(t)
-
-
 def _least_binder(a: Atom, body: RawTerm) -> Atom:
     """The canonical binder of `[a]body`: the least atom of its sort not
     free in the abstraction."""
@@ -100,7 +79,7 @@ def _canon(t: RawTerm) -> RawTerm:
         case Abs(a, s):
             assert isinstance(a, Atom)
             c = _least_binder(a, s)
-            return Abs(c, _canon(s if c == a else _swap(a, c, s)))
+            return Abs(c, _canon(s if c == a else act(Permutation.swap(a, c), s)))
         case Tup(items):
             return Tup(tuple(_canon(s) for s in items))
         case App(f, s):
@@ -114,7 +93,7 @@ def canon_abs(a: Atom, body: RawTerm) -> RawTerm:
     c = _least_binder(a, body)
     if c == a:
         return Abs(a, body)
-    return Abs(c, _canon(_swap(a, c, body)))
+    return Abs(c, _canon(act(Permutation.swap(a, c), body)))
 
 
 def normalize(t: RawTerm) -> RawTerm:

@@ -25,12 +25,11 @@ with full normalisation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional
 
 from .alpha import _free_atoms, alpha_eq, normalize, nt_fresh
 from .atoms import Atom
-from .matching import AtomPool, MatchState, instantiate_canon, match_term
+from .matching import AtomPool, MatchState, bind_metas, instantiate_canon, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec
 from .terms import (
@@ -40,6 +39,7 @@ from .terms import (
     Variable,
     instantiate,
     meta_atoms,
+    resolve,
     subst_apply,
     term_vars,
 )
@@ -209,7 +209,7 @@ class _Search:
         # ground exactly when all of its variables are bound.
         if not st.subst.keys() >= pp.variables:
             return
-        for st1 in self._bind_metas(pp.metas, st, pool):
+        for st1 in bind_metas(pp.metas, st, pool):
             src = instantiate_canon(pp.premise.source, st1)
             inner_extra = extra | set(st1.metas.values())
             subgoals = self._solve(src, frozenset(inner_extra), depth - 1)
@@ -231,13 +231,13 @@ class _Search:
         rule = plan.rule
         if not st.subst.keys() >= plan.conclusion_vars:
             return
-        for st1 in self._bind_metas(plan.pending, st, pool):
+        for st1 in bind_metas(plan.pending, st, pool):
             if not self._admissible(rule, st1):
                 continue
             discharged = []
             ok = True
             for ra in rule.env:
-                atom = st1.metas[ra.atom.name] if isinstance(ra.atom, MetaAtom) else ra.atom
+                atom = resolve(ra.atom, st1.metas)
                 t = instantiate_canon(ra.term, st1)
                 if atom in _free_atoms(t):
                     ok = False
@@ -274,20 +274,6 @@ class _Search:
             if isinstance(bound, App) and bound.func in excluded:
                 return False
         return True
-
-    def _bind_metas(
-        self, metas: tuple[MetaAtom, ...], st: MatchState, pool: AtomPool
-    ) -> list[MatchState]:
-        unbound = [m for m in metas if m.name not in st.metas]
-        if not unbound:
-            return [st]
-        out = []
-        for combo in product(*(pool.candidates(m.sort) for m in unbound)):
-            st1 = st
-            for m, a in zip(unbound, combo):
-                st1 = st1.with_meta(m.name, a)
-            out.append(st1)
-        return out
 
 
 def enumerate_transitions(
@@ -352,7 +338,7 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
                 errors.append(f"{where}: premise target mismatch")
             errors.extend(replay(spec, child))
     for ra in rule.env:
-        atom = asg[ra.atom.name] if isinstance(ra.atom, MetaAtom) else ra.atom
+        atom = resolve(ra.atom, asg)
         if not nt_fresh(atom, inst(ra.term)):
             errors.append(f"{where}: freshness {atom_str(atom)} # {term_str(inst(ra.term))} fails")
     for lvar, excluded in rule.label_excluded:

@@ -37,9 +37,10 @@ from .terms import (
     Tup,
     Var,
     Variable,
-    concrete_atoms,
     instantiate,
+    resolve,
     subst_apply,
+    support,
     term_vars,
 )
 
@@ -105,7 +106,7 @@ def check_equivariant(spec: Spec) -> CheckReport:
     for rule in spec.rules:
         literals: set[Atom] = set()
         for t in rule.terms():
-            literals |= concrete_atoms(t)
+            literals |= support(t)
         for ra in rule.env:
             if isinstance(ra.atom, Atom):
                 literals.add(ra.atom)
@@ -248,7 +249,7 @@ class _Bind:
     """Images of one case's variables and schematic atoms inside a rule
     pattern."""
 
-    vars: dict[str, RawTerm] = field(default_factory=dict)
+    vars: dict[Variable, RawTerm] = field(default_factory=dict)
     metas: dict[str, AtomLike] = field(default_factory=dict)
     # pairs of rule atoms a case meta maps to twice: the case only matches
     # instances that identify them
@@ -261,9 +262,9 @@ def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bo
     None = outside the sufficient conditions."""
     match case_pat:
         case Var(v):
-            if v.name in bind.vars:
-                return bind.vars[v.name] == rule_pat
-            bind.vars[v.name] = rule_pat
+            if v in bind.vars:
+                return bind.vars[v] == rule_pat
+            bind.vars[v] = rule_pat
             return True
         case Atm(m) if isinstance(m, MetaAtom):
             if not isinstance(rule_pat, Atm):
@@ -315,7 +316,7 @@ def _forced_distinct(inst: LabelInstance, x: AtomLike, y: AtomLike) -> bool:
     assignment[y.name] = assignment[x.name]
     env = []
     for ra in inst.env:
-        atom = assignment[ra.atom.name] if isinstance(ra.atom, MetaAtom) else ra.atom
+        atom = resolve(ra.atom, assignment)
         env.append(Assertion(atom, instantiate(ra.term, assignment)))
     return not nf(env).is_consistent
 
@@ -324,7 +325,7 @@ def _forced_distinct(inst: LabelInstance, x: AtomLike, y: AtomLike) -> bool:
 class CaseMatch:
     case: StratCase
     guaranteed: bool  # every env-consistent instance of the rule matches
-    bind_vars: tuple[tuple[str, RawTerm], ...]
+    bind_vars: tuple[tuple[Variable, RawTerm], ...]
     bind_metas: tuple[tuple[str, AtomLike], ...]
 
 
@@ -377,35 +378,11 @@ def case_matches(spec: Spec, inst: LabelInstance) -> tuple[list[CaseMatch], bool
                 CaseMatch(
                     case,
                     guaranteed,
-                    tuple(sorted(bind.vars.items())),
+                    tuple(sorted(bind.vars.items(), key=lambda kv: kv[0].name)),
                     tuple(sorted(bind.metas.items(), key=lambda kv: kv[0])),
                 )
             )
     return out, saw_unknown
-
-
-def _apply_bind(pat: RawTerm, cm: CaseMatch) -> RawTerm:
-    bind_vars = dict(cm.bind_vars)
-    bind_metas = dict(cm.bind_metas)
-
-    def go(t: RawTerm) -> RawTerm:
-        match t:
-            case Var(v):
-                return bind_vars.get(v.name, t)
-            case Atm(m) if isinstance(m, MetaAtom):
-                img = bind_metas.get(m.name)
-                return Atm(img) if img is not None else t
-            case App(f, arg):
-                return App(f, go(arg))
-            case Tup(items):
-                return Tup(tuple(go(i) for i in items))
-            case Abs(a, body):
-                img = bind_metas.get(a.name) if isinstance(a, MetaAtom) else None
-                return Abs(img if img is not None else a, go(body))
-            case _:
-                return t
-
-    return go(pat)
 
 
 # --- stratification ------------------------------------------------------------
@@ -471,10 +448,12 @@ def _check_decrease(
                 f"case with constant measure {cm.case.base} matches a rule "
                 "with premises"
             )
-        calls = [
-            (_apply_bind(Var(v), cm), _apply_bind(labpat, cm))
-            for v, labpat in cm.case.recursion
-        ]
+        bind_vars = dict(cm.bind_vars)
+        bind_metas = dict(cm.bind_metas)
+        calls = []
+        for v, labpat in cm.case.recursion:
+            label = subst_apply(bind_vars, instantiate(labpat, bind_metas))
+            calls.append((bind_vars.get(v, Var(v)), label))
         for psource, plabel, _ in parts:
             if not isinstance(psource, Var):
                 return f"premise source {term_str(psource)} is not a variable"
@@ -616,7 +595,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         target_pair = Tup((inst_term(inst.label), inst_term(inst.target)))
         env = []
         for ra in inst.env:
-            atom = asg[ra.atom.name] if isinstance(ra.atom, MetaAtom) else ra.atom
+            atom = resolve(ra.atom, asg)
             env.append(Assertion(atom, inst_term(ra.term)))
         label = inst_term(inst.label)
         prem = [
@@ -625,13 +604,13 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         ]
 
         gamma_source = subst_apply(gamma, source)
-        rule_atoms = set(concrete_atoms(source)) | set(asg.values())
+        rule_atoms = set(support(source)) | set(asg.values())
         for s, l, t in prem:
-            rule_atoms |= concrete_atoms(s) | concrete_atoms(t)
-        rule_atoms |= concrete_atoms(target_pair)
+            rule_atoms |= support(s) | support(t)
+        rule_atoms |= support(target_pair)
         excluded = {
             c
-            for c in concrete_atoms(source)
+            for c in support(source)
             if nf([Assertion(c, source)]).is_consistent
             and not nf([Assertion(c, source)]).all
         }

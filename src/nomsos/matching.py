@@ -4,11 +4,25 @@ canonical ground subjects, modulo alpha-equivalence."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .atoms import Atom, AtomSort, Permutation, fresh_atoms
 from .alpha import _canon, _free_atoms, _push, canon_abs
-from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var, Variable
+from .terms import (
+    Abs,
+    App,
+    Atm,
+    AtomLike,
+    MetaAtom,
+    RawTerm,
+    Susp,
+    Tup,
+    Var,
+    Variable,
+    _concrete_perm,
+    resolve,
+)
 
 
 @dataclass(frozen=True)
@@ -46,18 +60,19 @@ class AtomPool:
         return known + fresh_atoms(sort, self.atoms, self.fresh)
 
 
-def _meta_candidates(
-    meta: MetaAtom, state: MatchState, pool: Optional[AtomPool], extra: list[Atom]
-) -> list[tuple[Atom, MatchState]]:
-    if meta.name in state.metas:
-        a = state.metas[meta.name]
-        return [(a, state)]
-    cands = list(extra)
-    if pool is not None:
-        for c in pool.candidates(meta.sort):
-            if c not in cands:
-                cands.append(c)
-    return [(a, state.with_meta(meta.name, a)) for a in cands if a.sort == meta.sort]
+def bind_metas(
+    atoms: Iterable[AtomLike], state: MatchState, pool: Optional[AtomPool]
+) -> list[MatchState]:
+    """Every extension of `state` that binds the schematic atoms among
+    `atoms` it leaves unbound, each to a candidate of the pool (none when
+    there is no pool). The first atom varies slowest, so the order of the
+    solutions follows the order of `atoms`."""
+    states = [state]
+    for m in dict.fromkeys(atoms):
+        if isinstance(m, MetaAtom) and m.name not in state.metas:
+            cands = pool.candidates(m.sort) if pool is not None else []
+            states = [st.with_meta(m.name, a) for st in states for a in cands]
+    return states
 
 
 def match_term(
@@ -80,18 +95,15 @@ def match_term(
             if not isinstance(subject, Atm):
                 return []
             sa = subject.atom
-            assert isinstance(sa, Atom)
+            a = resolve(a, state.metas)
             if isinstance(a, MetaAtom):
-                if a.name in state.metas:
-                    return [state] if state.metas[a.name] == sa else []
-                if a.sort != sa.sort:
-                    return []
-                return [state.with_meta(a.name, sa)]
+                return [state.with_meta(a.name, sa)] if a.sort == sa.sort else []
             return [state] if a == sa else []
         case Susp(perm, inner):
+            swapped = () if isinstance(perm, Permutation) else chain.from_iterable(perm)
             out: list[MatchState] = []
-            for st in _bind_perm_metas(perm, state, pool):
-                concrete = _instantiate_perm(perm, st.metas)
+            for st in bind_metas(swapped, state, pool):
+                concrete = _concrete_perm(perm, st.metas)
                 flipped = _canon(_push(concrete.inverse(), subject))
                 out.extend(match_term(inner, flipped, st, pool))
             return _dedup(out)
@@ -99,27 +111,24 @@ def match_term(
             if not isinstance(subject, Abs):
                 return []
             d = subject.binder
-            assert isinstance(d, Atom)
             q = subject.body
-            options: list[tuple[Atom, MatchState]] = []
+            binder = resolve(binder, state.metas)
+            if binder.sort != d.sort:
+                return []
+            options: list[tuple[Atom, MatchState]] = [(binder, state)]
             if isinstance(binder, MetaAtom):
                 free_q = _free_atoms(q)
-                extra = [d]
                 if pool is not None:
-                    extra += [
+                    others = [
                         c
                         for c in pool.candidates(binder.sort)
                         if c != d and c not in free_q
                     ]
                 else:
-                    extra += fresh_atoms(binder.sort, free_q | {d}, 1)
-                options = _meta_candidates(binder, state, None, extra)
-            else:
-                options = [(binder, state)]
+                    others = fresh_atoms(binder.sort, free_q | {d}, 1)
+                options = [(a, state.with_meta(binder.name, a)) for a in [d, *others]]
             out = []
             for a, st in options:
-                if a.sort != d.sort:
-                    continue
                 if a == d:
                     body_subject = q
                 elif a not in _free_atoms(q):
@@ -146,34 +155,6 @@ def match_term(
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
-def _bind_perm_metas(
-    perm, state: MatchState, pool: Optional[AtomPool]
-) -> list[MatchState]:
-    """Bind any schematic atoms still free in a delayed permutation."""
-    if isinstance(perm, Permutation):
-        return [state]
-    states = [state]
-    for a, b in perm:
-        for m in (a, b):
-            if isinstance(m, MetaAtom):
-                states = [
-                    st2
-                    for st in states
-                    for _, st2 in _meta_candidates(m, st, pool, [])
-                ]
-    return states
-
-
-def _instantiate_perm(perm, metas: dict[str, Atom]) -> Permutation:
-    if isinstance(perm, Permutation):
-        return perm
-
-    def resolve(x):
-        return metas[x.name] if isinstance(x, MetaAtom) else x
-
-    return Permutation.from_swaps((resolve(a), resolve(b)) for a, b in perm)
-
-
 def _dedup(states: list[MatchState]) -> list[MatchState]:
     if len(states) < 2:
         return states
@@ -196,13 +177,12 @@ def instantiate_canon(t: RawTerm, state: MatchState) -> RawTerm:
         case Var(v):
             return state.subst[v]
         case Atm(a):
-            return Atm(state.metas[a.name]) if isinstance(a, MetaAtom) else t
+            return Atm(resolve(a, state.metas))
         case Susp(perm, s):
-            concrete = _instantiate_perm(perm, state.metas)
+            concrete = _concrete_perm(perm, state.metas)
             return _canon(_push(concrete, instantiate_canon(s, state)))
         case Abs(a, s):
-            binder = state.metas[a.name] if isinstance(a, MetaAtom) else a
-            return canon_abs(binder, instantiate_canon(s, state))
+            return canon_abs(resolve(a, state.metas), instantiate_canon(s, state))
         case Tup(items):
             return Tup(tuple(instantiate_canon(s, state) for s in items))
         case App(f, s):

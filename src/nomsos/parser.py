@@ -418,31 +418,43 @@ def _parse_rule(
     )
 
 
+class _CaseMetas(dict):
+    """The schematic atoms of one order clause, made on first use: a name in
+    a clause's patterns that is neither a declared variable nor a function
+    symbol is a case-local schematic atom."""
+
+    def __init__(
+        self,
+        sig: Signature,
+        variables: dict[str, Variable],
+        atom_sorts: dict[str, AtomSort],
+        cur: _Cursor,
+    ):
+        super().__init__()
+        self.sig = sig
+        self.variables = variables
+        self.atom_sorts = atom_sorts
+        self.cur = cur
+
+    def __contains__(self, name: object) -> bool:
+        if name in self.variables or self.sig.func(name) is not None:
+            return False
+        if not super().__contains__(name):
+            self[name] = MetaAtom(name, _single_atom_sort(self.atom_sorts, self.cur))
+        return True
+
+
 def _parse_strat_case(
     cur: _Cursor,
     sig: Signature,
     variables: dict[str, Variable],
     atom_sorts: dict[str, AtomSort],
 ) -> StratCase:
-    # case-local schematic atoms: any name that is neither a declared
-    # variable nor a function symbol
-    metas: dict[str, MetaAtom] = {}
-
-    class _AutoMetaScope(_Scope):
-        pass
-
+    metas = _CaseMetas(sig, variables, atom_sorts, cur)
     scope = _Scope(sig, variables, metas, allow_atoms=False)
-
-    def hook(name: str) -> Optional[MetaAtom]:
-        if name in variables or sig.func(name) is not None:
-            return None
-        if name not in metas:
-            metas[name] = MetaAtom(name, _single_atom_sort(atom_sorts, cur))
-        return metas[name]
-
-    head = _parse_pattern_with_auto_metas(cur, scope, hook)
+    head = _parse_term(cur, scope)
     cur.take("@")
-    label = _parse_pattern_with_auto_metas(cur, scope, hook)
+    label = _parse_term(cur, scope)
     constraints: list[tuple[str, str, bool]] = []
     if cur.try_take("name", "when"):
         while True:
@@ -476,7 +488,7 @@ def _parse_strat_case(
             if v is None:
                 raise ParseError(f"unknown variable {vtok.text!r}", vtok.line, vtok.col)
             cur.take(",")
-            labpat = _parse_pattern_with_auto_metas(cur, scope, hook)
+            labpat = _parse_term(cur, scope)
             cur.take(")")
             recursion.append((v, labpat))
             if not cur.try_take(","):
@@ -484,29 +496,6 @@ def _parse_strat_case(
         cur.take(")")
     cur.take(";")
     return StratCase(head, label, tuple(constraints), base, tuple(recursion))
-
-
-def _parse_pattern_with_auto_metas(cur: _Cursor, scope: _Scope, hook) -> RawTerm:
-    """Parse a strat pattern, creating case-local schematic atoms on demand."""
-
-    class _HookScope:
-        sig = scope.sig
-        variables = scope.variables
-        allow_atoms = False
-
-        class _MetaDict:
-            def __contains__(self, name):
-                return hook(name) is not None
-
-            def __getitem__(self, name):
-                m = hook(name)
-                if m is None:
-                    raise KeyError(name)
-                return m
-
-        metas = _MetaDict()
-
-    return _parse_term(cur, _HookScope())  # type: ignore[arg-type]
 
 
 # --- command-line term syntax --------------------------------------------------

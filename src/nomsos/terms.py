@@ -1,11 +1,17 @@
 """Raw terms: sorted syntax trees with variables, atoms, explicit (delayed)
 permutations, abstractions, tuples and constructor applications, plus the
-permutation action, support, substitution and sort checking."""
+permutation action, support, substitution and sort checking.
+
+A rule is used only through its instances, so two jobs on patterns have one
+implementation each here: `_walk` is the one traversal behind the collectors
+`support`, `term_vars` and `meta_atoms`, and `resolve` is the one place that
+gives a schematic atom its image under an assignment (`_concrete_perm` and
+`instantiate` are built on it)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Mapping, Union
 
 from .atoms import (
     AbsSort,
@@ -90,13 +96,23 @@ class App:
 RawTerm = Union[Var, Atm, Susp, Abs, Tup, App]
 
 
-def _concrete_perm(p: PermLike) -> Permutation:
+def resolve(a: AtomLike, metas: Mapping[str, AtomLike]) -> AtomLike:
+    """The image of an atom or schematic atom under an assignment of the
+    schematic atoms. An atom is its own image, and so is a schematic atom
+    the assignment leaves out."""
+    return metas.get(a.name, a) if isinstance(a, MetaAtom) else a
+
+
+def _concrete_perm(p: PermLike, metas: Mapping[str, AtomLike] = {}) -> PermLike:
+    """The image of a delayed permutation under an assignment of its
+    schematic atoms: a `Permutation` once every atom of its swap list is
+    concrete, else the swap list of the images."""
     if isinstance(p, Permutation):
         return p
-    for a, b in p:
-        if isinstance(a, MetaAtom) or isinstance(b, MetaAtom):
-            raise ValueError(f"permutation still contains meta atoms: {a} {b}")
-    return Permutation.from_swaps(p)  # type: ignore[arg-type]
+    swaps = tuple((resolve(a, metas), resolve(b, metas)) for a, b in p)
+    if any(isinstance(x, MetaAtom) for swap in swaps for x in swap):
+        return swaps
+    return Permutation.from_swaps(swaps)  # type: ignore[arg-type]
 
 
 def act(perm: Permutation, t: RawTerm) -> RawTerm:
@@ -120,44 +136,45 @@ def act(perm: Permutation, t: RawTerm) -> RawTerm:
     raise TypeError(f"not a raw term: {t!r}")
 
 
+def _walk(t: RawTerm) -> Iterator[Union[Variable, AtomLike]]:
+    """Every variable and every atom or schematic atom occurring in `t`:
+    binders, the atoms a `Permutation` moves, and both atoms of each
+    transposition of a swap list. Iterative, so a deep term cannot exhaust
+    the stack."""
+    stack = [t]
+    while stack:
+        match stack.pop():
+            case Var(v):
+                yield v
+            case Atm(a):
+                yield a
+            case Susp(p, s):
+                if isinstance(p, Permutation):
+                    yield from p.support()
+                else:
+                    for a, b in p:
+                        yield a
+                        yield b
+                stack.append(s)
+            case Abs(a, s):
+                yield a
+                stack.append(s)
+            case Tup(items):
+                stack.extend(items)
+            case App(_, s):
+                stack.append(s)
+            case other:
+                raise TypeError(f"not a raw term: {other!r}")
+
+
 def support(t: RawTerm) -> frozenset[Atom]:
     """Raw support: every atom occurring in the term, binders and delayed
     permutations included."""
-    match t:
-        case Var(_):
-            return frozenset()
-        case Atm(a):
-            assert isinstance(a, Atom)
-            return frozenset({a})
-        case Susp(p, s):
-            return _concrete_perm(p).support() | support(s)
-        case Abs(a, s):
-            assert isinstance(a, Atom)
-            return frozenset({a}) | support(s)
-        case Tup(items):
-            out: frozenset[Atom] = frozenset()
-            for s in items:
-                out |= support(s)
-            return out
-        case App(_, s):
-            return support(s)
-    raise TypeError(f"not a raw term: {t!r}")
+    return frozenset(x for x in _walk(t) if isinstance(x, Atom))
 
 
 def term_vars(t: RawTerm) -> frozenset[Variable]:
-    match t:
-        case Var(v):
-            return frozenset({v})
-        case Atm(_):
-            return frozenset()
-        case Susp(_, s) | Abs(_, s) | App(_, s):
-            return term_vars(s)
-        case Tup(items):
-            out: frozenset[Variable] = frozenset()
-            for s in items:
-                out |= term_vars(s)
-            return out
-    raise TypeError(f"not a raw term: {t!r}")
+    return frozenset(x for x in _walk(t) if isinstance(x, Variable))
 
 
 def is_ground(t: RawTerm) -> bool:
@@ -165,88 +182,27 @@ def is_ground(t: RawTerm) -> bool:
 
 
 def meta_atoms(t: RawTerm) -> frozenset[MetaAtom]:
-    """Meta atoms occurring anywhere in a pattern term."""
-    match t:
-        case Var(_):
-            return frozenset()
-        case Atm(a):
-            return frozenset({a}) if isinstance(a, MetaAtom) else frozenset()
-        case Susp(p, s):
-            out = meta_atoms(s)
-            if not isinstance(p, Permutation):
-                for x, y in p:
-                    out |= frozenset(m for m in (x, y) if isinstance(m, MetaAtom))
-            return out
-        case Abs(a, s):
-            out = meta_atoms(s)
-            if isinstance(a, MetaAtom):
-                out |= frozenset({a})
-            return out
-        case Tup(items):
-            out = frozenset()
-            for s in items:
-                out |= meta_atoms(s)
-            return out
-        case App(_, s):
-            return meta_atoms(s)
-    raise TypeError(f"not a raw term: {t!r}")
+    """Schematic atoms occurring anywhere in a pattern term."""
+    return frozenset(x for x in _walk(t) if isinstance(x, MetaAtom))
 
 
-def concrete_atoms(t: RawTerm) -> frozenset[Atom]:
-    """Concrete atom literals occurring anywhere in a pattern term."""
-    match t:
-        case Var(_):
-            return frozenset()
-        case Atm(a):
-            return frozenset({a}) if isinstance(a, Atom) else frozenset()
-        case Susp(p, s):
-            out = concrete_atoms(s)
-            if isinstance(p, Permutation):
-                out |= p.support()
-            else:
-                for x, y in p:
-                    out |= frozenset(m for m in (x, y) if isinstance(m, Atom))
-            return out
-        case Abs(a, s):
-            out = concrete_atoms(s)
-            if isinstance(a, Atom):
-                out |= frozenset({a})
-            return out
-        case Tup(items):
-            out = frozenset()
-            for s in items:
-                out |= concrete_atoms(s)
-            return out
-        case App(_, s):
-            return concrete_atoms(s)
-    raise TypeError(f"not a raw term: {t!r}")
-
-
-def instantiate(t: RawTerm, assignment: dict[str, Atom]) -> RawTerm:
-    """Replace every meta atom by its assigned atom. The assignment need not
-    be injective; transposition lists collapse accordingly."""
-
-    def atm(a: AtomLike) -> Atom:
-        if isinstance(a, MetaAtom):
-            return assignment[a.name]
-        return a
-
+def instantiate(t: RawTerm, metas: Mapping[str, AtomLike]) -> RawTerm:
+    """Replace every schematic atom by its image under `metas` (see
+    `resolve`); one the assignment leaves out is kept. The assignment need
+    not be injective; transposition lists collapse accordingly."""
     match t:
         case Var(_):
             return t
         case Atm(a):
-            return Atm(atm(a))
+            return Atm(resolve(a, metas))
         case Susp(p, s):
-            if isinstance(p, Permutation):
-                return Susp(p, instantiate(s, assignment))
-            perm = Permutation.from_swaps((atm(x), atm(y)) for x, y in p)
-            return Susp(perm, instantiate(s, assignment))
+            return Susp(_concrete_perm(p, metas), instantiate(s, metas))
         case Abs(a, s):
-            return Abs(atm(a), instantiate(s, assignment))
+            return Abs(resolve(a, metas), instantiate(s, metas))
         case Tup(items):
-            return Tup(tuple(instantiate(s, assignment) for s in items))
+            return Tup(tuple(instantiate(s, metas) for s in items))
         case App(f, s):
-            return App(f, instantiate(s, assignment))
+            return App(f, instantiate(s, metas))
     raise TypeError(f"not a raw term: {t!r}")
 
 
@@ -272,19 +228,6 @@ def subst_apply(phi: Substitution, t: RawTerm) -> RawTerm:
         case App(f, s):
             return App(f, subst_apply(phi, s))
     raise TypeError(f"not a raw term: {t!r}")
-
-
-def subst_compose(phi: Substitution, gamma: Substitution) -> Substitution:
-    """(phi o gamma): apply gamma first, then phi."""
-    out: Substitution = {}
-    for x, t in gamma.items():
-        s = subst_apply(phi, t)
-        if s != Var(x):
-            out[x] = s
-    for x, t in phi.items():
-        if x not in gamma:
-            out[x] = t
-    return out
 
 
 def subst_act(perm: Permutation, phi: Substitution) -> Substitution:

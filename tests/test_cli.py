@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs and exit codes."""
 
 import json
+from pathlib import Path
 
 from nomsos import corpus_path
 from nomsos.cli import main
@@ -113,6 +114,7 @@ def test_budget_flags(capsys):
 
 def test_error_exit_codes(capsys):
     assert main(["check", "/nonexistent.spec"]) == 2
+    assert main(["check", str(Path(PI).parent)]) == 2
     assert main(["derive", PI, "out(a b"]) == 2
     assert main(["derive", PI, "nosuchfunc(a)"]) == 2
     deep = "new([c]" * 1000 + "null" + ")" * 1000

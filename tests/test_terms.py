@@ -15,6 +15,7 @@ from nomsos import (
     Tup,
     Var,
     Variable,
+    MetaAtom,
     act,
     app,
     is_ground,
@@ -22,7 +23,7 @@ from nomsos import (
     subst_apply,
     support,
 )
-from nomsos.terms import SortError, subst_act
+from nomsos.terms import SortError, meta_atoms, subst_act, term_vars
 
 from conftest import CH, PR, atoms, random_perm, random_term
 
@@ -55,15 +56,38 @@ def test_action_is_group_action(pi_spec):
 
 
 def test_raw_support_counts_binders():
-    a, b = atoms(2)
+    a, b, c = atoms(3)
     t = Abs(a, App("out", Tup((Atm(a), Atm(b), app("null")))))
     assert support(t) == {a, b}
+    assert support(Susp(Permutation.swap(b, c), t)) == {a, b, c}
 
 
 def test_raw_support_includes_permutation():
-    a, b = atoms(2)
+    a, b, c = atoms(3)
     t = Susp(Permutation.swap(a, b), app("null"))
     assert support(t) == {a, b}
+    assert support(app("par", t, Susp(Permutation.swap(b, c), Var(X)))) == {a, b, c}
+    mixed = Susp(((a, MetaAtom("m", CH)),), Atm(MetaAtom("m", CH)))
+    assert support(mixed) == {a}
+
+
+def test_collectors_on_a_rule_pattern(pi_spec):
+    """The conclusion target of In, (inA(a,b), ((c b))*x), has only
+    schematic atoms: its swap list is kept as written."""
+    rule = next(r for r in pi_spec.rules if r.name == "In")
+    target = rule.conclusion.target
+    assert {m.name for m in meta_atoms(target)} == {"a", "b", "c"}
+    assert support(target) == frozenset()
+    assert term_vars(target) == {X}
+
+
+def test_collectors_on_a_deep_term():
+    a, b = atoms(2)
+    t = app("out", Atm(a), Atm(b), Var(X))
+    for _ in range(5000):
+        t = App("rep", t)
+    assert support(t) == {a, b}
+    assert term_vars(t) == {X}
 
 
 def test_substitution_permits_capture():
