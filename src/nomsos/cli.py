@@ -17,7 +17,6 @@ from .engine import Budget, enumerate_transitions, prove, transition_str, tree_d
 from .formats import check_all
 from .freshness import entails, nf
 from .parser import (
-    ParseError,
     parse_entailment_str,
     parse_env_str,
     parse_spec,
@@ -177,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="specification file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if budget:
-            p.add_argument("--depth", type=int, default=1000)
-            p.add_argument("--fresh", type=int, default=2)
+            p.add_argument("--depth", type=int, default=Budget().depth)
+            p.add_argument("--fresh", type=int, default=Budget().fresh)
 
     p = sub.add_parser("check", help="run the static format checks")
     common(p)
@@ -227,10 +226,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.run(args)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -15,12 +15,12 @@ the fresh representatives stand for their whole orbit.
 
 Every term in the search is canonical by construction: the entry points
 normalise the state (and `prove` its target) once, matching binds variables
-only to canonical terms, and `instantiate_canon` builds premise sources,
-freshness terms and residuals in canonical form, normalising only under the
-rule's own abstractions and delayed permutations.  Matching itself
-normalises a subject only where it flips it under an abstraction or a
-delayed permutation.  `replay` does not rely on this: it re-checks a tree
-with full normalisation."""
+only to canonical terms, and `normalize(p, st.metas, st.subst)` builds
+premise sources, freshness terms and residuals in canonical form, using each
+bound term as it is.  Matching itself moves a subject only where it flips it
+under an abstraction or a delayed permutation.  `replay` does not rely on
+this: it instantiates the rule from scratch and compares with
+`alpha_eq`."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from .alpha import _free_atoms, alpha_eq, normalize, nt_fresh
 from .atoms import Atom
-from .matching import AtomPool, MatchState, bind_metas, instantiate_canon, match_term
+from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec
 from .terms import (
@@ -210,7 +210,7 @@ class _Search:
         if not st.subst.keys() >= pp.variables:
             return
         for st1 in bind_metas(pp.metas, st, pool):
-            src = instantiate_canon(pp.premise.source, st1)
+            src = normalize(pp.premise.source, st1.metas, st1.subst)
             inner_extra = extra | set(st1.metas.values())
             subgoals = self._solve(src, frozenset(inner_extra), depth - 1)
             for residual, subtree in list(subgoals.items()):
@@ -238,14 +238,14 @@ class _Search:
             ok = True
             for ra in rule.env:
                 atom = resolve(ra.atom, st1.metas)
-                t = instantiate_canon(ra.term, st1)
+                t = normalize(ra.term, st1.metas, st1.subst)
                 if atom in _free_atoms(t):
                     ok = False
                     break
                 discharged.append((atom, t))
             if not ok:
                 continue
-            residual = instantiate_canon(rule.conclusion.target, st1)
+            residual = normalize(rule.conclusion.target, st1.metas, st1.subst)
             if residual in entry:
                 continue
             atoms = tuple(
@@ -297,10 +297,9 @@ def enumerate_transitions(
 def prove(
     spec: Spec, source: RawTerm, target: RawTerm, budget: Budget = Budget()
 ) -> ProveOutcome:
-    s = normalize(source)
     r = normalize(target)
     enum = enumerate_transitions(
-        spec, s, budget, extra_atoms=tuple(sorted(_free_atoms(r)))
+        spec, source, budget, extra_atoms=tuple(sorted(_free_atoms(r)))
     )
     for d in enum.derivations:
         if d.transition.residual == r:

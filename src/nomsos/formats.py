@@ -22,9 +22,10 @@ from .atoms import (
     NominalSort,
     ProdSort,
     Signature,
+    fresh_atoms,
 )
 from .freshness import Assertion, entails, nf
-from .printer import atom_str, term_str
+from .printer import _atomlike_str, atom_str, term_str
 from .spec import Formula, Rule, RuleAssertion, Spec, StratCase, bn_eval
 from .terms import (
     Abs,
@@ -411,7 +412,7 @@ def check_stratification(spec: Spec) -> CheckReport:
                 constraint = "coverage"
                 witness = (
                     f"{inst.describe()}: the conclusion label binds "
-                    f"{', '.join(sorted(atom_like_str(b) for b in binding))} "
+                    f"{', '.join(sorted(_atomlike_str(b) for b in binding))} "
                     "but no stratification case is guaranteed to match"
                 )
                 break
@@ -428,10 +429,6 @@ def check_stratification(spec: Spec) -> CheckReport:
         checks.append(RuleCheck(rule.name, status, constraint, witness))
     notes = ("defined order: " + (", ".join(defined) if defined else "none"),)
     return CheckReport("stratification", tuple(checks), notes)
-
-
-def atom_like_str(a: AtomLike) -> str:
-    return a.name if isinstance(a, MetaAtom) else atom_str(a)
 
 
 def _check_decrease(
@@ -471,38 +468,16 @@ def _check_decrease(
 # --- residual alpha-conversion constraints --------------------------------------
 
 
-def _smallest_closed(sig: Signature, sort: NominalSort, fresh_index: int) -> Optional[RawTerm]:
-    """Smallest ground term of a sort; atoms are taken at a high index so
-    they are fresh for everything else in a check."""
-
+def _smallest_closed(sig: Signature, sort: NominalSort, avoid: set[Atom]) -> Optional[RawTerm]:
+    """Smallest ground term of a sort. Per atom sort, its free atoms are the
+    least atom not in `avoid` and its binders the next one, so the term is
+    fresh for everything a check puts in `avoid`."""
+    atoms = {alpha: fresh_atoms(alpha, avoid, 2) for alpha in sig.atom_sorts}
     best: dict[str, tuple[int, RawTerm]] = {}
-
-    def build(s: NominalSort) -> Optional[tuple[int, RawTerm]]:
-        match s:
-            case AtomSortRef(alpha):
-                return 1, Atm(Atom(alpha, fresh_index))
-            case AbsSort(alpha, body):
-                b = build(body)
-                if b is None:
-                    return None
-                return 1 + b[0], Abs(Atom(alpha, fresh_index + 1), b[1])
-            case ProdSort(parts):
-                total, items = 1, []
-                for p in parts:
-                    r = build(p)
-                    if r is None:
-                        return None
-                    total += r[0]
-                    items.append(r[1])
-                return total, Tup(tuple(items))
-            case BaseSort(name):
-                return best.get(name)
-        return None
-
     for _ in range(len(sig.functions) + 1):
         changed = False
         for f in sig.functions:
-            r = build(f.arg)
+            r = _closed(f.arg, atoms, best)
             if r is None:
                 continue
             size, term = 1 + r[0], App(f.name, r[1])
@@ -512,8 +487,37 @@ def _smallest_closed(sig: Signature, sort: NominalSort, fresh_index: int) -> Opt
                 changed = True
         if not changed:
             break
-    r = build(sort)
+    r = _closed(sort, atoms, best)
     return r[1] if r is not None else None
+
+
+def _closed(
+    s: NominalSort,
+    atoms: dict[AtomSort, list[Atom]],
+    best: dict[str, tuple[int, RawTerm]],
+) -> Optional[tuple[int, RawTerm]]:
+    """Size and term of the smallest ground term of sort `s` built from the
+    smallest term found so far for each base sort."""
+    match s:
+        case AtomSortRef(alpha):
+            return 1, Atm(atoms[alpha][0])
+        case AbsSort(alpha, body):
+            b = _closed(body, atoms, best)
+            if b is None:
+                return None
+            return 1 + b[0], Abs(atoms[alpha][1], b[1])
+        case ProdSort(parts):
+            total, items = 1, []
+            for p in parts:
+                r = _closed(p, atoms, best)
+                if r is None:
+                    return None
+                total += r[0]
+                items.append(r[1])
+            return total, Tup(tuple(items))
+        case BaseSort(name):
+            return best.get(name)
+    return None
 
 
 def _partitions(metas: list[MetaAtom]) -> list[list[list[MetaAtom]]]:
@@ -565,9 +569,15 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         other_vars |= term_vars(ra.term)
     d_vars = term_vars(inst.source) - premise_vars - other_vars
 
+    # The atoms of the rule, with every atom a partition below can give a
+    # schematic atom; the closed terms and the fresh candidates avoid them.
+    taken = set().union(*map(support, rule.terms()))
+    taken |= {ra.atom for ra in rule.env if isinstance(ra.atom, Atom)}
+    taken |= {Atom(m.sort, i) for m in inst.metas for i in range(len(inst.metas))}
+
     gamma: dict[Variable, RawTerm] = {}
-    for i, v in enumerate(sorted(d_vars, key=lambda v: v.name)):
-        t = _smallest_closed(spec.signature, v.sort, 1000 + 10 * i)
+    for v in sorted(d_vars, key=lambda v: v.name):
+        t = _smallest_closed(spec.signature, v.sort, taken)
         if t is None:
             return RuleCheck(
                 rule.name,
@@ -576,6 +586,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
                 f"{inst.describe()}: no closed term inhabits the sort of {v.name}",
             )
         gamma[v] = t
+        taken |= support(t)
 
     metas = sorted(set(inst.metas), key=lambda m: m.name)
     for partition in _partitions(metas):
@@ -617,7 +628,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         candidates = sorted(rule_atoms - excluded)
         sorts = {a.sort for a in rule_atoms} | set(spec.signature.atom_sorts)
         for s in sorted(sorts, key=lambda s: s.name):
-            candidates.append(Atom(s, 500))
+            candidates += fresh_atoms(s, taken, 1)
 
         binders = bn_eval(spec, label)
         for a in candidates:

@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .atoms import Atom, AtomSort, Permutation, fresh_atoms
-from .alpha import _canon, _free_atoms, _push, canon_abs
+from .alpha import _free_atoms, _move
 from .terms import (
     Abs,
     App,
@@ -104,7 +104,7 @@ def match_term(
             out: list[MatchState] = []
             for st in bind_metas(swapped, state, pool):
                 concrete = _concrete_perm(perm, st.metas)
-                flipped = _canon(_push(concrete.inverse(), subject))
+                flipped = _move(concrete.inverse(), subject)
                 out.extend(match_term(inner, flipped, st, pool))
             return _dedup(out)
         case Abs(binder, body):
@@ -132,7 +132,7 @@ def match_term(
                 if a == d:
                     body_subject = q
                 elif a not in _free_atoms(q):
-                    body_subject = _canon(_push(Permutation.swap(a, d), q))
+                    body_subject = _move(Permutation.swap(a, d), q)
                 else:
                     continue
                 out.extend(match_term(body, body_subject, st, pool))
@@ -166,25 +166,3 @@ def _dedup(states: list[MatchState]) -> list[MatchState]:
             seen.add(k)
             out.append(st)
     return out
-
-
-def instantiate_canon(t: RawTerm, state: MatchState) -> RawTerm:
-    """The canonical form of a pattern instantiated by a match solution.
-    Matching binds variables to canonical terms only, and canonical form is
-    local (see `alpha`), so a bound term is used as it is and only the
-    pattern's own abstractions and delayed permutations are normalised."""
-    match t:
-        case Var(v):
-            return state.subst[v]
-        case Atm(a):
-            return Atm(resolve(a, state.metas))
-        case Susp(perm, s):
-            concrete = _concrete_perm(perm, state.metas)
-            return _canon(_push(concrete, instantiate_canon(s, state)))
-        case Abs(a, s):
-            return canon_abs(resolve(a, state.metas), instantiate_canon(s, state))
-        case Tup(items):
-            return Tup(tuple(instantiate_canon(s, state) for s in items))
-        case App(f, s):
-            return App(f, instantiate_canon(s, state))
-    raise TypeError(f"not a pattern: {t!r}")

@@ -233,17 +233,19 @@ def _parse_term(cur: _Cursor, scope: _Scope) -> RawTerm:
 
 
 def _try_parse_susp(cur: _Cursor, scope: _Scope) -> Optional[RawTerm]:
-    """Backtracking attempt at '(' perm ')' '*' term."""
+    """Backtracking attempt at '(' perm ')' '*' term, where perm composes
+    transpositions '(a b)' and the identity 'id' with 'o'."""
     start = cur.i
     try:
         cur.take("(")
         swaps: list[tuple[AtomLike, AtomLike]] = []
         while True:
-            cur.take("(")
-            a = _resolve_atomlike(scope, cur.take("name"), cur)
-            b = _resolve_atomlike(scope, cur.take("name"), cur)
-            cur.take(")")
-            swaps.append((a, b))
+            if not cur.try_take("name", "id"):
+                cur.take("(")
+                a = _resolve_atomlike(scope, cur.take("name"), cur)
+                b = _resolve_atomlike(scope, cur.take("name"), cur)
+                cur.take(")")
+                swaps.append((a, b))
             if cur.try_take("name", "o") or cur.try_take("∘"):
                 continue
             break

@@ -2,6 +2,7 @@
 decrease, and the abstraction-commitment condition on binders."""
 
 import dataclasses
+import gc
 
 from nomsos import (
     check_acr,
@@ -124,3 +125,40 @@ order null @ tickA = 0 ;
     assert report.passed
     statuses = {c.rule: c.status for c in report.checks}
     assert statuses["Tick"] in ("pass", "skipped")
+
+
+def test_acr_verdict_does_not_depend_on_literal_names():
+    # The premise target (l, y) is not fresh for every atom that is fresh
+    # for the conclusion residual, so (i) fails for an atom outside the
+    # rule, whatever the rule's literal atom is called.
+    text = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func foo : pr -> pr ;
+func outA : ch * ch -> ac ;
+var x : pr ;
+var y : pr ;
+var l : ac ;
+rule R :
+  premise x -> (l, y) ;
+  conclusion foo(x) -> (outA(LIT, LIT), null) ;
+order foo(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;
+"""
+    for literal in ("ch7", "ch500"):
+        report = check_acr(parse_spec(text.replace("LIT", literal)))
+        verdicts = [(c.rule, c.status, c.constraint) for c in report.checks]
+        assert verdicts == [("R", "fail", "(i)")], literal
+
+
+def test_checks_leave_no_cyclic_garbage(pi_spec, pi_broken_spec):
+    gc.collect()
+    gc.disable()
+    try:
+        check_all(pi_spec)
+        check_all(pi_broken_spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -105,11 +105,16 @@ def test_term_print_parse_roundtrip(pi_spec):
 
     from nomsos import normalize
 
-    from conftest import random_state
+    from conftest import random_state, random_term
 
     rng = random.Random(47)
     for _ in range(100):
         t = normalize(random_state(rng, pi_spec))
+        assert parse_term_str(pi_spec, term_str(t)) == t
+    # raw terms: variables, and delayed permutations, the identity included
+    variables = sorted(pi_spec.variables.values())
+    for _ in range(300):
+        t = random_term(rng, pi_spec, variables=variables, susp=True)
         assert parse_term_str(pi_spec, term_str(t)) == t
 
 
