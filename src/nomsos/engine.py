@@ -108,16 +108,14 @@ class _PremisePlan:
 @dataclass(frozen=True)
 class _RulePlan:
     """What the search needs of a rule beyond the rule itself, worked out
-    once: the schematic atoms the conclusion still has to bind, the
-    variables the residual and freshness conditions need, and the names a
-    proof tree records. Schematic atoms are sorted by name."""
+    once: the schematic atoms the conclusion still has to bind and the
+    variables the residual and freshness conditions need. Schematic atoms
+    are sorted by name."""
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
     pending: tuple[MetaAtom, ...]
     conclusion_vars: frozenset[Variable]
-    names: frozenset[str]
-    rule_vars: frozenset[Variable]
 
     @staticmethod
     def of(rule: Rule) -> "_RulePlan":
@@ -136,8 +134,6 @@ class _RulePlan:
             ),
             pending=_by_name(pending),
             conclusion_vars=frozenset(conclusion_vars),
-            names=frozenset(m.name for m in rule.metas),
-            rule_vars=frozenset().union(*(term_vars(t) for t in rule.terms())),
         )
 
 
@@ -150,43 +146,41 @@ class _Search:
         self.truncated = False
         self.changed = False
         self.stale = False
-        self.active: set[tuple] = set()
-        self.settled: set[tuple] = set()
+        # The keys this pass has reached: False while a key is being solved,
+        # True once it is settled.
+        self.settled: dict[tuple, bool] = {}
 
     def run(self, state: RawTerm, extra: frozenset[Atom]) -> dict[RawTerm, ProofTree]:
         while True:
             self.changed = False
             self.stale = False
-            self.active = set()
-            self.settled = set()
-            self._solve(state, extra, self.budget.depth)
+            self.settled = {}
+            entry = self._solve(state, extra, self.budget.depth)
             if not (self.changed and self.stale):
-                break
-        return self.table[(state, extra)]
+                return entry
 
     def _solve(
         self, state: RawTerm, extra: frozenset[Atom], depth: int
     ) -> dict[RawTerm, ProofTree]:
         key = (state, extra)
         entry = self.table.setdefault(key, {})
-        if key in self.settled:
-            return entry
-        if key in self.active:
-            self.stale = True
+        settled = self.settled.get(key)
+        if settled is not None:
+            if not settled:
+                self.stale = True
             return entry
         if depth <= 0:
             self.truncated = True
             self.stale = True
             return entry
-        self.active.add(key)
+        self.settled[key] = False
         pool = AtomPool(
             tuple(sorted(_free_atoms(state) | extra)), self.budget.fresh
         )
         for plan in self.plans:
             for st in match_term(plan.rule.conclusion.source, state, MatchState(), pool):
                 self._premises(plan, 0, st, (), state, extra, depth, pool, entry)
-        self.active.discard(key)
-        self.settled.add(key)
+        self.settled[key] = True
         return entry
 
     def _premises(
@@ -248,17 +242,10 @@ class _Search:
             residual = normalize(rule.conclusion.target, st1.metas, st1.subst)
             if residual in entry:
                 continue
-            atoms = tuple(
-                (n, a) for n, a in sorted(st1.metas.items()) if n in plan.names
-            )
-            subst = tuple(
-                (v, t) for v, t in sorted(st1.subst.items(), key=lambda kv: kv[0].name)
-                if v in plan.rule_vars
-            )
             entry[residual] = ProofTree(
                 rule_name=rule.name,
-                atoms=atoms,
-                subst=subst,
+                atoms=tuple(sorted(st1.metas.items())),
+                subst=tuple(sorted(st1.subst.items(), key=lambda kv: kv[0].name)),
                 transition=Transition(state, residual),
                 children=children,
                 discharged=tuple(discharged),
@@ -312,17 +299,21 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
     list of violations (empty when the tree is valid)."""
 
     errors: list[str] = []
-    rules = {r.name: r for r in spec.rules}
-    rule = rules.get(tree.rule_name)
+    rule = spec.rule(tree.rule_name)
     if rule is None:
         return [f"unknown rule {tree.rule_name!r}"]
     asg = dict(tree.atoms)
     subst = dict(tree.subst)
+    where = f"node {tree.rule_name}"
+    unbound = [m.name for m in rule.metas if m.name not in asg] + sorted(
+        v.name for v in set().union(*map(term_vars, rule.terms())) if v not in subst
+    )
+    if unbound:
+        return [f"{where}: no binding for {', '.join(unbound)}"]
 
     def inst(t: RawTerm) -> RawTerm:
         return subst_apply(subst, instantiate(t, asg))
 
-    where = f"node {tree.rule_name}"
     if not alpha_eq(inst(rule.conclusion.source), tree.transition.state):
         errors.append(f"{where}: conclusion source mismatch")
     if not alpha_eq(inst(rule.conclusion.target), tree.transition.residual):

@@ -619,12 +619,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         for s, l, t in prem:
             rule_atoms |= support(s) | support(t)
         rule_atoms |= support(target_pair)
-        excluded = {
-            c
-            for c in support(source)
-            if nf([Assertion(c, source)]).is_consistent
-            and not nf([Assertion(c, source)]).all
-        }
+        excluded = {c for c in support(source) if not nf([Assertion(c, source)]).all}
         candidates = sorted(rule_atoms - excluded)
         sorts = {a.sort for a in rule_atoms} | set(spec.signature.atom_sorts)
         for s in sorted(sorts, key=lambda s: s.name):

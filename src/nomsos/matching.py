@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .atoms import Atom, AtomSort, Permutation, fresh_atoms
 from .alpha import _free_atoms, _move
@@ -40,12 +40,6 @@ class MatchState:
     def with_var(self, var: Variable, term: RawTerm) -> "MatchState":
         return MatchState(self.metas, {**self.subst, var: term})
 
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(self.metas.items())),
-            tuple(sorted(self.subst.items(), key=lambda kv: kv[0].name)),
-        )
-
 
 @dataclass(frozen=True)
 class AtomPool:
@@ -61,16 +55,16 @@ class AtomPool:
 
 
 def bind_metas(
-    atoms: Iterable[AtomLike], state: MatchState, pool: Optional[AtomPool]
+    atoms: Iterable[AtomLike], state: MatchState, pool: AtomPool
 ) -> list[MatchState]:
     """Every extension of `state` that binds the schematic atoms among
-    `atoms` it leaves unbound, each to a candidate of the pool (none when
-    there is no pool). The first atom varies slowest, so the order of the
-    solutions follows the order of `atoms`."""
+    `atoms` it leaves unbound, each to a candidate of the pool. The first
+    atom varies slowest, so the order of the solutions follows the order of
+    `atoms`."""
     states = [state]
     for m in dict.fromkeys(atoms):
         if isinstance(m, MetaAtom) and m.name not in state.metas:
-            cands = pool.candidates(m.sort) if pool is not None else []
+            cands = pool.candidates(m.sort)
             states = [st.with_meta(m.name, a) for st in states for a in cands]
     return states
 
@@ -79,12 +73,16 @@ def match_term(
     pattern: RawTerm,
     subject: RawTerm,
     state: MatchState,
-    pool: Optional[AtomPool],
+    pool: AtomPool,
 ) -> list[MatchState]:
     """All extensions of `state` under which the instantiated pattern is
     alpha-equivalent to the (canonical, ground) subject. Completeness is
-    relative to the pool supplied for underdetermined schematic atoms; when
-    pool is None only forced choices plus one fresh fallback are tried."""
+    relative to the pool, which supplies the candidates for schematic atoms
+    the subject does not determine.
+
+    Each solution binds exactly the pattern's variables and schematic atoms
+    that `state` leaves unbound, and two solutions differ in the atom of some
+    schematic atom, so the solutions are pairwise distinct."""
     match pattern:
         case Var(v):
             bound = state.subst.get(v)
@@ -106,7 +104,7 @@ def match_term(
                 concrete = _concrete_perm(perm, st.metas)
                 flipped = _move(concrete.inverse(), subject)
                 out.extend(match_term(inner, flipped, st, pool))
-            return _dedup(out)
+            return out
         case Abs(binder, body):
             if not isinstance(subject, Abs):
                 return []
@@ -118,14 +116,11 @@ def match_term(
             options: list[tuple[Atom, MatchState]] = [(binder, state)]
             if isinstance(binder, MetaAtom):
                 free_q = _free_atoms(q)
-                if pool is not None:
-                    others = [
-                        c
-                        for c in pool.candidates(binder.sort)
-                        if c != d and c not in free_q
-                    ]
-                else:
-                    others = fresh_atoms(binder.sort, free_q | {d}, 1)
+                others = [
+                    c
+                    for c in pool.candidates(binder.sort)
+                    if c != d and c not in free_q
+                ]
                 options = [(a, state.with_meta(binder.name, a)) for a in [d, *others]]
             out = []
             for a, st in options:
@@ -136,15 +131,15 @@ def match_term(
                 else:
                     continue
                 out.extend(match_term(body, body_subject, st, pool))
-            return _dedup(out)
+            return out
         case Tup(items):
             if not isinstance(subject, Tup) or len(subject.items) != len(items):
                 return []
             states = [state]
             for pat, sub in zip(items, subject.items):
-                states = _dedup(
-                    [st2 for st in states for st2 in match_term(pat, sub, st, pool)]
-                )
+                states = [
+                    st2 for st in states for st2 in match_term(pat, sub, st, pool)
+                ]
                 if not states:
                     return []
             return states
@@ -154,15 +149,3 @@ def match_term(
             return match_term(arg, subject.arg, state, pool)
     raise TypeError(f"not a pattern: {pattern!r}")
 
-
-def _dedup(states: list[MatchState]) -> list[MatchState]:
-    if len(states) < 2:
-        return states
-    seen = set()
-    out = []
-    for st in states:
-        k = st.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(st)
-    return out

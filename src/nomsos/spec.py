@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .alpha import _free_atoms, normalize
 from .atoms import (
     AtomSortRef,
     BaseSort,
@@ -15,6 +16,7 @@ from .atoms import (
     sort_str,
     validate_signature,
 )
+from .matching import AtomPool, MatchState, match_term
 from .terms import (
     App,
     Atm,
@@ -26,6 +28,7 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    instantiate,
     meta_atoms,
     sort_check,
     term_vars,
@@ -187,22 +190,26 @@ def check_constraints(
 def strat_eval(spec: Spec, p: RawTerm, label: RawTerm) -> Optional[int]:
     """Order of a ground (state, action) pair under the stratification
     declaration; None stands for undefined. Inside measure arithmetic an
-    undefined recursive call contributes 0. First matching case wins."""
-    from .alpha import normalize
-    from .matching import MatchState, match_term
+    undefined recursive call contributes 0. First matching case wins.
 
+    A clause's schematic atoms range over the free atoms of the normalised
+    state and action plus one fresh atom per schematic atom of the clause,
+    so every way the clause can match is tried up to renaming, and the
+    order does not change when one permutation renames state and action."""
     p = normalize(p)
     label = normalize(label)
+    free = tuple(sorted(_free_atoms(p) | _free_atoms(label)))
     for case in spec.strat:
-        states = match_term(case.label, label, MatchState(), pool=None)
-        found: Optional[MatchState] = None
-        for st in states:
-            for st2 in match_term(case.head, p, st, pool=None):
-                if check_constraints(case.constraints, st2.metas):
-                    found = st2
-                    break
-            if found:
-                break
+        pool = AtomPool(free, len(meta_atoms(case.head) | meta_atoms(case.label)))
+        found = next(
+            (
+                st2
+                for st in match_term(case.label, label, MatchState(), pool)
+                for st2 in match_term(case.head, p, st, pool)
+                if check_constraints(case.constraints, st2.metas)
+            ),
+            None,
+        )
         if found is None:
             continue
         if case.base is not None:
@@ -212,8 +219,6 @@ def strat_eval(spec: Spec, p: RawTerm, label: RawTerm) -> Optional[int]:
             sub = found.subst.get(var)
             if sub is None:
                 continue  # recursion position not bound by this pattern
-            from .terms import instantiate
-
             sub_label = instantiate(labpat, found.metas)
             r = strat_eval(spec, sub, sub_label)
             best = max(best, r if r is not None else 0)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 from nomsos import (
@@ -223,3 +224,34 @@ def test_deep_chain_fits_the_stack(pi_spec):
     assert [term_str(d.transition.residual) for d in enum.derivations] == [
         "(outA(a, b), null)"
     ]
+
+
+def test_replay_reports_malformed_trees(pi_spec):
+    # Each broken tree gets a violation message instead of an exception.
+    tree = prove(
+        pi_spec,
+        _t(pi_spec, "new([b]out(a, b, null))"),
+        _t(pi_spec, "(boutA(a, b), null)"),
+    ).tree
+    assert tree is not None and replay(pi_spec, tree) == []
+    (child,) = tree.children
+    (a,) = atoms(1)
+    broken = {
+        # In binds c and Res binds c and l, which the tree leaves unbound
+        "child as In": replace(tree, children=(replace(child, rule_name="In"),)),
+        "root as Res": replace(tree, rule_name="Res"),
+        "no subst": replace(tree, subst=()),
+        "unknown rule": replace(tree, children=(replace(child, rule_name="Nope"),)),
+        "missing premise": replace(tree, children=()),
+        "b # a fails": replace(tree, atoms=(("a", a), ("b", a))),
+    }
+    expected = {
+        "child as In": "node In: no binding for c",
+        "root as Res": "node Res: no binding for c, l",
+        "no subst": "node Open: no binding for x, y",
+        "unknown rule": "unknown rule 'Nope'",
+        "missing premise": "node Open: expected 1 premises",
+        "b # a fails": "node Open: freshness a # a fails",
+    }
+    for what, t in broken.items():
+        assert expected[what] in replay(pi_spec, t), what

@@ -9,6 +9,7 @@ from nomsos import (
     check_all,
     check_equivariant,
     check_stratification,
+    corpus_path,
     parse_spec,
 )
 
@@ -162,3 +163,38 @@ def test_checks_leave_no_cyclic_garbage(pi_spec, pi_broken_spec):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_decrease_failures_of_one_line_mutants():
+    # Each mutant of the Rep rule or its order clause fails only the
+    # decrease condition of stratification, with its own witness.
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    rep_premise = "  premise x -> (l, y) ;\n  conclusion rep(x)"
+    rep_order = "order rep(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;"
+    mutants = [
+        (
+            rep_premise,
+            "  premise par(x, rep(x)) -> (l, y) ;\n  conclusion rep(x)",
+            "Rep@outA: premise source par(x, rep(x)) is not a variable",
+        ),
+        (
+            rep_order,
+            "order rep(x) @ outA(a,b) = 3 ;",
+            "Rep@outA: case with constant measure 3 matches a rule with premises",
+        ),
+        (
+            rep_order,
+            "order rep(x) @ outA(a,b) = 1 + max(S(x, boutA(a,b))) ;",
+            "Rep@outA: premise x -> ... @ outA(_b1, _b2) has no matching recursive call",
+        ),
+    ]
+    for old, new, witness in mutants:
+        assert text.count(old) == 1
+        reports = check_all(parse_spec(text.replace(old, new)))
+        failed = [
+            (r.name, c.rule, c.constraint, c.witness)
+            for r in reports
+            for c in r.checks
+            if c.status not in ("pass", "skipped")
+        ]
+        assert failed == [("stratification", "Rep", "decrease", witness)], new

@@ -1,10 +1,13 @@
 """Specification-level semantics: binding names, stratification order,
 side-condition constraints."""
 
-from nomsos import bn_eval, parse_term_str, strat_eval, validate_spec
+import random
+
+from nomsos import act, bn_eval, parse_term_str, strat_eval, validate_spec
+from nomsos.atoms import BaseSort
 from nomsos.spec import check_constraints
 
-from conftest import atoms
+from conftest import atoms, random_perm, random_state, random_term
 
 
 def _t(spec, s):
@@ -81,3 +84,21 @@ def test_order_alpha_invariant(pi_spec):
     p2 = _t(pi_spec, "new([c]out(a, c, null))")
     lab = _t(pi_spec, "boutA(a, b)")
     assert strat_eval(pi_spec, p1, lab) == strat_eval(pi_spec, p2, lab) == 1
+
+
+def test_order_equivariant(pi_spec):
+    # A clause's schematic atoms may take atoms outside the state and the
+    # action, so the order does not depend on which atoms are named.
+    p = _t(pi_spec, "new([a]sum(null, null))")
+    assert strat_eval(pi_spec, p, _t(pi_spec, "outA(a, b)")) == 2
+    assert strat_eval(pi_spec, p, _t(pi_spec, "outA(a, d)")) == 2
+    rng = random.Random(7)
+    defined = 0
+    for _ in range(300):
+        p = random_state(rng, pi_spec)
+        lab = random_term(rng, pi_spec, BaseSort("ac"), 2, atoms(4))
+        perm = random_perm(rng, atoms(6))
+        n = strat_eval(pi_spec, p, lab)
+        assert strat_eval(pi_spec, act(perm, p), act(perm, lab)) == n, (p, lab, perm)
+        defined += n is not None
+    assert defined > 20
