@@ -53,7 +53,6 @@ from .spec import (
     Formula,
     ResidualSignature,
     Rule,
-    RuleAssertion,
     Spec,
     StratCase,
     bn_eval,
@@ -79,7 +78,6 @@ from .terms import (
     subst_act,
     subst_apply,
     support,
-    unit,
 )
 
 __version__ = "0.1.0"

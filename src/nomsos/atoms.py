@@ -131,15 +131,15 @@ NominalSort = Union[BaseSort, AtomSortRef, AbsSort, ProdSort]
 
 def prod(parts: Iterable[NominalSort]) -> NominalSort:
     """Product sort, flattened; a 1-tuple collapses to its component."""
-    flat: list[NominalSort] = []
-    for p in parts:
-        if isinstance(p, ProdSort):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
+    flat = [q for p in parts for q in prod_parts(p)]
     if len(flat) == 1:
         return flat[0]
     return ProdSort(tuple(flat))
+
+
+def prod_parts(s: NominalSort) -> tuple[NominalSort, ...]:
+    """The components of a sort, unpacked as `prod` packs them."""
+    return s.parts if isinstance(s, ProdSort) else (s,)
 
 
 def sort_str(s: NominalSort, *, atomic: bool = False) -> str:

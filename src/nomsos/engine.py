@@ -33,11 +33,11 @@ from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec
 from .terms import (
-    App,
     MetaAtom,
     RawTerm,
     Variable,
     instantiate,
+    is_ground,
     meta_atoms,
     resolve,
     subst_apply,
@@ -139,7 +139,6 @@ class _RulePlan:
 
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
-        self.spec = spec
         self.budget = budget
         self.plans = tuple(_RulePlan.of(rule) for rule in spec.rules)
         self.table: dict[tuple, dict[RawTerm, ProofTree]] = {}
@@ -225,9 +224,9 @@ class _Search:
         rule = plan.rule
         if not st.subst.keys() >= plan.conclusion_vars:
             return
+        if rule.excluded_label(st.subst) is not None:
+            return
         for st1 in bind_metas(plan.pending, st, pool):
-            if not self._admissible(rule, st1):
-                continue
             discharged = []
             ok = True
             for ra in rule.env:
@@ -251,16 +250,6 @@ class _Search:
                 discharged=tuple(discharged),
             )
             self.changed = True
-
-    def _admissible(self, rule: Rule, st: MatchState) -> bool:
-        for lvar, excluded in rule.label_excluded:
-            v = self.spec.variables.get(lvar)
-            if v is None:
-                return False
-            bound = st.subst.get(v)
-            if isinstance(bound, App) and bound.func in excluded:
-                return False
-        return True
 
 
 def enumerate_transitions(
@@ -310,6 +299,9 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
     )
     if unbound:
         return [f"{where}: no binding for {', '.join(unbound)}"]
+    loose = sorted(v.name for v, t in subst.items() if not is_ground(t))
+    if loose:
+        return [f"{where}: {name} is bound to a term that is not ground" for name in loose]
 
     def inst(t: RawTerm) -> RawTerm:
         return subst_apply(subst, instantiate(t, asg))
@@ -331,11 +323,9 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
         atom = resolve(ra.atom, asg)
         if not nt_fresh(atom, inst(ra.term)):
             errors.append(f"{where}: freshness {atom_str(atom)} # {term_str(inst(ra.term))} fails")
-    for lvar, excluded in rule.label_excluded:
-        v = spec.variables.get(lvar)
-        bound = subst.get(v) if v is not None else None
-        if isinstance(bound, App) and bound.func in excluded:
-            errors.append(f"{where}: label {bound.func} is excluded")
+    head = rule.excluded_label(subst)
+    if head is not None:
+        errors.append(f"{where}: label {head} is excluded")
     return errors
 
 

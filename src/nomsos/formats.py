@@ -23,10 +23,11 @@ from .atoms import (
     ProdSort,
     Signature,
     fresh_atoms,
+    prod_parts,
 )
 from .freshness import Assertion, entails, nf
-from .printer import _atomlike_str, atom_str, term_str
-from .spec import Formula, Rule, RuleAssertion, Spec, StratCase, bn_eval
+from .printer import _atomlike_str, atom_str, env_str, term_str
+from .spec import Formula, Rule, Spec, StratCase, bn_eval, validate_spec
 from .terms import (
     Abs,
     App,
@@ -38,6 +39,7 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    app,
     instantiate,
     resolve,
     subst_apply,
@@ -105,12 +107,7 @@ def check_equivariant(spec: Spec) -> CheckReport:
     permuting the assignment of its schematic atoms."""
     checks = []
     for rule in spec.rules:
-        literals: set[Atom] = set()
-        for t in rule.terms():
-            literals |= support(t)
-        for ra in rule.env:
-            if isinstance(ra.atom, Atom):
-                literals.add(ra.atom)
+        literals = rule.atoms()
         if literals:
             a = min(literals)
             other = Atom(a.sort, a.index + 1)
@@ -140,7 +137,7 @@ class LabelInstance:
     target: RawTerm  # state component of the conclusion residual
     label: RawTerm
     premises: tuple[Formula, ...]
-    env: tuple[RuleAssertion, ...]
+    env: tuple[Assertion, ...]
     metas: tuple[MetaAtom, ...]
 
     def describe(self) -> str:
@@ -158,14 +155,9 @@ class LabelInstance:
         return out
 
 
-def _fresh_label_term(spec: Spec, decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
+def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
     """A most general pattern for one action constructor: fresh schematic
     atoms at atom positions, fresh variables elsewhere."""
-    parts: tuple[NominalSort, ...]
-    if isinstance(decl.arg, ProdSort):
-        parts = decl.arg.parts
-    else:
-        parts = (decl.arg,)
     items: list[RawTerm] = []
     new_metas: list[MetaAtom] = []
     counter = 0
@@ -179,17 +171,14 @@ def _fresh_label_term(spec: Spec, decl: FuncDecl, taken: set[str]) -> tuple[RawT
                 taken.add(n)
                 return n
 
-    for part in parts:
+    for part in prod_parts(decl.arg):
         if isinstance(part, AtomSortRef):
             m = MetaAtom(fresh_name("_b"), part.sort)
             new_metas.append(m)
             items.append(Atm(m))
         else:
             items.append(Var(Variable(fresh_name("_v"), part)))
-    arg: RawTerm = items[0] if len(items) == 1 else Tup(tuple(items))
-    if not items:
-        arg = Tup(())
-    return App(decl.name, arg), new_metas
+    return app(decl.name, *items), new_metas
 
 
 def label_instances(spec: Spec, rule: Rule) -> list[LabelInstance]:
@@ -212,7 +201,7 @@ def label_instances(spec: Spec, rule: Rule) -> list[LabelInstance]:
     if not isinstance(label, Var):
         return []
     v = label.var
-    excluded = rule.excluded_for(v.name)
+    excluded = rule.excluded_for(v)
     action = spec.action_sort
     if not isinstance(action, BaseSort):
         return []
@@ -221,7 +210,7 @@ def label_instances(spec: Spec, rule: Rule) -> list[LabelInstance]:
     for decl in spec.signature.constructors_of(action.name):
         if decl.name in excluded:
             continue
-        term, new_metas = _fresh_label_term(spec, decl, set(taken))
+        term, new_metas = _fresh_label_term(decl, set(taken))
         sub = {v: term}
         out.append(
             LabelInstance(
@@ -233,9 +222,7 @@ def label_instances(spec: Spec, rule: Rule) -> list[LabelInstance]:
                     Formula(subst_apply(sub, p.source), subst_apply(sub, p.target))
                     for p in rule.premises
                 ),
-                tuple(
-                    RuleAssertion(ra.atom, subst_apply(sub, ra.term)) for ra in rule.env
-                ),
+                tuple(Assertion(ra.atom, subst_apply(sub, ra.term)) for ra in rule.env),
                 rule.metas + tuple(new_metas),
             )
         )
@@ -256,6 +243,13 @@ class _Bind:
     # instances that identify them
     identifications: list[tuple[AtomLike, AtomLike]] = field(default_factory=list)
 
+    def bind_meta(self, m: MetaAtom, a: AtomLike) -> None:
+        """Bind a case's schematic atom to a rule atom, or, when it is
+        already bound to another one, record that the two are identified."""
+        seen = self.metas.setdefault(m.name, a)
+        if seen != a:
+            self.identifications.append((seen, a))
+
 
 def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bool]:
     """Structural match of a case pattern against a rule pattern (both may
@@ -270,11 +264,7 @@ def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bo
         case Atm(m) if isinstance(m, MetaAtom):
             if not isinstance(rule_pat, Atm):
                 return False if isinstance(rule_pat, (App, Tup, Abs)) else None
-            if m.name in bind.metas:
-                if bind.metas[m.name] != rule_pat.atom:
-                    bind.identifications.append((bind.metas[m.name], rule_pat.atom))
-                return True
-            bind.metas[m.name] = rule_pat.atom
+            bind.bind_meta(m, rule_pat.atom)
             return True
         case App(f, arg):
             if isinstance(rule_pat, App):
@@ -293,13 +283,7 @@ def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bo
         case Abs(a, body):
             if isinstance(rule_pat, Abs):
                 if isinstance(a, MetaAtom):
-                    if a.name in bind.metas:
-                        if bind.metas[a.name] != rule_pat.binder:
-                            bind.identifications.append(
-                                (bind.metas[a.name], rule_pat.binder)
-                            )
-                    else:
-                        bind.metas[a.name] = rule_pat.binder
+                    bind.bind_meta(a, rule_pat.binder)
                     return _sym_match(body, rule_pat.body, bind)
                 return None
             return None if isinstance(rule_pat, (Var, Susp)) else False
@@ -571,8 +555,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
 
     # The atoms of the rule, with every atom a partition below can give a
     # schematic atom; the closed terms and the fresh candidates avoid them.
-    taken = set().union(*map(support, rule.terms()))
-    taken |= {ra.atom for ra in rule.env if isinstance(ra.atom, Atom)}
+    taken = set(rule.atoms())
     taken |= {Atom(m.sort, i) for m in inst.metas for i in range(len(inst.metas))}
 
     gamma: dict[Variable, RawTerm] = {}
@@ -654,8 +637,6 @@ def _acr_fail(
     lhs: frozenset[Assertion],
     rhs: frozenset[Assertion],
 ) -> RuleCheck:
-    from .printer import env_str
-
     ident = " ".join(
         "{" + ",".join(m.name for m in block) + "}" for block in partition
     )
@@ -669,8 +650,6 @@ def _acr_fail(
 
 
 def check_all(spec: Spec) -> list[CheckReport]:
-    from .spec import validate_spec
-
     errors = validate_spec(spec)
     wf = CheckReport(
         "well-formedness",

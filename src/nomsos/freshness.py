@@ -7,10 +7,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .atoms import Atom
+from .printer import assertion_str
 from .terms import (
     Abs,
     App,
     Atm,
+    AtomLike,
     RawTerm,
     Substitution,
     Susp,
@@ -24,14 +26,13 @@ from .alpha import nt_fresh
 
 @dataclass(frozen=True)
 class Assertion:
-    """A freshness assertion a # t."""
+    """A freshness assertion a # t. In a rule's side condition the atom may
+    be schematic; `nf` and `entails` take concrete atoms only."""
 
-    atom: Atom
+    atom: AtomLike
     term: RawTerm
 
     def __str__(self) -> str:
-        from .printer import assertion_str
-
         return assertion_str(self)
 
 

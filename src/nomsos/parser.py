@@ -20,15 +20,15 @@ from .atoms import (
     BaseSort,
     FuncDecl,
     NominalSort,
+    Permutation,
     ProdSort,
     Signature,
     prod,
 )
 from .freshness import Assertion
-from .spec import Formula, ResidualSignature, Rule, RuleAssertion, Spec, StratCase
+from .spec import Formula, ResidualSignature, Rule, Spec, StratCase
 from .terms import (
     Abs,
-    App,
     Atm,
     AtomLike,
     MetaAtom,
@@ -37,6 +37,7 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    app,
 )
 
 _TOKEN_RE = re.compile(
@@ -218,14 +219,13 @@ def _parse_term(cur: _Cursor, scope: _Scope) -> RawTerm:
         return Var(scope.variables[name])
     decl = scope.sig.func(name)
     if decl is not None:
+        args = []
         if cur.try_take("("):
-            args = [_parse_term(cur, scope)]
+            args.append(_parse_term(cur, scope))
             while cur.try_take(","):
                 args.append(_parse_term(cur, scope))
             cur.take(")")
-            arg = args[0] if len(args) == 1 else Tup(tuple(args))
-            return App(name, arg)
-        return App(name, Tup(()))
+        return app(name, *args)
     atom = _atom_literal(scope, name)
     if atom is not None:
         return Atm(atom)
@@ -255,8 +255,6 @@ def _try_parse_susp(cur: _Cursor, scope: _Scope) -> Optional[RawTerm]:
         cur.i = start
         return None
     term = _parse_term(cur, scope)
-    from .atoms import Permutation
-
     if all(isinstance(a, Atom) and isinstance(b, Atom) for a, b in swaps):
         return Susp(Permutation.from_swaps(swaps), term)  # type: ignore[arg-type]
     return Susp(tuple(swaps), term)
@@ -268,10 +266,10 @@ def _parse_formula(cur: _Cursor, scope: _Scope) -> Formula:
     return Formula(source, _parse_term(cur, scope))
 
 
-def _parse_rule_assertion(cur: _Cursor, scope: _Scope) -> RuleAssertion:
+def _parse_assertion(cur: _Cursor, scope: _Scope) -> Assertion:
     atom = _resolve_atomlike(scope, cur.take("name"), cur)
     cur.take("#")
-    return RuleAssertion(atom, _parse_term(cur, scope))
+    return Assertion(atom, _parse_term(cur, scope))
 
 
 # --- spec files --------------------------------------------------------------
@@ -347,6 +345,14 @@ def parse_spec(text: str) -> Spec:
     return Spec(rsig, tuple(rules), bn, tuple(strat), variables)
 
 
+def _take_variable(cur: _Cursor, variables: dict[str, Variable]) -> Variable:
+    tok = cur.take("name")
+    v = variables.get(tok.text)
+    if v is None:
+        raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+    return v
+
+
 def _single_atom_sort(atom_sorts: dict[str, AtomSort], cur: _Cursor) -> AtomSort:
     if len(atom_sorts) != 1:
         cur.error("atom sort annotation required when several atom sorts exist")
@@ -388,11 +394,11 @@ def _parse_rule(
         cur.take(":")
 
     scope = _Scope(sig, variables, metas)
-    label_excluded: list[tuple[str, tuple[str, ...]]] = []
+    label_excluded: list[tuple[Variable, tuple[str, ...]]] = []
     premises: list[Formula] = []
-    env: list[RuleAssertion] = []
+    env: list[Assertion] = []
     while cur.try_take("name", "label"):
-        lvar = cur.take("name").text
+        lvar = _take_variable(cur, variables)
         cur.take("name", "notin")
         cur.take("{")
         excl = [cur.take("name").text]
@@ -405,7 +411,7 @@ def _parse_rule(
         premises.append(_parse_formula(cur, scope))
         cur.take(";")
     while cur.try_take("name", "fresh"):
-        env.append(_parse_rule_assertion(cur, scope))
+        env.append(_parse_assertion(cur, scope))
         cur.take(";")
     cur.take("name", "conclusion")
     conclusion = _parse_formula(cur, scope)
@@ -485,10 +491,7 @@ def _parse_strat_case(
         while True:
             cur.take("name", "S")
             cur.take("(")
-            vtok = cur.take("name")
-            v = variables.get(vtok.text)
-            if v is None:
-                raise ParseError(f"unknown variable {vtok.text!r}", vtok.line, vtok.col)
+            v = _take_variable(cur, variables)
             cur.take(",")
             labpat = _parse_term(cur, scope)
             cur.take(")")
@@ -526,10 +529,10 @@ def _parse_env(cur: _Cursor, scope: _Scope) -> frozenset[Assertion]:
     out: set[Assertion] = set()
     if not cur.at("}"):
         while True:
-            ra = _parse_rule_assertion(cur, scope)
-            if not isinstance(ra.atom, Atom):
+            assertion = _parse_assertion(cur, scope)
+            if not isinstance(assertion.atom, Atom):
                 cur.error("environment assertions need concrete atoms")
-            out.add(Assertion(ra.atom, ra.term))
+            out.add(assertion)
             if not cur.try_take(","):
                 break
     cur.take("}")

@@ -1,12 +1,14 @@
 """Deterministic concrete-syntax printing for atoms, terms, formulas and
-environments. The printed form parses back to the same object."""
+environments. In a spec with one atom sort, the printed form parses back to
+the same object. With several atom sorts it does not: atoms print by index
+alone, as `a`, `b`, ..., so the sort is lost and the letters do not parse."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
 from .atoms import Atom, Permutation
-from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var
+from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var, app_args
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -59,12 +61,11 @@ def term_str(t: RawTerm) -> str:
             return f"[{_atomlike_str(a)}]{term_str(s)}"
         case Tup(items):
             return "(" + ", ".join(term_str(s) for s in items) + ")"
-        case App(f, s):
-            if isinstance(s, Tup):
-                if not s.items:
-                    return f
-                return f + "(" + ", ".join(term_str(i) for i in s.items) + ")"
-            return f"{f}({term_str(s)})"
+        case App(f, _):
+            args = app_args(t)
+            if not args:
+                return f
+            return f + "(" + ", ".join(term_str(s) for s in args) + ")"
     raise TypeError(f"not a raw term: {t!r}")
 
 

@@ -4,19 +4,22 @@ and stratification declarations, and whole-specification validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .alpha import _free_atoms, normalize
 from .atoms import (
     AtomSortRef,
     BaseSort,
     NominalSort,
-    ProdSort,
     Signature,
+    prod_parts,
     sort_str,
     validate_signature,
+    wellformed_sort,
 )
+from .freshness import Assertion
 from .matching import AtomPool, MatchState, match_term
+from .printer import formula_str
 from .terms import (
     App,
     Atm,
@@ -28,9 +31,11 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    app_args,
     instantiate,
     meta_atoms,
     sort_check,
+    support,
     term_vars,
 )
 
@@ -43,43 +48,35 @@ class Formula:
     target: RawTerm
 
     def __str__(self) -> str:
-        from .printer import formula_str
-
         return formula_str(self.source, self.target)
-
-
-@dataclass(frozen=True)
-class RuleAssertion:
-    """A freshness side condition of a rule; the atom may be schematic."""
-
-    atom: AtomLike
-    term: RawTerm
-
-    def __str__(self) -> str:
-        from .printer import assertion_str
-
-        return assertion_str(self)
 
 
 @dataclass(frozen=True)
 class Rule:
     """A transition rule. `metas` are schematic atoms quantified over all
     atoms of their sort; instances may identify two of them. `label_excluded`
-    restricts a schematic label variable to actions whose head constructor is
-    not among the listed ones."""
+    restricts a label variable to actions whose head constructor is not
+    among the listed ones."""
 
     name: str
     metas: tuple[MetaAtom, ...]
     premises: tuple[Formula, ...]
-    env: tuple[RuleAssertion, ...]
+    env: tuple[Assertion, ...]
     conclusion: Formula
-    label_excluded: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    label_excluded: tuple[tuple[Variable, tuple[str, ...]], ...] = ()
 
-    def excluded_for(self, var_name: str) -> tuple[str, ...]:
-        for name, excl in self.label_excluded:
-            if name == var_name:
-                return excl
-        return ()
+    def excluded_for(self, var: Variable) -> tuple[str, ...]:
+        return tuple(c for v, excl in self.label_excluded if v == var for c in excl)
+
+    def excluded_label(self, subst: Mapping[Variable, RawTerm]) -> Optional[str]:
+        """The head constructor of a label that `subst` binds to a
+        constrained label variable and that its constraint excludes, or
+        None when the substitution keeps every label constraint."""
+        for v, excl in self.label_excluded:
+            bound = subst.get(v)
+            if isinstance(bound, App) and bound.func in excl:
+                return bound.func
+        return None
 
     def terms(self) -> list[RawTerm]:
         out = [self.conclusion.source, self.conclusion.target]
@@ -87,6 +84,14 @@ class Rule:
             out += [p.source, p.target]
         out += [a.term for a in self.env]
         return out
+
+    def atoms(self) -> frozenset[Atom]:
+        """The concrete atoms written in the rule: in its terms and as the
+        atoms of its freshness assertions."""
+        return frozenset().union(
+            *map(support, self.terms()),
+            (a.atom for a in self.env if isinstance(a.atom, Atom)),
+        )
 
 
 @dataclass(frozen=True)
@@ -133,21 +138,17 @@ class Spec:
     def nts_mode(self) -> bool:
         """True when the residual sort is a pair (action, state) of base
         sorts, the shape required for binding names and the ACR format."""
-        r = self.rsig.residual_sort
+        parts = prod_parts(self.rsig.residual_sort)
         return (
-            isinstance(r, ProdSort)
-            and len(r.parts) == 2
-            and isinstance(r.parts[0], BaseSort)
-            and r.parts[1] == self.rsig.state_sort
+            len(parts) == 2
+            and isinstance(parts[0], BaseSort)
+            and parts[1] == self.rsig.state_sort
             and isinstance(self.rsig.state_sort, BaseSort)
         )
 
     @property
     def action_sort(self) -> Optional[NominalSort]:
-        if not self.nts_mode:
-            return None
-        assert isinstance(self.rsig.residual_sort, ProdSort)
-        return self.rsig.residual_sort.parts[0]
+        return prod_parts(self.rsig.residual_sort)[0] if self.nts_mode else None
 
     def split_residual(self, t: RawTerm) -> Optional[tuple[RawTerm, RawTerm]]:
         """The (label, target) components of a residual-sorted pattern."""
@@ -164,11 +165,7 @@ def bn_eval(spec: Spec, label: RawTerm) -> frozenset[AtomLike]:
     positions = spec.bn.get(label.func, ())
     if not positions:
         return frozenset()
-    args: tuple[RawTerm, ...]
-    if isinstance(label.arg, Tup):
-        args = label.arg.items
-    else:
-        args = (label.arg,)
+    args = app_args(label)
     out: set[AtomLike] = set()
     for pos in positions:
         item = args[pos - 1]
@@ -257,8 +254,6 @@ def validate_spec(spec: Spec) -> list[str]:
             report.append(f"duplicate rule name: {rule.name}")
         seen.add(rule.name)
 
-    from .atoms import wellformed_sort
-
     for sort, what in ((spec.rsig.state_sort, "state"), (spec.rsig.residual_sort, "residual")):
         if not wellformed_sort(sig, sort):
             report.append(f"{what} sort is ill-formed: {sort_str(sort)}")
@@ -303,10 +298,9 @@ def validate_spec(spec: Spec) -> list[str]:
                 names = ", ".join(sorted(v.name for v in loose))
                 report.append(f"{prefix}: freshness assertion mentions unbindable {names}")
 
-        for lvar, excl in rule.label_excluded:
-            v = spec.variables.get(lvar)
-            if v is None or v.sort != spec.action_sort:
-                report.append(f"{prefix}: label constraint on non-action variable {lvar}")
+        for v, excl in rule.label_excluded:
+            if v.sort != spec.action_sort:
+                report.append(f"{prefix}: label constraint on non-action variable {v.name}")
             for c in excl:
                 decl = sig.func(c)
                 if decl is None or (spec.action_sort and decl.result != spec.action_sort.name):  # type: ignore[union-attr]
@@ -318,7 +312,7 @@ def validate_spec(spec: Spec) -> list[str]:
         if decl is None:
             report.append(f"bn: unknown constructor {fname}")
             continue
-        parts = decl.arg.parts if isinstance(decl.arg, ProdSort) else (decl.arg,)
+        parts = prod_parts(decl.arg)
         for pos in positions:
             if pos < 1 or pos > len(parts):
                 report.append(f"bn: {fname} has no argument position {pos}")

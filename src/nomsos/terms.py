@@ -271,12 +271,14 @@ def sort_check(sig: Signature, t: RawTerm) -> NominalSort:
     raise TypeError(f"not a raw term: {t!r}")
 
 
-def unit() -> RawTerm:
-    return Tup(())
-
-
 def app(f: str, *args: RawTerm) -> RawTerm:
-    """Convenience constructor: multi-argument application packs a tuple."""
+    """The application of a constructor to its arguments: one argument
+    stands as it is, any other number is packed into a tuple."""
     if len(args) == 1:
         return App(f, args[0])
     return App(f, Tup(tuple(args)))
+
+
+def app_args(t: App) -> tuple[RawTerm, ...]:
+    """The arguments of an application, unpacked as `app` packs them."""
+    return t.arg.items if isinstance(t.arg, Tup) else (t.arg,)

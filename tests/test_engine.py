@@ -21,7 +21,7 @@ from nomsos import (
     tree_text,
 )
 from nomsos.matching import AtomPool, MatchState, match_term
-from nomsos.terms import instantiate, subst_apply, term_vars
+from nomsos.terms import Var, instantiate, subst_apply, term_vars
 
 from conftest import atoms, random_state, random_term
 
@@ -236,6 +236,7 @@ def test_replay_reports_malformed_trees(pi_spec):
     assert tree is not None and replay(pi_spec, tree) == []
     (child,) = tree.children
     (a,) = atoms(1)
+    x, y = pi_spec.variables["x"], pi_spec.variables["y"]
     broken = {
         # In binds c and Res binds c and l, which the tree leaves unbound
         "child as In": replace(tree, children=(replace(child, rule_name="In"),)),
@@ -244,6 +245,9 @@ def test_replay_reports_malformed_trees(pi_spec):
         "unknown rule": replace(tree, children=(replace(child, rule_name="Nope"),)),
         "missing premise": replace(tree, children=()),
         "b # a fails": replace(tree, atoms=(("a", a), ("b", a))),
+        "x not ground": replace(
+            tree, children=(replace(child, subst=((x, Var(y)),)),)
+        ),
     }
     expected = {
         "child as In": "node In: no binding for c",
@@ -252,6 +256,26 @@ def test_replay_reports_malformed_trees(pi_spec):
         "unknown rule": "unknown rule 'Nope'",
         "missing premise": "node Open: expected 1 premises",
         "b # a fails": "node Open: freshness a # a fails",
+        "x not ground": "node Out: x is bound to a term that is not ground",
     }
     for what, t in broken.items():
         assert expected[what] in replay(pi_spec, t), what
+
+
+def test_replay_reports_an_excluded_label(pi_spec):
+    # A ParResL tree relabelled ParL matches ParL's premise and conclusion,
+    # but ParL excludes the bound-output label the tree carries.
+    tree = prove(
+        pi_spec,
+        _t(pi_spec, "par(new([b]out(a, b, null)), null)"),
+        _t(pi_spec, "(boutA(a, b), par(null, null))"),
+    ).tree
+    assert tree is not None and tree.rule_name == "ParResL"
+    assert replay(pi_spec, tree) == []
+    label = pi_spec.variables["l"]
+    relabelled = replace(
+        tree,
+        rule_name="ParL",
+        subst=tree.subst + ((label, _t(pi_spec, "boutA(a, b)")),),
+    )
+    assert replay(pi_spec, relabelled) == ["node ParL: label boutA is excluded"]

@@ -1,5 +1,5 @@
 """Static rule-format checkers: equivariance, stratification coverage and
-decrease, and the abstraction-commitment condition on binders."""
+decrease, and residual alpha-conversion."""
 
 import dataclasses
 import gc
@@ -10,8 +10,11 @@ from nomsos import (
     check_equivariant,
     check_stratification,
     corpus_path,
+    enumerate_transitions,
     parse_spec,
+    parse_term_str,
 )
+from nomsos.formats import label_instances
 
 
 def test_corpus_passes_all_checks(pi_spec):
@@ -126,6 +129,19 @@ order null @ tickA = 0 ;
     assert report.passed
     statuses = {c.rule: c.status for c in report.checks}
     assert statuses["Tick"] in ("pass", "skipped")
+
+
+def test_label_constraints_on_one_variable_add_up():
+    # Two constraint lines on one label variable exclude the heads of both,
+    # in the label instances the checks analyse as in the engine.
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    line = "rule ParL :\n  label l notin { boutA } ;"
+    assert text.count(line) == 1
+    spec = parse_spec(text.replace(line, line + "\n  label l notin { inA } ;"))
+    instances = label_instances(spec, spec.rule("ParL"))
+    assert [i.describe() for i in instances] == ["ParL@tauA", "ParL@outA"]
+    state = parse_term_str(spec, "par(in(a, [c]null), null)")
+    assert enumerate_transitions(spec, state).derivations == ()
 
 
 def test_acr_verdict_does_not_depend_on_literal_names():

@@ -12,6 +12,7 @@ from nomsos import (
     Susp,
     Tup,
     Var,
+    corpus_path,
     parse_entailment_str,
     parse_env_str,
     parse_formula_str,
@@ -98,6 +99,21 @@ def test_spec_errors():
             "atomsort ch ; basesort pr ; statesort pr ; residualsort pr ;\n"
             "rule Bad : conclusion mystery(x) -> x ;"
         )
+
+
+def test_label_constraint_names_a_declared_variable():
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    rule = "rule ParL :\n  label l notin"
+    assert text.count(rule) == 1
+    with pytest.raises(ParseError) as err:
+        parse_spec(text.replace(rule, "rule ParL :\n  label q notin"))
+    line = text[: text.index(rule)].count("\n") + 2
+    assert (err.value.line, err.value.col) == (line, 9)
+    assert "unknown variable 'q'" in str(err.value)
+    # a declared variable of another sort is a well-formedness failure
+    spec = parse_spec(text.replace(rule, "rule ParL :\n  label x notin"))
+    assert spec.rule("ParL").label_excluded == ((spec.variables["x"], ("boutA",)),)
+    assert validate_spec(spec) == ["rule ParL: label constraint on non-action variable x"]
 
 
 def test_term_print_parse_roundtrip(pi_spec):
