@@ -39,7 +39,7 @@ from .formats import (
     check_equivariant,
     check_stratification,
 )
-from .freshness import Assertion, entails, holds_ground, is_consistent, nf, tautology
+from .freshness import Assertion, entails, is_consistent, nf, tautology
 from .parser import (
     ParseError,
     parse_entailment_str,

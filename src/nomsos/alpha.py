@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .atoms import Atom, Permutation, fresh_atoms
-from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, Variable, _concrete_perm, resolve
+from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, Variable, perm_of, resolve
 
 
 class NotGroundError(ValueError):
@@ -90,7 +90,7 @@ def normalize(
         case Atm(a):
             return Atm(resolve(a, metas))
         case Susp(p, s):
-            return _move(_concrete_perm(p, metas), normalize(s, metas, subst))
+            return _move(perm_of(p, metas), normalize(s, metas, subst))
         case Abs(a, s):
             body = normalize(s, metas, subst)
             return _close(Permutation.identity(), resolve(a, metas), body)

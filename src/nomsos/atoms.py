@@ -96,11 +96,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return not self.pairs
 
-    def __str__(self) -> str:
-        from .printer import perm_str
-
-        return perm_str(self)
-
 
 # --- nominal sorts -----------------------------------------------------------
 

@@ -50,6 +50,11 @@ class Budget:
     depth: int = 1000
     fresh: int = 2
 
+    def __post_init__(self) -> None:
+        for name, value in (("depth", self.depth), ("fresh", self.fresh)):
+            if value < 0:
+                raise ValueError(f"budget {name} must be non-negative, got {value}")
+
 
 @dataclass(frozen=True)
 class Transition:

@@ -14,14 +14,11 @@ from .terms import (
     Atm,
     AtomLike,
     RawTerm,
-    Substitution,
     Susp,
     Tup,
     Var,
-    _concrete_perm,
-    subst_apply,
+    perm_of,
 )
-from .alpha import nt_fresh
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ def _reduce_one(a: Atom, t: RawTerm) -> frozenset[Assertion]:
         case Var(_):
             return frozenset({Assertion(a, t)})
         case Susp(p, s):
-            return _reduce_one(_concrete_perm(p).inverse()(a), s)
+            return _reduce_one(perm_of(p).inverse()(a), s)
         case Abs(b, s):
             assert isinstance(b, Atom)
             if b == a:
@@ -108,7 +105,3 @@ def tautology(nabla: Iterable[Assertion]) -> bool:
     """|- nabla, i.e. the empty environment entails nabla."""
     return entails(frozenset(), nabla)
 
-
-def holds_ground(a: Atom, v: RawTerm, phi: Substitution) -> bool:
-    """Whether a # NT[[phi(v)]] holds, for phi grounding v."""
-    return nt_fresh(a, subst_apply(phi, v))

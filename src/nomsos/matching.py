@@ -20,7 +20,7 @@ from .terms import (
     Tup,
     Var,
     Variable,
-    _concrete_perm,
+    perm_of,
     resolve,
 )
 
@@ -97,12 +97,10 @@ def match_term(
             if isinstance(a, MetaAtom):
                 return [state.with_meta(a.name, sa)] if a.sort == sa.sort else []
             return [state] if a == sa else []
-        case Susp(perm, inner):
-            swapped = () if isinstance(perm, Permutation) else chain.from_iterable(perm)
+        case Susp(swaps, inner):
             out: list[MatchState] = []
-            for st in bind_metas(swapped, state, pool):
-                concrete = _concrete_perm(perm, st.metas)
-                flipped = _move(concrete.inverse(), subject)
+            for st in bind_metas(chain.from_iterable(swaps), state, pool):
+                flipped = _move(perm_of(swaps, st.metas).inverse(), subject)
                 out.extend(match_term(inner, flipped, st, pool))
             return out
         case Abs(binder, body):

@@ -20,7 +20,6 @@ from .atoms import (
     BaseSort,
     FuncDecl,
     NominalSort,
-    Permutation,
     ProdSort,
     Signature,
     prod,
@@ -254,10 +253,7 @@ def _try_parse_susp(cur: _Cursor, scope: _Scope) -> Optional[RawTerm]:
     except ParseError:
         cur.i = start
         return None
-    term = _parse_term(cur, scope)
-    if all(isinstance(a, Atom) and isinstance(b, Atom) for a, b in swaps):
-        return Susp(Permutation.from_swaps(swaps), term)  # type: ignore[arg-type]
-    return Susp(tuple(swaps), term)
+    return Susp(tuple(swaps), _parse_term(cur, scope))
 
 
 def _parse_formula(cur: _Cursor, scope: _Scope) -> Formula:

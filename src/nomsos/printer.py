@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .atoms import Atom, Permutation
+from .atoms import Atom
 from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var, app_args
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -25,26 +25,11 @@ def _atomlike_str(a) -> str:
     return atom_str(a)
 
 
-def perm_str(p: Permutation) -> str:
-    """A permutation as a composition of transpositions of its support."""
-    if p.is_identity:
-        return "id"
-    swaps: list[str] = []
-    remaining = dict(p.pairs)
-    # decompose into cycles, then cycles into transpositions
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        nxt = remaining.pop(start)
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = remaining.pop(nxt)
-        for i in range(len(cycle) - 1, 0, -1):
-            swaps.append(f"({atom_str(cycle[0])} {atom_str(cycle[i])})")
-    return "o".join(swaps)
-
-
 def _swaplist_str(pairs) -> str:
+    """A delayed permutation as written: its transpositions joined by `o`,
+    or `id` for none."""
+    if not pairs:
+        return "id"
     return "o".join(f"({_atomlike_str(a)} {_atomlike_str(b)})" for a, b in pairs)
 
 
@@ -55,8 +40,7 @@ def term_str(t: RawTerm) -> str:
         case Atm(a):
             return _atomlike_str(a)
         case Susp(p, s):
-            inner = perm_str(p) if isinstance(p, Permutation) else _swaplist_str(p)
-            return f"({inner})*{term_str(s)}"
+            return f"({_swaplist_str(p)})*{term_str(s)}"
         case Abs(a, s):
             return f"[{_atomlike_str(a)}]{term_str(s)}"
         case Tup(items):

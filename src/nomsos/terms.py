@@ -2,16 +2,18 @@
 permutations, abstractions, tuples and constructor applications, plus the
 permutation action, support, substitution and sort checking.
 
-A rule is used only through its instances, so two jobs on patterns have one
-implementation each here: `_walk` is the one traversal behind the collectors
-`support`, `term_vars` and `meta_atoms`, and `resolve` is the one place that
-gives a schematic atom its image under an assignment (`_concrete_perm` and
-`instantiate` are built on it)."""
+A delayed permutation keeps the transpositions it was written as; `perm_of`
+gives the `Permutation` they denote. A rule is used only through its
+instances, so the jobs on patterns have one implementation each here: `_walk`
+is the one traversal behind the collectors `support`, `term_vars` and
+`meta_atoms`; `_map` is the one rebuild behind `act`, `instantiate` and
+`subst_apply`; and `resolve` is the one place that gives a schematic atom
+its image under an assignment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .atoms import (
     AbsSort,
@@ -52,10 +54,9 @@ class MetaAtom:
 
 AtomLike = Union[Atom, MetaAtom]
 
-# A delayed permutation in a pattern may mention meta atoms; it is kept as a
-# transposition list until the metas are instantiated.
+# A delayed permutation: its transpositions as written, leftmost applied
+# last. In a pattern they may mention schematic atoms.
 SwapList = tuple[tuple[AtomLike, AtomLike], ...]
-PermLike = Union[Permutation, SwapList]
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,10 @@ class Atm:
 
 @dataclass(frozen=True)
 class Susp:
-    """Moderated term: an explicit permutation over a term."""
+    """Moderated term: an explicit permutation over a term, kept as the
+    transpositions it was written as."""
 
-    perm: PermLike
+    perm: SwapList
     term: "RawTerm"
 
 
@@ -103,44 +105,55 @@ def resolve(a: AtomLike, metas: Mapping[str, AtomLike]) -> AtomLike:
     return metas.get(a.name, a) if isinstance(a, MetaAtom) else a
 
 
-def _concrete_perm(p: PermLike, metas: Mapping[str, AtomLike] = {}) -> PermLike:
-    """The image of a delayed permutation under an assignment of its
-    schematic atoms: a `Permutation` once every atom of its swap list is
-    concrete, else the swap list of the images."""
-    if isinstance(p, Permutation):
-        return p
-    swaps = tuple((resolve(a, metas), resolve(b, metas)) for a, b in p)
-    if any(isinstance(x, MetaAtom) for swap in swaps for x in swap):
-        return swaps
-    return Permutation.from_swaps(swaps)  # type: ignore[arg-type]
+def perm_of(swaps: SwapList, metas: Mapping[str, AtomLike] = {}) -> Permutation:
+    """The permutation a swap list denotes, its schematic atoms given their
+    images under `metas`; every atom must then be concrete."""
+    return Permutation.from_swaps(
+        (resolve(a, metas), resolve(b, metas)) for a, b in swaps  # type: ignore[misc]
+    )
+
+
+def _map(
+    t: RawTerm,
+    atom: Callable[[AtomLike], AtomLike],
+    var: Callable[[Var], RawTerm],
+) -> RawTerm:
+    """Rebuild `t` with every atom or schematic atom `a` replaced by
+    `atom(a)`, binders and transpositions included, and every variable node
+    `v` by `var(v)`. Renaming the atoms of a swap list conjugates the
+    permutation it denotes, so this is also the permutation action on a
+    delayed permutation."""
+    match t:
+        case Var(_):
+            return var(t)
+        case Atm(a):
+            return Atm(atom(a))
+        case Susp(p, s):
+            return Susp(tuple((atom(a), atom(b)) for a, b in p), _map(s, atom, var))
+        case Abs(a, s):
+            return Abs(atom(a), _map(s, atom, var))
+        case Tup(items):
+            return Tup(tuple(_map(s, atom, var) for s in items))
+        case App(f, s):
+            return App(f, _map(s, atom, var))
+    raise TypeError(f"not a raw term: {t!r}")
+
+
+def _same(x):
+    return x
 
 
 def act(perm: Permutation, t: RawTerm) -> RawTerm:
-    """Permutation action on raw terms. Variables are fixed; a delayed
-    permutation is conjugated."""
-    match t:
-        case Var(_):
-            return t
-        case Atm(a):
-            assert isinstance(a, Atom)
-            return Atm(perm(a))
-        case Susp(p, s):
-            return Susp(perm.conjugate(_concrete_perm(p)), act(perm, s))
-        case Abs(a, s):
-            assert isinstance(a, Atom)
-            return Abs(perm(a), act(perm, s))
-        case Tup(items):
-            return Tup(tuple(act(perm, s) for s in items))
-        case App(f, s):
-            return App(f, act(perm, s))
-    raise TypeError(f"not a raw term: {t!r}")
+    """Permutation action on raw terms, by `_map`: variables are fixed, and a
+    delayed permutation is conjugated."""
+    return _map(t, perm, _same)  # type: ignore[arg-type]
 
 
 def _walk(t: RawTerm) -> Iterator[Union[Variable, AtomLike]]:
     """Every variable and every atom or schematic atom occurring in `t`:
-    binders, the atoms a `Permutation` moves, and both atoms of each
-    transposition of a swap list. Iterative, so a deep term cannot exhaust
-    the stack."""
+    binders and both atoms of each transposition of a delayed permutation.
+    The collectors are built on it, as the rebuilds are on `_map`.
+    Iterative, so a deep term cannot exhaust the stack."""
     stack = [t]
     while stack:
         match stack.pop():
@@ -149,12 +162,9 @@ def _walk(t: RawTerm) -> Iterator[Union[Variable, AtomLike]]:
             case Atm(a):
                 yield a
             case Susp(p, s):
-                if isinstance(p, Permutation):
-                    yield from p.support()
-                else:
-                    for a, b in p:
-                        yield a
-                        yield b
+                for a, b in p:
+                    yield a
+                    yield b
                 stack.append(s)
             case Abs(a, s):
                 yield a
@@ -168,8 +178,10 @@ def _walk(t: RawTerm) -> Iterator[Union[Variable, AtomLike]]:
 
 
 def support(t: RawTerm) -> frozenset[Atom]:
-    """Raw support: every atom occurring in the term, binders and delayed
-    permutations included."""
+    """Raw support: every atom occurring in the term, binders and the
+    transpositions of delayed permutations included, even those that
+    cancel out. `act` renames each of these atoms through `_map`, so
+    support(act(p, t)) is the image of support(t) under p."""
     return frozenset(x for x in _walk(t) if isinstance(x, Atom))
 
 
@@ -188,22 +200,9 @@ def meta_atoms(t: RawTerm) -> frozenset[MetaAtom]:
 
 def instantiate(t: RawTerm, metas: Mapping[str, AtomLike]) -> RawTerm:
     """Replace every schematic atom by its image under `metas` (see
-    `resolve`); one the assignment leaves out is kept. The assignment need
-    not be injective; transposition lists collapse accordingly."""
-    match t:
-        case Var(_):
-            return t
-        case Atm(a):
-            return Atm(resolve(a, metas))
-        case Susp(p, s):
-            return Susp(_concrete_perm(p, metas), instantiate(s, metas))
-        case Abs(a, s):
-            return Abs(resolve(a, metas), instantiate(s, metas))
-        case Tup(items):
-            return Tup(tuple(instantiate(s, metas) for s in items))
-        case App(f, s):
-            return App(f, instantiate(s, metas))
-    raise TypeError(f"not a raw term: {t!r}")
+    `resolve`), by `_map`; one the assignment leaves out is kept. The
+    assignment need not be injective."""
+    return _map(t, lambda a: resolve(a, metas), _same)
 
 
 # --- substitution ------------------------------------------------------------
@@ -212,22 +211,9 @@ Substitution = dict[Variable, RawTerm]
 
 
 def subst_apply(phi: Substitution, t: RawTerm) -> RawTerm:
-    """Homomorphic extension of a substitution to raw terms. Atoms and
-    binders are untouched: capture is permitted at this layer."""
-    match t:
-        case Var(v):
-            return phi.get(v, t)
-        case Atm(_):
-            return t
-        case Susp(p, s):
-            return Susp(p, subst_apply(phi, s))
-        case Abs(a, s):
-            return Abs(a, subst_apply(phi, s))
-        case Tup(items):
-            return Tup(tuple(subst_apply(phi, s) for s in items))
-        case App(f, s):
-            return App(f, subst_apply(phi, s))
-    raise TypeError(f"not a raw term: {t!r}")
+    """Homomorphic extension of a substitution to raw terms, by `_map`.
+    Atoms and binders are untouched: capture is permitted at this layer."""
+    return _map(t, _same, lambda v: phi.get(v.var, v))
 
 
 def subst_act(perm: Permutation, phi: Substitution) -> Substitution:

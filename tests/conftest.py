@@ -41,12 +41,15 @@ def atoms(n: int) -> list[Atom]:
     return [Atom(CH, i) for i in range(n)]
 
 
+def random_swaps(rng: random.Random, pool: list[Atom]) -> tuple[tuple[Atom, Atom], ...]:
+    """Up to three transpositions of distinct atoms of the pool, as a
+    suspension keeps them."""
+    return tuple(tuple(rng.sample(pool, 2)) for _ in range(rng.randrange(0, 4)))
+
+
 def random_perm(rng: random.Random, pool: list[Atom]) -> Permutation:
-    swaps = []
-    for _ in range(rng.randrange(0, 4)):
-        a, b = rng.sample(pool, 2)
-        swaps.append((a, b))
-    return Permutation.from_swaps(swaps)
+    """The permutation of `random_swaps`, drawing the same random numbers."""
+    return Permutation.from_swaps(random_swaps(rng, pool))
 
 
 def random_term(
@@ -63,7 +66,7 @@ def random_term(
     pool = pool if pool is not None else atoms(4)
     if susp and depth > 0 and rng.random() < 0.2:
         return Susp(
-            random_perm(rng, pool),
+            random_swaps(rng, pool),
             random_term(rng, spec, sort, depth - 1, pool, variables, susp),
         )
     match sort:

@@ -117,6 +117,10 @@ def test_error_exit_codes(capsys):
     assert main(["check", str(Path(PI).parent)]) == 2
     assert main(["derive", PI, "out(a b"]) == 2
     assert main(["derive", PI, "nosuchfunc(a)"]) == 2
+    assert main(["derive", PI, "out(a,b,null)", "--fresh", "-1"]) == 2
+    assert "error: budget fresh must be non-negative" in capsys.readouterr().err
+    assert main(["derive", PI, "out(a,b,null)", "--depth", "-3"]) == 2
+    assert "error: budget depth must be non-negative" in capsys.readouterr().err
     deep = "new([c]" * 1000 + "null" + ")" * 1000
     assert main(["supp", PI, deep]) == 2
     assert "error: term nests too deeply" in capsys.readouterr().err

@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import replace
 from itertools import product
 
+import pytest
+
 from nomsos import (
     Budget,
     corpus_path,
@@ -145,6 +147,13 @@ def test_depth_budget_truncation(pi_spec):
     assert enum.truncated and not enum.derivations
     enum = enumerate_transitions(pi_spec, _t(pi_spec, deep), Budget(depth=20))
     assert not enum.truncated and enum.derivations
+
+
+def test_negative_budget_is_rejected():
+    for field in ("depth", "fresh"):
+        with pytest.raises(ValueError, match=f"budget {field} must be non-negative"):
+            Budget(**{field: -1})
+    assert Budget(depth=0).depth == 0
 
 
 def test_fresh_budget_controls_input_width(pi_spec):

@@ -19,7 +19,7 @@ from nomsos import (
     nf,
     tautology,
 )
-from nomsos.freshness import holds_ground
+from nomsos.alpha import nt_fresh
 from nomsos.terms import subst_apply
 
 from conftest import PR, atoms, random_term
@@ -44,8 +44,7 @@ def test_rule_variable_is_reduced():
 
 
 def test_rule_suspension_moves_atom():
-    p = Permutation.swap(A, B)
-    assert nf([Assertion(A, Susp(p, Var(X)))]).all == {Assertion(B, Var(X))}
+    assert nf([Assertion(A, Susp(((A, B),), Var(X)))]).all == {Assertion(B, Var(X))}
 
 
 def test_rule_abstraction_same_binder_vanishes():
@@ -76,7 +75,7 @@ def _one_step(a, t):
         case Var(_):
             return None
         case Susp(p, s):
-            return [(p.inverse()(a), s)]
+            return [(Permutation.from_swaps(p).inverse()(a), s)]
         case Abs(b, s):
             return [] if b == a else [(a, s)]
         case Tup(items):
@@ -141,13 +140,19 @@ def test_tautology():
     assert not tautology([Assertion(A, Var(X))])
 
 
-def test_holds_ground(pi_spec):
-    """A reduced assertion a # x holds under a valuation iff a is fresh in
-    the value; checked against the definition."""
+def test_nf_sound_and_complete_under_ground_valuations(pi_spec):
+    """a # phi holds under a ground valuation of its variables iff every
+    assertion b # y of nf([a # phi]) does: the normal form neither drops nor
+    adds a condition, checked against the nominal-term freshness of the
+    valued terms."""
     rng = random.Random(43)
-    for _ in range(100):
-        val = {X: random_term(rng, pi_spec, depth=3)}
-        phi = app("par", Var(X), app("null"))
-        from nomsos import nt_fresh
-
-        assert holds_ground(A, phi, val) == nt_fresh(A, subst_apply(val, phi))
+    open_checks = 0
+    for _ in range(500):
+        phi = random_term(rng, pi_spec, depth=4, susp=True, variables=[X, Y])
+        val = {v: random_term(rng, pi_spec, depth=3, susp=True) for v in (X, Y)}
+        for a in atoms(4):
+            reduced = nf([Assertion(a, phi)]).all
+            expected = all(nt_fresh(r.atom, subst_apply(val, r.term)) for r in reduced)
+            assert nt_fresh(a, subst_apply(val, phi)) == expected, (a, phi, val)
+            open_checks += any(isinstance(r.term, Var) for r in reduced)
+    assert open_checks > 500

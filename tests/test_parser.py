@@ -8,7 +8,6 @@ from nomsos import (
     Atm,
     Atom,
     ParseError,
-    Permutation,
     Susp,
     Tup,
     Var,
@@ -52,10 +51,10 @@ def test_term_syntax(pi_spec):
 def test_suspension_syntax(pi_spec):
     a, b = atoms(2)
     t = parse_term_str(pi_spec, "((a b))*x")
-    assert t == Susp(Permutation.swap(a, b), Var(pi_spec.variables["x"]))
+    assert t == Susp(((a, b),), Var(pi_spec.variables["x"]))
     t = parse_term_str(pi_spec, "((a b) o (a ch5))*null")
     assert isinstance(t, Susp)
-    assert t.perm == Permutation.from_swaps([(a, b), (a, Atom(CH, 5))])
+    assert t.perm == ((a, b), (a, Atom(CH, 5)))
 
 
 def test_tuple_vs_suspension_backtracking(pi_spec):
@@ -132,6 +131,9 @@ def test_term_print_parse_roundtrip(pi_spec):
     for _ in range(300):
         t = random_term(rng, pi_spec, variables=variables, susp=True)
         assert parse_term_str(pi_spec, term_str(t)) == t
+    # a suspension prints as it was written
+    for s in ("((a b)o(b c))*x", "((a b)o(a b))*null", "(id)*x"):
+        assert term_str(parse_term_str(pi_spec, s)) == s
 
 
 def test_forall_sort_annotation():
