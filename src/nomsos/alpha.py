@@ -84,9 +84,10 @@ def normalize(
     instantiate(p, metas))). A variable's term is used as it is."""
     match t:
         case Var(v):
-            if v not in subst:
+            bound = subst.get(v)
+            if bound is None:
                 raise NotGroundError(f"term is not ground: variable {v.name}")
-            return subst[v]
+            return bound
         case Atm(a):
             return Atm(resolve(a, metas))
         case Susp(p, s):

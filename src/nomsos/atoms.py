@@ -1,13 +1,16 @@
-"""Sorted atoms, finite permutations, nominal sorts and signatures."""
+"""Sorted atoms, finite permutations, nominal sorts and signatures.
+
+`AtomSort` and `Atom` are named tuples: an atom equals the plain tuple of
+its fields, and `Atom.index` shadows `tuple.index`. The nominal sorts stay
+dataclasses, or `BaseSort("x")` would equal `AtomSort("x")`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True, order=True)
-class AtomSort:
+class AtomSort(NamedTuple):
     """A sort of atoms (e.g. channel names)."""
 
     name: str
@@ -16,8 +19,7 @@ class AtomSort:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
     """An atom: a pure name, identified by its sort and position in the
     per-sort enumeration. Display names are a parser/printer concern."""
 

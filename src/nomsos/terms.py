@@ -8,12 +8,16 @@ instances, so the jobs on patterns have one implementation each here: `_walk`
 is the one traversal behind the collectors `support`, `term_vars` and
 `meta_atoms`; `_map` is the one rebuild behind `act`, `instantiate` and
 `subst_apply`; and `resolve` is the one place that gives a schematic atom
-its image under an assignment."""
+its image under an assignment.
+
+Nodes are named tuples: `==`, hash and order run in C, a node equals the
+plain tuple of its fields, and nodes of two types never compare equal. The
+C hash has no depth guard and crashes on a term about 50 000 deep; the entry
+points normalise first, in Python, and raise `RecursionError` long before."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .atoms import (
     AbsSort,
@@ -29,8 +33,7 @@ from .atoms import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Variable(NamedTuple):
     """An unknown, standing for a raw term of its sort."""
 
     name: str
@@ -40,8 +43,7 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
-class MetaAtom:
+class MetaAtom(NamedTuple):
     """A schematic atom of a rule, universally quantified over its sort.
     Only appears in rule/strat patterns, never in concrete terms."""
 
@@ -59,18 +61,15 @@ AtomLike = Union[Atom, MetaAtom]
 SwapList = tuple[tuple[AtomLike, AtomLike], ...]
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     var: Variable
 
 
-@dataclass(frozen=True)
-class Atm:
+class Atm(NamedTuple):
     atom: AtomLike
 
 
-@dataclass(frozen=True)
-class Susp:
+class Susp(NamedTuple):
     """Moderated term: an explicit permutation over a term, kept as the
     transpositions it was written as."""
 
@@ -78,19 +77,16 @@ class Susp:
     term: "RawTerm"
 
 
-@dataclass(frozen=True)
-class Abs:
+class Abs(NamedTuple):
     binder: AtomLike
     body: "RawTerm"
 
 
-@dataclass(frozen=True)
-class Tup:
+class Tup(NamedTuple):
     items: tuple["RawTerm", ...]
 
 
-@dataclass(frozen=True)
-class App:
+class App(NamedTuple):
     func: str
     arg: "RawTerm"
 

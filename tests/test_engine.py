@@ -1,12 +1,17 @@
 """Transition derivation: proof-tree search, enumeration, and replay."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import nomsos
 from nomsos import (
     Budget,
     corpus_path,
@@ -223,15 +228,56 @@ def test_instantiate_canon_is_full_normalisation(pi_spec):
 
 
 def test_deep_chain_fits_the_stack(pi_spec):
-    # A sum chain 150 deep derives its one transition untruncated; one
-    # about 240 deep overflows the stack hashing the first table key.
+    # A sum chain 300 deep derives its one transition untruncated; one
+    # about 340 deep overflows the stack in `normalize`, which recurses
+    # three frames per level.
     deep = "out(a, b, null)"
-    for _ in range(150):
+    for _ in range(300):
         deep = f"sum({deep}, null)"
     enum = enumerate_transitions(pi_spec, _t(pi_spec, deep))
     assert not enum.truncated
     assert [term_str(d.transition.residual) for d in enum.derivations] == [
         "(outA(a, b), null)"
+    ]
+
+
+_DEEP_CHAIN_CHILD = """
+from nomsos import Atm, Atom, AtomSort, App, Tup, load_corpus
+from nomsos import alpha_eq, enumerate_transitions, nt_support, prove
+null = App("null", Tup(()))
+a, b = (Atm(Atom(AtomSort("ch"), i)) for i in range(2))
+t = App("out", Tup((a, b, null)))
+for _ in range(100_000):
+    t = App("sum", Tup((t, null)))
+spec = load_corpus("pi.spec")
+for name, call in [
+    ("enumerate_transitions", lambda: enumerate_transitions(spec, t)),
+    ("prove", lambda: prove(spec, t, t)),
+    ("alpha_eq", lambda: alpha_eq(t, t)),
+    ("nt_support", lambda: nt_support(t)),
+]:
+    try:
+        call()
+        print(name, "returned")
+    except RecursionError:
+        print(name, "RecursionError")
+"""
+
+
+def test_deep_chain_raises_before_the_c_hash():
+    # The tuple hash of a term recurses in C without a depth guard, and a
+    # chain 50 000 deep crashes the interpreter. Every entry point
+    # normalises first, in Python, so it raises RecursionError instead.
+    src = Path(nomsos.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-c", _DEEP_CHAIN_CHILD],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        f"{name} RecursionError"
+        for name in ("enumerate_transitions", "prove", "alpha_eq", "nt_support")
     ]
 
 

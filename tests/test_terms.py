@@ -2,6 +2,7 @@
 homomorphism, and the action/substitution interplay."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from nomsos import (
     App,
     Atm,
     Atom,
+    AtomSort,
     Permutation,
     Susp,
     Tup,
@@ -23,12 +25,41 @@ from nomsos import (
     subst_apply,
     support,
 )
+from nomsos.atoms import AtomSortRef, BaseSort
 from nomsos.terms import SortError, meta_atoms, subst_act, term_vars
 
 from conftest import CH, PR, atoms, random_perm, random_term
 
 X = Variable("x", PR)
 Y = Variable("y", PR)
+
+
+def test_tuple_equality_never_crosses_node_types():
+    """Nodes are named tuples, so == is tuple equality on the fields. Nodes
+    of one arity still never compare equal across types, because their
+    fields never do."""
+    a = Atom(CH, 0)
+    m = MetaAtom("a", CH)
+    v = Variable("a", AtomSortRef(CH))
+    t = Atm(a)
+    groups = [
+        [Var(v), Atm(a), Atm(m), Tup((t,)), Tup(())],
+        [Susp(((a, a),), t), Susp((), t), Abs(a, t), Abs(m, t), App("a", t)],
+        [a, m, v],
+    ]
+    for group in groups:
+        for x, y in combinations(group, 2):
+            assert x != y and y != x
+    assert Atm(a) == (a,)  # a node equals the plain tuple of its fields
+
+
+def test_atom_sorts_stay_apart_from_nominal_sorts():
+    # A nominal sort is a dataclass: as a tuple, BaseSort("x") would equal
+    # AtomSort("x").
+    assert AtomSort("x") != BaseSort("x")
+    loc = AtomSort("loc")
+    shuffled = [Atom(loc, 0), Atom(CH, 2), Atom(loc, 1), Atom(CH, 0)]
+    assert sorted(shuffled) == [Atom(CH, 0), Atom(CH, 2), Atom(loc, 0), Atom(loc, 1)]
 
 
 def test_action_on_variable_is_identity():
