@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .alpha import alpha_eq, normalize, nt_support
+from .alpha import alpha_eq, nt_support
 from .engine import Budget, enumerate_transitions, prove, transition_str, tree_dict, tree_text
 from .formats import check_all
 from .freshness import entails, nf
@@ -60,7 +60,7 @@ def _cmd_derive(args) -> int:
     if args.json:
         doc = {
             "command": "derive",
-            "state": term_str(normalize(term)),
+            "state": term_str(enum.state),
             "truncated": enum.truncated,
             "transitions": [
                 {

@@ -19,7 +19,7 @@ only to canonical terms, and `normalize(p, st.metas, st.subst)` builds
 premise sources, freshness terms and residuals in canonical form, using each
 bound term as it is.  Matching itself moves a subject only where it flips it
 under an abstraction or a delayed permutation.  `replay` does not rely on
-this: it instantiates the rule from scratch and compares with
+this: it checks the raw instance `Rule.instance` against the tree, with
 `alpha_eq`."""
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from .terms import (
     MetaAtom,
     RawTerm,
     Variable,
-    instantiate,
     is_ground,
     meta_atoms,
     resolve,
-    subst_apply,
     term_vars,
 )
 
@@ -87,6 +85,9 @@ class Derivation:
 class Enumeration:
     derivations: tuple[Derivation, ...]
     truncated: bool
+    state: Optional[RawTerm] = None
+    """The canonical form of the state searched from; None only in an
+    enumeration built by hand from the first two fields."""
 
 
 @dataclass(frozen=True)
@@ -272,7 +273,7 @@ def enumerate_transitions(
         fresh = tuple(sorted(_free_atoms(residual) - base))
         derivations.append(Derivation(Transition(s, residual), tree, fresh))
     derivations.sort(key=lambda d: term_str(d.transition.residual))
-    return Enumeration(tuple(derivations), search.truncated)
+    return Enumeration(tuple(derivations), search.truncated, s)
 
 
 def prove(
@@ -308,26 +309,23 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
     if loose:
         return [f"{where}: {name} is bound to a term that is not ground" for name in loose]
 
-    def inst(t: RawTerm) -> RawTerm:
-        return subst_apply(subst, instantiate(t, asg))
-
-    if not alpha_eq(inst(rule.conclusion.source), tree.transition.state):
+    r = rule.instance(asg, subst)
+    if not alpha_eq(r.conclusion.source, tree.transition.state):
         errors.append(f"{where}: conclusion source mismatch")
-    if not alpha_eq(inst(rule.conclusion.target), tree.transition.residual):
+    if not alpha_eq(r.conclusion.target, tree.transition.residual):
         errors.append(f"{where}: conclusion target mismatch")
-    if len(tree.children) != len(rule.premises):
-        errors.append(f"{where}: expected {len(rule.premises)} premises")
+    if len(tree.children) != len(r.premises):
+        errors.append(f"{where}: expected {len(r.premises)} premises")
     else:
-        for premise, child in zip(rule.premises, tree.children):
-            if not alpha_eq(inst(premise.source), child.transition.state):
+        for premise, child in zip(r.premises, tree.children):
+            if not alpha_eq(premise.source, child.transition.state):
                 errors.append(f"{where}: premise source mismatch")
-            if not alpha_eq(inst(premise.target), child.transition.residual):
+            if not alpha_eq(premise.target, child.transition.residual):
                 errors.append(f"{where}: premise target mismatch")
             errors.extend(replay(spec, child))
-    for ra in rule.env:
-        atom = resolve(ra.atom, asg)
-        if not nt_fresh(atom, inst(ra.term)):
-            errors.append(f"{where}: freshness {atom_str(atom)} # {term_str(inst(ra.term))} fails")
+    for ra in r.env:
+        if not nt_fresh(ra.atom, ra.term):
+            errors.append(f"{where}: freshness {atom_str(ra.atom)} # {term_str(ra.term)} fails")
     head = rule.excluded_label(subst)
     if head is not None:
         errors.append(f"{where}: label {head} is excluded")

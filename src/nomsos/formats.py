@@ -2,15 +2,16 @@
 set under permutations), stratification coverage/decrease, and the residual
 alpha-conversion constraints.
 
-All three work per rule and under "label instantiation": a rule whose
-conclusion label is a schematic action variable is analysed once per action
-constructor (minus its excluded labels), with fresh schematic atoms at the
-constructor's atom positions."""
+The last two work per label instance. A label instance is a `Rule`: the rule
+itself when its conclusion label is headed by a constructor, and otherwise
+one instance (`Rule.instance`) per action constructor the label variable may
+stand for (minus its excluded labels), with fresh schematic atoms at the
+constructor's atom positions and fresh variables elsewhere."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Optional
 
 from .atoms import (
     AbsSort,
@@ -27,7 +28,7 @@ from .atoms import (
 )
 from .freshness import Assertion, entails, nf
 from .printer import _atomlike_str, atom_str, env_str, term_str
-from .spec import Formula, Rule, Spec, StratCase, bn_eval, validate_spec
+from .spec import Rule, Spec, StratCase, bn_eval, validate_spec
 from .terms import (
     Abs,
     App,
@@ -128,31 +129,25 @@ def check_equivariant(spec: Spec) -> CheckReport:
 # --- label instantiation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LabelInstance:
-    """A rule with its conclusion label fixed to one action constructor."""
+def _label(inst: Rule) -> RawTerm:
+    """The conclusion label of a label instance."""
+    return inst.conclusion.target.items[0]  # type: ignore[union-attr]
 
-    rule: Rule
-    source: RawTerm
-    target: RawTerm  # state component of the conclusion residual
-    label: RawTerm
-    premises: tuple[Formula, ...]
-    env: tuple[Assertion, ...]
-    metas: tuple[MetaAtom, ...]
 
-    def describe(self) -> str:
-        head = self.label.func if isinstance(self.label, App) else term_str(self.label)
-        return f"{self.rule.name}@{head}"
+def describe(inst: Rule) -> str:
+    """A label instance as `Rule@head`, head the constructor of its label."""
+    label = _label(inst)
+    head = label.func if isinstance(label, App) else term_str(label)
+    return f"{inst.name}@{head}"
 
-    def premise_parts(self, spec: Spec) -> list[tuple[RawTerm, RawTerm, RawTerm]]:
-        """(source, label, target) per premise."""
-        out = []
-        for p in self.premises:
-            pair = spec.split_residual(p.target)
-            if pair is None:
-                raise ValueError(f"premise target is not a residual pair: {p}")
-            out.append((p.source, pair[0], pair[1]))
-        return out
+
+def _premise_parts(spec: Spec, inst: Rule) -> Iterator[tuple[RawTerm, RawTerm, RawTerm]]:
+    """(source, label, target) per premise, the target the whole residual."""
+    for p in inst.premises:
+        pair = spec.split_residual(p.target)
+        if pair is None:
+            raise ValueError(f"premise target is not a residual pair: {p}")
+        yield p.source, pair[0], p.target
 
 
 def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
@@ -181,51 +176,28 @@ def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[Me
     return app(decl.name, *items), new_metas
 
 
-def label_instances(spec: Spec, rule: Rule) -> list[LabelInstance]:
+def label_instances(spec: Spec, rule: Rule) -> list[Rule]:
+    """The rule itself when its conclusion label is headed by a constructor;
+    for a label variable, one instance per action constructor it may stand
+    for, the label a most general pattern with fresh schematic atoms."""
     pair = spec.split_residual(rule.conclusion.target)
     if pair is None:
         return []
-    label, target = pair
+    label = pair[0]
     if isinstance(label, App):
-        return [
-            LabelInstance(
-                rule,
-                rule.conclusion.source,
-                target,
-                label,
-                rule.premises,
-                rule.env,
-                rule.metas,
-            )
-        ]
-    if not isinstance(label, Var):
-        return []
-    v = label.var
-    excluded = rule.excluded_for(v)
+        return [rule]
     action = spec.action_sort
-    if not isinstance(action, BaseSort):
+    if not isinstance(label, Var) or not isinstance(action, BaseSort):
         return []
+    excluded = rule.excluded_for(label.var)
     taken = {m.name for m in rule.metas}
     out = []
     for decl in spec.signature.constructors_of(action.name):
         if decl.name in excluded:
             continue
         term, new_metas = _fresh_label_term(decl, set(taken))
-        sub = {v: term}
-        out.append(
-            LabelInstance(
-                rule,
-                subst_apply(sub, rule.conclusion.source),
-                subst_apply(sub, target),
-                term,
-                tuple(
-                    Formula(subst_apply(sub, p.source), subst_apply(sub, p.target))
-                    for p in rule.premises
-                ),
-                tuple(Assertion(ra.atom, subst_apply(sub, ra.term)) for ra in rule.env),
-                rule.metas + tuple(new_metas),
-            )
-        )
+        inst = rule.instance({}, {label.var: term})
+        out.append(replace(inst, metas=rule.metas + tuple(new_metas)))
     return out
 
 
@@ -290,41 +262,51 @@ def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bo
     return None
 
 
-def _forced_distinct(inst: LabelInstance, x: AtomLike, y: AtomLike) -> bool:
+def _assignment(blocks: Iterable[list[MetaAtom]]) -> dict[str, Atom]:
+    """Atoms for the schematic atoms of a partition: ordered by their least
+    name, the i-th block of a sort gets atom i of the sort of its first
+    schematic atom."""
+    asg: dict[str, Atom] = {}
+    per_sort: dict[AtomSort, int] = {}
+    for block in sorted(blocks, key=lambda b: min(m.name for m in b)):
+        sort = block[0].sort
+        idx = per_sort.get(sort, 0)
+        per_sort[sort] = idx + 1
+        for m in block:
+            asg[m.name] = Atom(sort, idx)
+    return asg
+
+
+def _forced_distinct(inst: Rule, x: AtomLike, y: AtomLike) -> bool:
     """True when identifying two schematic atoms makes the rule's freshness
     environment inconsistent, so no valid instance identifies them."""
     if not isinstance(x, MetaAtom) or not isinstance(y, MetaAtom):
         return isinstance(x, Atom) and isinstance(y, Atom) and x != y
-    assignment: dict[str, Atom] = {}
-    for i, m in enumerate(sorted(inst.metas, key=lambda m: m.name)):
-        assignment[m.name] = Atom(m.sort, i)
-    assignment[y.name] = assignment[x.name]
-    env = []
-    for ra in inst.env:
-        atom = resolve(ra.atom, assignment)
-        env.append(Assertion(atom, instantiate(ra.term, assignment)))
-    return not nf(env).is_consistent
+    asg = _assignment([[m] for m in set(inst.metas) - {x, y}] + [[x, y]])
+    return not nf(
+        Assertion(resolve(ra.atom, asg), instantiate(ra.term, asg)) for ra in inst.env
+    ).is_consistent
 
 
 @dataclass(frozen=True)
 class CaseMatch:
     case: StratCase
     guaranteed: bool  # every env-consistent instance of the rule matches
-    bind_vars: tuple[tuple[Variable, RawTerm], ...]
-    bind_metas: tuple[tuple[str, AtomLike], ...]
+    bind: _Bind
 
 
-def case_matches(spec: Spec, inst: LabelInstance) -> tuple[list[CaseMatch], bool]:
+def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
     """Stratification cases that can match some valid instance of the rule's
     conclusion. The flag reports whether any case shape fell outside the
     sufficient matching conditions (status unknown)."""
     out = []
     saw_unknown = False
+    label = _label(inst)
     for case in spec.strat:
         bind = _Bind()
-        res = _sym_match(case.label, inst.label, bind)
+        res = _sym_match(case.label, label, bind)
         if res is True:
-            res = _sym_match(case.head, inst.source, bind)
+            res = _sym_match(case.head, inst.conclusion.source, bind)
         if res is None:
             saw_unknown = True
             continue
@@ -359,14 +341,7 @@ def case_matches(spec: Spec, inst: LabelInstance) -> tuple[list[CaseMatch], bool
                 if not _forced_distinct(inst, x, y):
                     guaranteed = False
         if satisfiable:
-            out.append(
-                CaseMatch(
-                    case,
-                    guaranteed,
-                    tuple(sorted(bind.vars.items(), key=lambda kv: kv[0].name)),
-                    tuple(sorted(bind.metas.items(), key=lambda kv: kv[0])),
-                )
-            )
+            out.append(CaseMatch(case, guaranteed, bind))
     return out, saw_unknown
 
 
@@ -386,16 +361,16 @@ def check_stratification(spec: Spec) -> CheckReport:
             matches, saw_unknown = case_matches(spec, inst)
             unknown = unknown or saw_unknown
             if matches:
-                defined.append(inst.describe())
+                defined.append(describe(inst))
             try:
-                binding = bn_eval(spec, inst.label)
+                binding = bn_eval(spec, _label(inst))
             except ValueError:
                 binding = frozenset()
             if binding and not any(m.guaranteed for m in matches):
                 status = "fail"
                 constraint = "coverage"
                 witness = (
-                    f"{inst.describe()}: the conclusion label binds "
+                    f"{describe(inst)}: the conclusion label binds "
                     f"{', '.join(sorted(_atomlike_str(b) for b in binding))} "
                     "but no stratification case is guaranteed to match"
                 )
@@ -404,7 +379,7 @@ def check_stratification(spec: Spec) -> CheckReport:
             if problem is not None:
                 status = "fail"
                 constraint = "decrease"
-                witness = f"{inst.describe()}: {problem}"
+                witness = f"{describe(inst)}: {problem}"
                 break
         if status == "pass" and unknown:
             status = "unknown"
@@ -416,25 +391,24 @@ def check_stratification(spec: Spec) -> CheckReport:
 
 
 def _check_decrease(
-    spec: Spec, inst: LabelInstance, matches: list[CaseMatch]
+    spec: Spec, inst: Rule, matches: list[CaseMatch]
 ) -> Optional[str]:
     """Every premise source must be a variable covered by a recursive call of
     each matching case, with the premise label equal to the call's label."""
     if not inst.premises:
         return None
-    parts = inst.premise_parts(spec)
+    parts = list(_premise_parts(spec, inst))
     for cm in matches:
         if cm.case.base is not None:
             return (
                 f"case with constant measure {cm.case.base} matches a rule "
                 "with premises"
             )
-        bind_vars = dict(cm.bind_vars)
-        bind_metas = dict(cm.bind_metas)
+        bind = cm.bind
         calls = []
         for v, labpat in cm.case.recursion:
-            label = subst_apply(bind_vars, instantiate(labpat, bind_metas))
-            calls.append((bind_vars.get(v, Var(v)), label))
+            label = subst_apply(bind.vars, instantiate(labpat, bind.metas))
+            calls.append((bind.vars.get(v, Var(v)), label))
         for psource, plabel, _ in parts:
             if not isinstance(psource, Var):
                 return f"premise source {term_str(psource)} is not a variable"
@@ -541,21 +515,18 @@ def check_acr(spec: Spec) -> CheckReport:
     return CheckReport("residual alpha-conversion format", tuple(checks))
 
 
-def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
-    rule = inst.rule
-    parts = inst.premise_parts(spec)
-
+def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
     premise_vars: set[Variable] = set()
-    for p in inst.premises:
-        premise_vars |= term_vars(p.source) | term_vars(p.target)
-    other_vars = set(term_vars(inst.target))
+    for s, _, t in _premise_parts(spec, inst):
+        premise_vars |= term_vars(s) | term_vars(t)
+    other_vars = set(term_vars(inst.conclusion.target.items[1]))  # type: ignore[union-attr]
     for ra in inst.env:
         other_vars |= term_vars(ra.term)
-    d_vars = term_vars(inst.source) - premise_vars - other_vars
+    d_vars = term_vars(inst.conclusion.source) - premise_vars - other_vars
 
     # The atoms of the rule, with every atom a partition below can give a
     # schematic atom; the closed terms and the fresh candidates avoid them.
-    taken = set(rule.atoms())
+    taken = set(inst.atoms())
     taken |= {Atom(m.sort, i) for m in inst.metas for i in range(len(inst.metas))}
 
     gamma: dict[Variable, RawTerm] = {}
@@ -563,39 +534,22 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         t = _smallest_closed(spec.signature, v.sort, taken)
         if t is None:
             return RuleCheck(
-                rule.name,
+                inst.name,
                 "fail",
                 "(ii)",
-                f"{inst.describe()}: no closed term inhabits the sort of {v.name}",
+                f"{describe(inst)}: no closed term inhabits the sort of {v.name}",
             )
         gamma[v] = t
         taken |= support(t)
 
     metas = sorted(set(inst.metas), key=lambda m: m.name)
     for partition in _partitions(metas):
-        asg: dict[str, Atom] = {}
-        per_sort: dict[AtomSort, int] = {}
-        for block in sorted(partition, key=lambda b: min(m.name for m in b)):
-            sort = block[0].sort
-            idx = per_sort.get(sort, 0)
-            per_sort[sort] = idx + 1
-            for m in block:
-                asg[m.name] = Atom(sort, idx)
-
-        def inst_term(t: RawTerm) -> RawTerm:
-            return instantiate(t, asg)
-
-        source = inst_term(inst.source)
-        target_pair = Tup((inst_term(inst.label), inst_term(inst.target)))
-        env = []
-        for ra in inst.env:
-            atom = resolve(ra.atom, asg)
-            env.append(Assertion(atom, inst_term(ra.term)))
-        label = inst_term(inst.label)
-        prem = [
-            (inst_term(s), inst_term(l), Tup((inst_term(l), inst_term(t))))
-            for s, l, t in parts
-        ]
+        asg = _assignment(partition)
+        r = inst.instance(asg)
+        source = r.conclusion.source
+        target_pair = r.conclusion.target
+        env = frozenset(r.env)
+        prem = list(_premise_parts(spec, r))
 
         gamma_source = subst_apply(gamma, source)
         rule_atoms = set(support(source)) | set(asg.values())
@@ -608,9 +562,9 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
         for s in sorted(sorts, key=lambda s: s.name):
             candidates += fresh_atoms(s, taken, 1)
 
-        binders = bn_eval(spec, label)
+        binders = bn_eval(spec, _label(r))
         for a in candidates:
-            lhs1 = frozenset({Assertion(a, target_pair)}) | frozenset(env)
+            lhs1 = frozenset({Assertion(a, target_pair)}) | env
             rhs1 = frozenset(Assertion(a, t) for _, _, t in prem)
             if not entails(lhs1, rhs1):
                 return _acr_fail(inst, "(i)", partition, a, lhs1, rhs1)
@@ -620,7 +574,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
                 return _acr_fail(inst, "(ii)", partition, a, lhs2, rhs2)
         for b in binders:
             assert isinstance(b, Atom)
-            lhs3 = frozenset(env) | frozenset(
+            lhs3 = env | frozenset(
                 Assertion(b, s) for s, l, _ in prem if b in bn_eval(spec, l)
             )
             rhs3 = frozenset({Assertion(b, gamma_source)})
@@ -630,7 +584,7 @@ def _check_acr_instance(spec: Spec, inst: LabelInstance) -> Optional[RuleCheck]:
 
 
 def _acr_fail(
-    inst: LabelInstance,
+    inst: Rule,
     constraint: str,
     partition: list[list[MetaAtom]],
     atom: Atom,
@@ -641,10 +595,10 @@ def _acr_fail(
         "{" + ",".join(m.name for m in block) + "}" for block in partition
     )
     return RuleCheck(
-        inst.rule.name,
+        inst.name,
         "fail",
         constraint,
-        f"{inst.describe()} with atoms {ident}, candidate {atom_str(atom)}: "
+        f"{describe(inst)} with atoms {ident}, candidate {atom_str(atom)}: "
         f"{env_str(lhs)} does not entail {env_str(rhs)}",
     )
 

@@ -25,6 +25,7 @@ from .atoms import (
     prod,
 )
 from .freshness import Assertion
+from .printer import _ALPHABET
 from .spec import Formula, ResidualSignature, Rule, Spec, StratCase
 from .terms import (
     Abs,
@@ -51,8 +52,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
 class ParseError(ValueError):

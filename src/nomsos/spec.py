@@ -31,9 +31,11 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    _map,
     app_args,
     instantiate,
     meta_atoms,
+    resolve,
     sort_check,
     support,
     term_vars,
@@ -77,6 +79,32 @@ class Rule:
             if isinstance(bound, App) and bound.func in excl:
                 return bound.func
         return None
+
+    def instance(
+        self,
+        metas: Mapping[str, AtomLike],
+        subst: Mapping[Variable, RawTerm] = {},
+    ) -> "Rule":
+        """The rule with every schematic atom replaced by its image under
+        `metas` (see `resolve`) and every variable under `subst`, in each
+        premise, the conclusion and the freshness environment. One `_map`
+        pass per term; nothing is normalised. The name, the schematic atoms
+        and the label constraints are kept."""
+
+        def term(t: RawTerm) -> RawTerm:
+            return _map(t, lambda a: resolve(a, metas), lambda v: subst.get(v.var, v))
+
+        def formula(f: Formula) -> Formula:
+            return Formula(term(f.source), term(f.target))
+
+        return Rule(
+            self.name,
+            self.metas,
+            tuple(map(formula, self.premises)),
+            tuple(Assertion(resolve(a.atom, metas), term(a.term)) for a in self.env),
+            formula(self.conclusion),
+            self.label_excluded,
+        )
 
     def terms(self) -> list[RawTerm]:
         out = [self.conclusion.source, self.conclusion.target]

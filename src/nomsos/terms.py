@@ -37,7 +37,7 @@ class Variable(NamedTuple):
     """An unknown, standing for a raw term of its sort."""
 
     name: str
-    sort: NominalSort = None  # type: ignore[assignment]
+    sort: NominalSort
 
     def __str__(self) -> str:
         return self.name
@@ -229,8 +229,6 @@ def sort_check(sig: Signature, t: RawTerm) -> NominalSort:
     """The unique sort of t, or a SortError naming the offending subterm."""
     match t:
         case Var(v):
-            if v.sort is None:
-                raise SortError(f"variable {v.name} has no declared sort")
             return v.sort
         case Atm(a):
             return AtomSortRef(a.sort)

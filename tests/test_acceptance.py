@@ -47,8 +47,8 @@ from test_freshness import slow_nf
 
 
 # 1. The bundled process-calculus corpus passes all four static checks
-#    (well-formedness, equivariant format, stratification, binder-commitment)
-#    in under ten seconds.
+#    (well-formedness, equivariant format, stratification, residual
+#    alpha-conversion) in under ten seconds.
 def test_corpus_passes_all_checks_quickly(pi_spec):
     start = time.monotonic()
     reports = check_all(pi_spec)
@@ -86,7 +86,8 @@ def test_scope_extrusion_proof_tree_exact(pi_spec):
 
 
 # 3. Entailment regression table: exact booleans for the judgements that
-#    motivate and certify the binder-commitment condition on the corpus.
+#    motivate and certify the residual alpha-conversion condition on the
+#    corpus.
 def test_entailment_regression_table(pi_spec):
     table = [
         # committing a binder into the residual target must NOT entail
@@ -228,7 +229,7 @@ def test_alpha_conversion_of_residuals(pi_spec):
 
 
 # 9. Negative control: the corpus variant missing one freshness premise is
-#    rejected by the binder-commitment check with a constraint-(iii)
+#    rejected by the residual alpha-conversion check with a constraint-(iii)
 #    diagnostic naming the offending rule, and the CLI exits nonzero.
 def test_broken_corpus_rejected(pi_broken_spec, capsys):
     report = check_acr(pi_broken_spec)

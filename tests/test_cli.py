@@ -48,6 +48,9 @@ def test_derive_json_and_trees(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["transitions"][0]["residual"] == "(outA(a, b), null)"
+    # A state without transitions still prints in canonical form.
+    code, out = run(capsys, "derive", PI, "new([d]null)", "--json")
+    assert json.loads(out)["state"] == "new([a]null)"
     code, out = run(capsys, "derive", PI, "out(a, b, null)", "--trees")
     assert code == 0
     assert "[Out]" in out

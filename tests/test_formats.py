@@ -14,7 +14,7 @@ from nomsos import (
     parse_spec,
     parse_term_str,
 )
-from nomsos.formats import label_instances
+from nomsos.formats import describe, label_instances
 
 
 def test_corpus_passes_all_checks(pi_spec):
@@ -139,7 +139,7 @@ def test_label_constraints_on_one_variable_add_up():
     assert text.count(line) == 1
     spec = parse_spec(text.replace(line, line + "\n  label l notin { inA } ;"))
     instances = label_instances(spec, spec.rule("ParL"))
-    assert [i.describe() for i in instances] == ["ParL@tauA", "ParL@outA"]
+    assert [describe(i) for i in instances] == ["ParL@tauA", "ParL@outA"]
     state = parse_term_str(spec, "par(in(a, [c]null), null)")
     assert enumerate_transitions(spec, state).derivations == ()
 

@@ -3,9 +3,21 @@ side-condition constraints."""
 
 import random
 
-from nomsos import act, bn_eval, parse_term_str, strat_eval, validate_spec
-from nomsos.atoms import BaseSort
+import pytest
+
+from nomsos import (
+    act,
+    bn_eval,
+    instantiate,
+    normalize,
+    parse_term_str,
+    strat_eval,
+    subst_apply,
+    validate_spec,
+)
+from nomsos.atoms import Atom, BaseSort
 from nomsos.spec import check_constraints
+from nomsos.terms import resolve, term_vars
 
 from conftest import atoms, random_perm, random_state, random_term
 
@@ -102,3 +114,29 @@ def test_order_equivariant(pi_spec):
         assert strat_eval(pi_spec, act(perm, p), act(perm, lab)) == n, (p, lab, perm)
         defined += n is not None
     assert defined > 20
+
+
+@pytest.mark.parametrize("name", ["pi_spec", "pi_broken_spec"])
+def test_rule_instance_is_instantiate_then_substitute(name, request):
+    # One pass of `Rule.instance` gives each term what resolving the
+    # schematic atoms and then substituting the variables gives.
+    spec = request.getfixturevalue(name)
+    rng = random.Random(11)
+    for rule in spec.rules:
+        assert rule.instance({}, {}) == rule
+        variables = set().union(*map(term_vars, rule.terms()))
+        for _ in range(20):
+            asg = {m.name: Atom(m.sort, rng.randrange(4)) for m in rule.metas}
+            subst = {
+                v: normalize(random_term(rng, spec, v.sort, 2, atoms(4)))
+                for v in sorted(variables)
+            }
+            r = rule.instance(asg, subst)
+            assert (r.name, r.metas, r.label_excluded) == (
+                rule.name,
+                rule.metas,
+                rule.label_excluded,
+            )
+            for t, u in zip(rule.terms(), r.terms(), strict=True):
+                assert u == subst_apply(subst, instantiate(t, asg))
+            assert [a.atom for a in r.env] == [resolve(a.atom, asg) for a in rule.env]
