@@ -42,7 +42,6 @@ from .terms import (
     Variable,
     app,
     instantiate,
-    resolve,
     subst_apply,
     support,
     term_vars,
@@ -129,25 +128,25 @@ def check_equivariant(spec: Spec) -> CheckReport:
 # --- label instantiation ------------------------------------------------------
 
 
-def _label(inst: Rule) -> RawTerm:
-    """The conclusion label of a label instance."""
-    return inst.conclusion.target.items[0]  # type: ignore[union-attr]
+def _residual(t: RawTerm) -> tuple[RawTerm, RawTerm]:
+    """The (label, target) of a residual of a label instance."""
+    pair = Spec.split_residual(t)
+    if pair is None:
+        raise ValueError(f"residual is not a (label, target) pair: {term_str(t)}")
+    return pair
 
 
 def describe(inst: Rule) -> str:
     """A label instance as `Rule@head`, head the constructor of its label."""
-    label = _label(inst)
+    label = _residual(inst.conclusion.target)[0]
     head = label.func if isinstance(label, App) else term_str(label)
     return f"{inst.name}@{head}"
 
 
-def _premise_parts(spec: Spec, inst: Rule) -> Iterator[tuple[RawTerm, RawTerm, RawTerm]]:
+def _premise_parts(inst: Rule) -> Iterator[tuple[RawTerm, RawTerm, RawTerm]]:
     """(source, label, target) per premise, the target the whole residual."""
     for p in inst.premises:
-        pair = spec.split_residual(p.target)
-        if pair is None:
-            raise ValueError(f"premise target is not a residual pair: {p}")
-        yield p.source, pair[0], p.target
+        yield p.source, _residual(p.target)[0], p.target
 
 
 def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
@@ -262,18 +261,21 @@ def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bo
     return None
 
 
-def _assignment(blocks: Iterable[list[MetaAtom]]) -> dict[str, Atom]:
+def _assignment(
+    blocks: Iterable[list[MetaAtom]], avoid: frozenset[Atom]
+) -> dict[str, Atom]:
     """Atoms for the schematic atoms of a partition: ordered by their least
-    name, the i-th block of a sort gets atom i of the sort of its first
-    schematic atom."""
-    asg: dict[str, Atom] = {}
-    per_sort: dict[AtomSort, int] = {}
+    name, the i-th block of a sort gets the i-th atom of that sort outside
+    `avoid`, the rule's concrete atoms, so blocks are identified with no
+    atom the rule writes."""
+    by_sort: dict[AtomSort, list[list[MetaAtom]]] = {}
     for block in sorted(blocks, key=lambda b: min(m.name for m in b)):
-        sort = block[0].sort
-        idx = per_sort.get(sort, 0)
-        per_sort[sort] = idx + 1
-        for m in block:
-            asg[m.name] = Atom(sort, idx)
+        by_sort.setdefault(block[0].sort, []).append(block)
+    asg: dict[str, Atom] = {}
+    for sort, sort_blocks in by_sort.items():
+        for block, a in zip(sort_blocks, fresh_atoms(sort, avoid, len(sort_blocks))):
+            for m in block:
+                asg[m.name] = a
     return asg
 
 
@@ -282,10 +284,8 @@ def _forced_distinct(inst: Rule, x: AtomLike, y: AtomLike) -> bool:
     environment inconsistent, so no valid instance identifies them."""
     if not isinstance(x, MetaAtom) or not isinstance(y, MetaAtom):
         return isinstance(x, Atom) and isinstance(y, Atom) and x != y
-    asg = _assignment([[m] for m in set(inst.metas) - {x, y}] + [[x, y]])
-    return not nf(
-        Assertion(resolve(ra.atom, asg), instantiate(ra.term, asg)) for ra in inst.env
-    ).is_consistent
+    blocks = [[m] for m in set(inst.metas) - {x, y}] + [[x, y]]
+    return not nf(inst.instance(_assignment(blocks, inst.atoms())).env).is_consistent
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,7 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
     sufficient matching conditions (status unknown)."""
     out = []
     saw_unknown = False
-    label = _label(inst)
+    label = _residual(inst.conclusion.target)[0]
     for case in spec.strat:
         bind = _Bind()
         res = _sym_match(case.label, label, bind)
@@ -363,7 +363,7 @@ def check_stratification(spec: Spec) -> CheckReport:
             if matches:
                 defined.append(describe(inst))
             try:
-                binding = bn_eval(spec, _label(inst))
+                binding = bn_eval(spec, _residual(inst.conclusion.target)[0])
             except ValueError:
                 binding = frozenset()
             if binding and not any(m.guaranteed for m in matches):
@@ -397,7 +397,7 @@ def _check_decrease(
     each matching case, with the premise label equal to the call's label."""
     if not inst.premises:
         return None
-    parts = list(_premise_parts(spec, inst))
+    parts = list(_premise_parts(inst))
     for cm in matches:
         if cm.case.base is not None:
             return (
@@ -517,17 +517,19 @@ def check_acr(spec: Spec) -> CheckReport:
 
 def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
     premise_vars: set[Variable] = set()
-    for s, _, t in _premise_parts(spec, inst):
+    for s, _, t in _premise_parts(inst):
         premise_vars |= term_vars(s) | term_vars(t)
-    other_vars = set(term_vars(inst.conclusion.target.items[1]))  # type: ignore[union-attr]
+    other_vars = set(term_vars(_residual(inst.conclusion.target)[1]))
     for ra in inst.env:
         other_vars |= term_vars(ra.term)
     d_vars = term_vars(inst.conclusion.source) - premise_vars - other_vars
 
     # The atoms of the rule, with every atom a partition below can give a
     # schematic atom; the closed terms and the fresh candidates avoid them.
-    taken = set(inst.atoms())
-    taken |= {Atom(m.sort, i) for m in inst.metas for i in range(len(inst.metas))}
+    literals = inst.atoms()
+    taken = set(literals)
+    for sort in {m.sort for m in inst.metas}:
+        taken |= set(fresh_atoms(sort, literals, len(inst.metas)))
 
     gamma: dict[Variable, RawTerm] = {}
     for v in sorted(d_vars, key=lambda v: v.name):
@@ -544,12 +546,12 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
 
     metas = sorted(set(inst.metas), key=lambda m: m.name)
     for partition in _partitions(metas):
-        asg = _assignment(partition)
+        asg = _assignment(partition, literals)
         r = inst.instance(asg)
         source = r.conclusion.source
         target_pair = r.conclusion.target
         env = frozenset(r.env)
-        prem = list(_premise_parts(spec, r))
+        prem = list(_premise_parts(r))
 
         gamma_source = subst_apply(gamma, source)
         rule_atoms = set(support(source)) | set(asg.values())
@@ -562,7 +564,7 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
         for s in sorted(sorts, key=lambda s: s.name):
             candidates += fresh_atoms(s, taken, 1)
 
-        binders = bn_eval(spec, _label(r))
+        binders = bn_eval(spec, _residual(r.conclusion.target)[0])
         for a in candidates:
             lhs1 = frozenset({Assertion(a, target_pair)}) | env
             rhs1 = frozenset(Assertion(a, t) for _, _, t in prem)

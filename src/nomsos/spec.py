@@ -178,7 +178,8 @@ class Spec:
     def action_sort(self) -> Optional[NominalSort]:
         return prod_parts(self.rsig.residual_sort)[0] if self.nts_mode else None
 
-    def split_residual(self, t: RawTerm) -> Optional[tuple[RawTerm, RawTerm]]:
+    @staticmethod
+    def split_residual(t: RawTerm) -> Optional[tuple[RawTerm, RawTerm]]:
         """The (label, target) components of a residual-sorted pattern."""
         if isinstance(t, Tup) and len(t.items) == 2:
             return t.items[0], t.items[1]

@@ -214,3 +214,53 @@ def test_decrease_failures_of_one_line_mutants():
             if c.status not in ("pass", "skipped")
         ]
         assert failed == [("stratification", "Rep", "decrease", witness)], new
+
+
+def test_identification_avoids_concrete_atoms_of_the_env():
+    # The case identifies the rule's a and b. The env c # ch1 holds for
+    # every c but ch1, so the identification is possible and the case
+    # matches.
+    spec = parse_spec(
+        """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func emit : ch * ch * ch * pr -> pr ;
+func tickA : ch -> ac ;
+var x : pr ;
+rule R forall a b c :
+  fresh c # ch1 ;
+  conclusion emit(a, b, c, x) -> (tickA(c), x) ;
+order emit(d, d, e, x) @ tickA(e) = 0 ;
+"""
+    )
+    report = check_stratification(spec)
+    assert report.notes == ("defined order: R@tickA",)
+
+
+def test_acr_partitions_avoid_concrete_atoms_of_the_env():
+    # The env a # ch0 holds for every a but ch0, so the verdict is that of
+    # the rule without it: (i) fails, not a vacuous pass.
+    text = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func foo : pr -> pr ;
+func outA : ch * ch -> ac ;
+var x : pr ;
+var y : pr ;
+var l : ac ;
+rule R forall a :
+  premise x -> (l, y) ;
+  ENV
+  conclusion foo(x) -> (outA(a, a), null) ;
+order foo(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;
+"""
+    for env in ("", "fresh a # ch0 ;"):
+        report = check_acr(parse_spec(text.replace("ENV", env)))
+        verdicts = [(c.rule, c.status, c.constraint) for c in report.checks]
+        assert verdicts == [("R", "fail", "(i)")], env
