@@ -8,7 +8,10 @@ table entry.  Such a read is stale, as is the entry of a subgoal the depth
 budget cuts off: it may still grow.  The search reruns only after a pass
 that made a stale read and added a residual; a pass without stale reads
 built every entry from complete ones, so another pass would find nothing
-new, and the first tree found for each residual is kept.  Atom
+new, and the first tree found for each residual is kept.  A rule that
+cycles through its own conclusion can add a deeper residual on every pass,
+so the search makes at most `Budget.depth` passes (at least one) and reports
+`truncated` when the last still called for another.  Atom
 instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit.
@@ -156,13 +159,15 @@ class _Search:
         self.settled: dict[tuple, bool] = {}
 
     def run(self, state: RawTerm, extra: frozenset[Atom]) -> dict[RawTerm, ProofTree]:
-        while True:
+        for _ in range(max(self.budget.depth, 1)):
             self.changed = False
             self.stale = False
             self.settled = {}
             entry = self._solve(state, extra, self.budget.depth)
             if not (self.changed and self.stale):
                 return entry
+        self.truncated = True
+        return entry
 
     def _solve(
         self, state: RawTerm, extra: frozenset[Atom], depth: int

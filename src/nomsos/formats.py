@@ -6,11 +6,16 @@ The last two work per label instance. A label instance is a `Rule`: the rule
 itself when its conclusion label is headed by a constructor, and otherwise
 one instance (`Rule.instance`) per action constructor the label variable may
 stand for (minus its excluded labels), with fresh schematic atoms at the
-constructor's atom positions and fresh variables elsewhere."""
+constructor's atom positions and fresh variables elsewhere.
+
+Stratification owns the defined order: it matches every label instance
+against the order cases once, and its report's `defined` holds the instances
+some case matches. The residual alpha-conversion check constrains exactly
+those, so `check_acr(spec, defined)` reads them instead of matching again."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
 from .atoms import (
@@ -69,6 +74,9 @@ class CheckReport:
     name: str
     checks: tuple[RuleCheck, ...]
     notes: tuple[str, ...] = ()
+    # stratification only, not printed: the label instances some order case
+    # matches, in rule order and then instance order
+    defined: tuple[Rule, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -85,15 +93,7 @@ class CheckReport:
         return {
             "name": self.name,
             "passed": self.passed,
-            "rules": [
-                {
-                    "rule": c.rule,
-                    "status": c.status,
-                    "constraint": c.constraint,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
+            "rules": [asdict(c) for c in self.checks],
             "notes": list(self.notes),
         }
 
@@ -350,44 +350,46 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
 
 def check_stratification(spec: Spec) -> CheckReport:
     checks = []
-    defined: list[str] = []
+    defined: list[Rule] = []
     for rule in spec.rules:
-        instances = label_instances(spec, rule)
-        status = "pass"
-        constraint = ""
-        witness = ""
+        failure: Optional[RuleCheck] = None
         unknown = False
-        for inst in instances:
+        for inst in label_instances(spec, rule):
             matches, saw_unknown = case_matches(spec, inst)
             unknown = unknown or saw_unknown
             if matches:
-                defined.append(describe(inst))
-            try:
-                binding = bn_eval(spec, _residual(inst.conclusion.target)[0])
-            except ValueError:
-                binding = frozenset()
-            if binding and not any(m.guaranteed for m in matches):
-                status = "fail"
-                constraint = "coverage"
-                witness = (
-                    f"{describe(inst)}: the conclusion label binds "
-                    f"{', '.join(sorted(_atomlike_str(b) for b in binding))} "
-                    "but no stratification case is guaranteed to match"
-                )
-                break
-            problem = _check_decrease(spec, inst, matches)
-            if problem is not None:
-                status = "fail"
-                constraint = "decrease"
-                witness = f"{describe(inst)}: {problem}"
-                break
-        if status == "pass" and unknown:
-            status = "unknown"
-            constraint = "decrease"
+                defined.append(inst)
+            if failure is None:
+                failure = _strat_failure(spec, inst, matches)
+        if failure is None and unknown:
             witness = "rule shape outside the syntactic sufficient conditions"
-        checks.append(RuleCheck(rule.name, status, constraint, witness))
-    notes = ("defined order: " + (", ".join(defined) if defined else "none"),)
-    return CheckReport("stratification", tuple(checks), notes)
+            failure = RuleCheck(rule.name, "unknown", "decrease", witness)
+        checks.append(failure or RuleCheck(rule.name, "pass"))
+    notes = ("defined order: " + (", ".join(map(describe, defined)) or "none"),)
+    return CheckReport("stratification", tuple(checks), notes, tuple(defined))
+
+
+def _strat_failure(
+    spec: Spec, inst: Rule, matches: list[CaseMatch]
+) -> Optional[RuleCheck]:
+    """The coverage or decrease failure of one label instance, if any."""
+    try:
+        binding = bn_eval(spec, _residual(inst.conclusion.target)[0])
+    except ValueError:
+        binding = frozenset()
+    if binding and not any(m.guaranteed for m in matches):
+        return RuleCheck(
+            inst.name,
+            "fail",
+            "coverage",
+            f"{describe(inst)}: the conclusion label binds "
+            f"{', '.join(sorted(_atomlike_str(b) for b in binding))} "
+            "but no stratification case is guaranteed to match",
+        )
+    problem = _check_decrease(spec, inst, matches)
+    if problem is None:
+        return None
+    return RuleCheck(inst.name, "fail", "decrease", f"{describe(inst)}: {problem}")
 
 
 def _check_decrease(
@@ -493,25 +495,19 @@ def _partitions(metas: list[MetaAtom]) -> list[list[list[MetaAtom]]]:
     return out
 
 
-def check_acr(spec: Spec) -> CheckReport:
+def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
+    """Constraints (i)-(iii) on each label instance of `defined`, the
+    instances on which `check_stratification(spec)` defines the order."""
     checks = []
     for rule in spec.rules:
-        instances = [
-            inst
-            for inst in label_instances(spec, rule)
-            if case_matches(spec, inst)[0]
-        ]
+        instances = [inst for inst in defined if inst.name == rule.name]
         if not instances:
             checks.append(
                 RuleCheck(rule.name, "skipped", "", "no defined-order instance")
             )
             continue
-        failure: Optional[RuleCheck] = None
-        for inst in instances:
-            failure = _check_acr_instance(spec, inst)
-            if failure is not None:
-                break
-        checks.append(failure or RuleCheck(rule.name, "pass"))
+        failures = (_check_acr_instance(spec, inst) for inst in instances)
+        checks.append(next(filter(None, failures), RuleCheck(rule.name, "pass")))
     return CheckReport("residual alpha-conversion format", tuple(checks))
 
 
@@ -618,6 +614,6 @@ def check_all(spec: Spec) -> list[CheckReport]:
     reports = [wf]
     if not errors:
         reports.append(check_equivariant(spec))
-        reports.append(check_stratification(spec))
-        reports.append(check_acr(spec))
+        strat = check_stratification(spec)
+        reports += [strat, check_acr(spec, strat.defined)]
     return reports

@@ -17,6 +17,7 @@ from nomsos import (
     alpha_eq,
     check_acr,
     check_all,
+    check_stratification,
     corpus_path,
     enumerate_transitions,
     entails,
@@ -232,7 +233,7 @@ def test_alpha_conversion_of_residuals(pi_spec):
 #    rejected by the residual alpha-conversion check with a constraint-(iii)
 #    diagnostic naming the offending rule, and the CLI exits nonzero.
 def test_broken_corpus_rejected(pi_broken_spec, capsys):
-    report = check_acr(pi_broken_spec)
+    report = check_acr(pi_broken_spec, check_stratification(pi_broken_spec).defined)
     assert not report.passed
     failures = [c for c in report.checks if c.status == "fail"]
     assert failures and all(c.rule == "ParResL" for c in failures)

@@ -13,7 +13,9 @@ import pytest
 
 import nomsos
 from nomsos import (
+    App,
     Budget,
+    Tup,
     corpus_path,
     enumerate_transitions,
     normalize,
@@ -183,6 +185,42 @@ def test_stale_read_forces_another_pass():
     enum = enumerate_transitions(spec, _t(spec, state))
     assert len(enum.derivations) == 8
     assert not enum.truncated
+
+
+def test_cyclic_rule_ends_within_its_depth_budget():
+    # Rep reads par(x, rep(x)) to derive from rep(x), so every pass of the
+    # search finds a residual one level deeper; only the pass bound of
+    # Budget.depth stops it.
+    spec = nomsos.load_corpus("pi-rep.spec")
+    enum = enumerate_transitions(spec, _t(spec, "rep(out(a,b,null))"), Budget(depth=50))
+    assert enum.truncated
+    assert 0 < len(enum.derivations) <= 50
+
+
+def _random_par(rng: random.Random, spec, width: int):
+    """A `par` composition of `width` random states with a random shape."""
+    if width == 1:
+        return random_state(rng, spec)
+    left = rng.randint(1, width - 1)
+    parts = (_random_par(rng, spec, left), _random_par(rng, spec, width - left))
+    return App("par", Tup(parts))
+
+
+def test_small_depth_finds_a_subset_and_says_when_it_is_less(pi_spec):
+    # A small depth cuts deep subgoals and, through the pass bound, late
+    # passes: what it finds is among what the default budget finds, and
+    # when it finds less the enumeration is truncated.
+    rng = random.Random(2026)
+    for depth in (1, 2, 3):
+        for _ in range(20):
+            state = _random_par(rng, pi_spec, rng.randint(2, 5))
+            full = enumerate_transitions(pi_spec, state)
+            assert not full.truncated
+            cut = enumerate_transitions(pi_spec, state, Budget(depth=depth))
+            found = {d.transition.residual for d in cut.derivations}
+            every = {d.transition.residual for d in full.derivations}
+            assert found <= every
+            assert cut.truncated or found == every, term_str(state)
 
 
 def _complete(rng, spec, rule, st, pool):

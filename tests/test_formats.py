@@ -3,6 +3,7 @@ decrease, and residual alpha-conversion."""
 
 import dataclasses
 import gc
+from collections import Counter
 
 from nomsos import (
     check_acr,
@@ -11,6 +12,8 @@ from nomsos import (
     check_stratification,
     corpus_path,
     enumerate_transitions,
+    formats,
+    load_corpus,
     parse_spec,
     parse_term_str,
 )
@@ -40,7 +43,7 @@ def test_corpus_defined_order_note(pi_spec):
 
 
 def test_broken_corpus_fails_acr(pi_broken_spec):
-    report = check_acr(pi_broken_spec)
+    report = check_acr(pi_broken_spec, check_stratification(pi_broken_spec).defined)
     assert not report.passed
     failures = [c for c in report.checks if c.status == "fail"]
     assert failures
@@ -165,7 +168,8 @@ rule R :
 order foo(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;
 """
     for literal in ("ch7", "ch500"):
-        report = check_acr(parse_spec(text.replace("LIT", literal)))
+        spec = parse_spec(text.replace("LIT", literal))
+        report = check_acr(spec, check_stratification(spec).defined)
         verdicts = [(c.rule, c.status, c.constraint) for c in report.checks]
         assert verdicts == [("R", "fail", "(i)")], literal
 
@@ -182,8 +186,9 @@ def test_checks_leave_no_cyclic_garbage(pi_spec, pi_broken_spec):
 
 
 def test_decrease_failures_of_one_line_mutants():
-    # Each mutant of the Rep rule or its order clause fails only the
-    # decrease condition of stratification, with its own witness.
+    # Each mutant of the Rep rule or its order clause, and the cyclic Rep of
+    # pi-rep.spec, fails only the decrease condition of stratification,
+    # with its own witness.
     text = corpus_path("pi.spec").read_text(encoding="utf-8")
     rep_premise = "  premise x -> (l, y) ;\n  conclusion rep(x)"
     rep_order = "order rep(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;"
@@ -204,16 +209,19 @@ def test_decrease_failures_of_one_line_mutants():
             "Rep@outA: premise x -> ... @ outA(_b1, _b2) has no matching recursive call",
         ),
     ]
+    specs = [(load_corpus("pi-rep.spec"), mutants[0][2], "pi-rep.spec")]
     for old, new, witness in mutants:
         assert text.count(old) == 1
-        reports = check_all(parse_spec(text.replace(old, new)))
+        specs.append((parse_spec(text.replace(old, new)), witness, new))
+    for spec, witness, what in specs:
+        reports = check_all(spec)
         failed = [
             (r.name, c.rule, c.constraint, c.witness)
             for r in reports
             for c in r.checks
             if c.status not in ("pass", "skipped")
         ]
-        assert failed == [("stratification", "Rep", "decrease", witness)], new
+        assert failed == [("stratification", "Rep", "decrease", witness)], what
 
 
 def test_identification_avoids_concrete_atoms_of_the_env():
@@ -261,6 +269,57 @@ rule R forall a :
 order foo(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;
 """
     for env in ("", "fresh a # ch0 ;"):
-        report = check_acr(parse_spec(text.replace("ENV", env)))
+        spec = parse_spec(text.replace("ENV", env))
+        report = check_acr(spec, check_stratification(spec).defined)
         verdicts = [(c.rule, c.status, c.constraint) for c in report.checks]
         assert verdicts == [("R", "fail", "(i)")], env
+
+
+def test_check_all_matches_each_label_instance_once(pi_spec, monkeypatch):
+    # Stratification matches the order cases; the ACR check reads what it
+    # found instead of matching again.
+    instances = sum(len(label_instances(pi_spec, rule)) for rule in pi_spec.rules)
+    calls: Counter[str] = Counter()
+
+    def counted(name):
+        f = getattr(formats, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(formats, name, wrapper)
+
+    counted("label_instances")
+    counted("case_matches")
+    check_all(pi_spec)
+    assert calls == {
+        "label_instances": len(pi_spec.rules),
+        "case_matches": instances,
+    }
+
+
+def test_defined_order_lists_instances_after_a_failing_one():
+    # With a constant measure for sum at outA, SumL and SumR fail decrease
+    # at their outA instance; their boutA instances are still in the defined
+    # order, and the ACR check constrains both.
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    old = "order sum(x1,x2) @ outA(a,b) = 1 + max(S(x1, outA(a,b)), S(x2, outA(a,b))) ;"
+    assert text.count(old) == 1
+    spec = parse_spec(text.replace(old, "order sum(x1,x2) @ outA(a,b) = 0 ;"))
+    _, _, strat, acr = check_all(spec)
+    assert strat.notes == ("defined order: " + ", ".join(map(describe, strat.defined)),)
+    for frag in ("SumL@outA, SumL@boutA", "SumR@outA, SumR@boutA"):
+        assert frag in strat.notes[0]
+    failed = [(c.rule, c.constraint, c.witness) for c in strat.checks if c.status == "fail"]
+    witness = "@outA: case with constant measure 0 matches a rule with premises"
+    assert failed == [(name, "decrease", name + witness) for name in ("SumL", "SumR")]
+    assert acr.text() == "\n".join(
+        ["residual alpha-conversion format: pass"]
+        + [
+            f"  {name}: skipped -- no defined-order instance"
+            if name in ("In", "CloseL", "CloseR")
+            else f"  {name}: pass"
+            for name in (r.name for r in spec.rules)
+        ]
+    )
