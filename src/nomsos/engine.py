@@ -16,6 +16,20 @@ instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit.
 
+The table is keyed by orbit. A subgoal's candidate atoms, per sort the
+sorted free and extra atoms and then the fresh ones, are renamed in order
+to atoms 0, 1, 2, ...; the search solves that representative once and
+carries its residuals back to each subgoal of the orbit with the inverse
+permutation. Trees are carried back lazily, as a subtree and the permutation
+still to apply, and moved only when a derivation or a proof leaves the
+engine. When a rule has a concrete atom the relation need not be
+equivariant, and every subgoal is its own representative. Renaming keeps
+the order of the candidates but not the index order of the atoms, which
+breaks ties where matching tries the subject's own binder, the least atom
+not free in it, first. So a tree carried back may name such a binder
+differently from the first tree of a search keyed by the literal subgoal;
+it replays all the same.
+
 Every term in the search is canonical by construction: the entry points
 normalise the state (and `prove` its target) once, matching binds variables
 only to canonical terms, and `normalize(p, st.metas, st.subst)` builds
@@ -27,11 +41,12 @@ this: it checks the raw instance `Rule.instance` against the tree, with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterable, NamedTuple, Optional
 
-from .alpha import _free_atoms, alpha_eq, normalize, nt_fresh
-from .atoms import Atom
+from .alpha import _free_atoms, _move, alpha_eq, normalize, nt_fresh
+from .atoms import Atom, Permutation
 from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec
@@ -146,98 +161,183 @@ class _RulePlan:
         )
 
 
+class _Carried(NamedTuple):
+    """A proof tree still to be moved by `perm`: a subtree carried back from
+    an orbit representative. It lives only inside the search; `_force`
+    applies every pending permutation before a tree leaves the engine."""
+
+    tree: "ProofTree"
+    perm: Permutation
+
+
+class _Entry:
+    """One orbit representative: its state, extra atoms and pool, the
+    residuals found so far with the first tree of each, and the pass that
+    last reached it (`settled` once that pass solved it)."""
+
+    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled")
+
+    def __init__(self, state: RawTerm, extra: frozenset[Atom], pool: AtomPool):
+        self.state = state
+        self.extra = extra
+        self.pool = pool
+        self.residuals: dict[RawTerm, ProofTree] = {}
+        self.reached = 0
+        self.settled = False
+
+
+class _Record:
+    """One literal key: the entry of its representative, the permutation
+    that carries that entry back (None when the key is its own
+    representative), and the entry as carried back so far. An entry only
+    grows and never replaces a residual, so the view is extended with the
+    residuals added since the last call."""
+
+    __slots__ = ("entry", "inverse", "view")
+
+    def __init__(self, entry: _Entry, inverse: Optional[Permutation]):
+        self.entry = entry
+        self.inverse = inverse
+        self.view: dict[RawTerm, ProofTree | _Carried] = (
+            entry.residuals if inverse is None else {}
+        )
+
+    def carried(self) -> dict[RawTerm, ProofTree | _Carried]:
+        inverse = self.inverse
+        if inverse is not None and len(self.view) < len(self.entry.residuals):
+            for residual, tree in islice(self.entry.residuals.items(), len(self.view), None):
+                self.view[_move(inverse, residual)] = _Carried(tree, inverse)
+        return self.view
+
+
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
         self.budget = budget
         self.plans = tuple(_RulePlan.of(rule) for rule in spec.rules)
-        self.table: dict[tuple, dict[RawTerm, ProofTree]] = {}
+        # A rule with a concrete atom breaks equivariance: every key is
+        # then its own representative.
+        self.equivariant = not any(rule.atoms() for rule in spec.rules)
+        self.table: dict[tuple, _Entry] = {}
+        self.records: dict[tuple, _Record] = {}
         self.truncated = False
         self.changed = False
         self.stale = False
-        # The keys this pass has reached: False while a key is being solved,
-        # True once it is settled.
-        self.settled: dict[tuple, bool] = {}
+        self.passes = 0
 
-    def run(self, state: RawTerm, extra: frozenset[Atom]) -> dict[RawTerm, ProofTree]:
+    def run(
+        self, state: RawTerm, extra: frozenset[Atom]
+    ) -> dict[RawTerm, ProofTree | _Carried]:
         for _ in range(max(self.budget.depth, 1)):
+            self.passes += 1
             self.changed = False
             self.stale = False
-            self.settled = {}
             entry = self._solve(state, extra, self.budget.depth)
             if not (self.changed and self.stale):
                 return entry
         self.truncated = True
         return entry
 
+    def _canonical(self, atoms: frozenset[Atom]) -> Permutation:
+        """The permutation that maps, per sort, the pool's candidates for a
+        key with these free and extra atoms, in order, onto atoms 0, 1,
+        2, ...; the atoms it maps onto are sent back to the candidates it
+        frees, in order. The identity when a rule has a concrete atom."""
+        moved = {}
+        if self.equivariant:
+            pool = AtomPool(tuple(sorted(atoms)), self.budget.fresh)
+            for sort in {a.sort for a in atoms}:
+                for i, c in enumerate(pool.candidates(sort)):
+                    if c.index != i:
+                        moved[c] = Atom(sort, i)
+            images = set(moved.values())
+            moved.update(zip(sorted(images - moved.keys()), sorted(moved.keys() - images)))
+        return Permutation.of(moved)
+
+    def _record(self, state: RawTerm, extra: frozenset[Atom]) -> _Record:
+        """The record of a key not reached before: the key moved by
+        `_canonical` is its representative, whose entry is made here unless
+        another key of the orbit made it."""
+        atoms = _free_atoms(state) | extra
+        perm = self._canonical(atoms)
+        inverse = None
+        if not perm.is_identity:
+            image = dict(perm.pairs)
+            state = _move(perm, state)
+            extra = frozenset(image.get(a, a) for a in extra)
+            atoms = frozenset(image.get(a, a) for a in atoms)
+            inverse = perm.inverse()
+        key = (state, extra)
+        entry = self.table.get(key)
+        if entry is None:
+            pool = AtomPool(tuple(sorted(atoms)), self.budget.fresh)
+            entry = self.table[key] = _Entry(state, extra, pool)
+        return _Record(entry, inverse)
+
     def _solve(
         self, state: RawTerm, extra: frozenset[Atom], depth: int
-    ) -> dict[RawTerm, ProofTree]:
+    ) -> dict[RawTerm, ProofTree | _Carried]:
         key = (state, extra)
-        entry = self.table.setdefault(key, {})
-        settled = self.settled.get(key)
-        if settled is not None:
-            if not settled:
+        record = self.records.get(key)
+        if record is None:
+            record = self.records[key] = self._record(state, extra)
+        entry = record.entry
+        if entry.reached == self.passes:
+            if not entry.settled:
                 self.stale = True
-            return entry
+            return record.carried()
         if depth <= 0:
             self.truncated = True
             self.stale = True
-            return entry
-        self.settled[key] = False
-        pool = AtomPool(
-            tuple(sorted(_free_atoms(state) | extra)), self.budget.fresh
-        )
+            return record.carried()
+        entry.reached = self.passes
+        entry.settled = False
         for plan in self.plans:
-            for st in match_term(plan.rule.conclusion.source, state, MatchState(), pool):
-                self._premises(plan, 0, st, (), state, extra, depth, pool, entry)
-        self.settled[key] = True
-        return entry
+            source = plan.rule.conclusion.source
+            for st in match_term(source, entry.state, MatchState(), entry.pool):
+                self._premises(plan, 0, st, (), entry, depth)
+        entry.settled = True
+        return record.carried()
 
     def _premises(
         self,
         plan: _RulePlan,
         i: int,
         st: MatchState,
-        children: tuple[ProofTree, ...],
-        state: RawTerm,
-        extra: frozenset[Atom],
+        children: tuple[ProofTree | _Carried, ...],
+        entry: _Entry,
         depth: int,
-        pool: AtomPool,
-        entry: dict[RawTerm, ProofTree],
     ) -> None:
         if i == len(plan.premises):
-            self._conclude(plan, st, children, state, pool, entry)
+            self._conclude(plan, st, children, entry)
             return
         pp = plan.premises[i]
         # Matching binds variables to ground terms only, so the source is
         # ground exactly when all of its variables are bound.
         if not st.subst.keys() >= pp.variables:
             return
+        pool = entry.pool
         for st1 in bind_metas(pp.metas, st, pool):
             src = normalize(pp.premise.source, st1.metas, st1.subst)
-            inner_extra = extra | set(st1.metas.values())
+            inner_extra = entry.extra | set(st1.metas.values())
             subgoals = self._solve(src, frozenset(inner_extra), depth - 1)
             for residual, subtree in list(subgoals.items()):
                 for st2 in match_term(pp.premise.target, residual, st1, pool):
-                    self._premises(
-                        plan, i + 1, st2, children + (subtree,), state, extra, depth, pool, entry
-                    )
+                    self._premises(plan, i + 1, st2, children + (subtree,), entry, depth)
 
     def _conclude(
         self,
         plan: _RulePlan,
         st: MatchState,
-        children: tuple[ProofTree, ...],
-        state: RawTerm,
-        pool: AtomPool,
-        entry: dict[RawTerm, ProofTree],
+        children: tuple[ProofTree | _Carried, ...],
+        entry: _Entry,
     ) -> None:
         rule = plan.rule
         if not st.subst.keys() >= plan.conclusion_vars:
             return
         if rule.excluded_label(st.subst) is not None:
             return
-        for st1 in bind_metas(plan.pending, st, pool):
+        residuals = entry.residuals
+        for st1 in bind_metas(plan.pending, st, entry.pool):
             discharged = []
             ok = True
             for ra in rule.env:
@@ -250,17 +350,43 @@ class _Search:
             if not ok:
                 continue
             residual = normalize(rule.conclusion.target, st1.metas, st1.subst)
-            if residual in entry:
+            if residual in residuals:
                 continue
-            entry[residual] = ProofTree(
+            residuals[residual] = ProofTree(
                 rule_name=rule.name,
                 atoms=tuple(sorted(st1.metas.items())),
                 subst=tuple(sorted(st1.subst.items(), key=lambda kv: kv[0].name)),
-                transition=Transition(state, residual),
+                transition=Transition(entry.state, residual),
                 children=children,
                 discharged=tuple(discharged),
             )
             self.changed = True
+
+
+def _force(
+    tree: ProofTree | _Carried, perm: Permutation = Permutation.identity()
+) -> ProofTree:
+    """The proof tree `perm` moves `tree` to, with every subtree carried
+    back: no `_Carried` node is left in it."""
+    if isinstance(tree, _Carried):
+        perm = perm.compose(tree.perm)
+        tree = tree.tree
+    children = tuple(_force(c, perm) for c in tree.children)
+    if perm.is_identity:
+        if all(c is d for c, d in zip(children, tree.children)):
+            return tree
+        return replace(tree, children=children)
+    image = dict(perm.pairs)
+    return ProofTree(
+        rule_name=tree.rule_name,
+        atoms=tuple((n, image.get(a, a)) for n, a in tree.atoms),
+        subst=tuple((v, _move(perm, t)) for v, t in tree.subst),
+        transition=Transition(
+            _move(perm, tree.transition.state), _move(perm, tree.transition.residual)
+        ),
+        children=children,
+        discharged=tuple((image.get(a, a), _move(perm, t)) for a, t in tree.discharged),
+    )
 
 
 def enumerate_transitions(
@@ -276,7 +402,7 @@ def enumerate_transitions(
     derivations = []
     for residual, tree in table.items():
         fresh = tuple(sorted(_free_atoms(residual) - base))
-        derivations.append(Derivation(Transition(s, residual), tree, fresh))
+        derivations.append(Derivation(Transition(s, residual), _force(tree), fresh))
     derivations.sort(key=lambda d: term_str(d.transition.residual))
     return Enumeration(tuple(derivations), search.truncated, s)
 
@@ -285,13 +411,11 @@ def prove(
     spec: Spec, source: RawTerm, target: RawTerm, budget: Budget = Budget()
 ) -> ProveOutcome:
     r = normalize(target)
-    enum = enumerate_transitions(
-        spec, source, budget, extra_atoms=tuple(sorted(_free_atoms(r)))
-    )
-    for d in enum.derivations:
-        if d.transition.residual == r:
-            return ProveOutcome(d.tree, False)
-    return ProveOutcome(None, enum.truncated)
+    search = _Search(spec, budget)
+    tree = search.run(normalize(source), _free_atoms(r)).get(r)
+    if tree is None:
+        return ProveOutcome(None, search.truncated)
+    return ProveOutcome(_force(tree), False)
 
 
 def replay(spec: Spec, tree: ProofTree) -> list[str]:

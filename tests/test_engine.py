@@ -1,5 +1,6 @@
 """Transition derivation: proof-tree search, enumeration, and replay."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -13,8 +14,11 @@ import pytest
 
 import nomsos
 from nomsos import (
+    Abs,
     App,
     Budget,
+    Permutation,
+    Susp,
     Tup,
     corpus_path,
     enumerate_transitions,
@@ -29,8 +33,9 @@ from nomsos import (
     tree_dict,
     tree_text,
 )
+from nomsos import engine
 from nomsos.matching import AtomPool, MatchState, match_term
-from nomsos.terms import Var, instantiate, subst_apply, term_vars
+from nomsos.terms import MetaAtom, Var, instantiate, subst_apply, term_vars
 
 from conftest import atoms, random_state, random_term
 
@@ -266,9 +271,11 @@ def test_instantiate_canon_is_full_normalisation(pi_spec):
 
 
 def test_deep_chain_fits_the_stack(pi_spec):
-    # A sum chain 300 deep derives its one transition untruncated; one
-    # about 340 deep overflows the stack in `normalize`, which recurses
-    # three frames per level.
+    # A sum chain 300 deep derives its one transition untruncated. Called
+    # from the top level of a script, one 331 deep overflows the stack in
+    # `normalize`, which recurses three frames per level; over atoms that
+    # must be moved to their orbit representative, one 330 deep overflows
+    # it in `_move`.
     deep = "out(a, b, null)"
     for _ in range(300):
         deep = f"sum({deep}, null)"
@@ -372,3 +379,180 @@ def test_replay_reports_an_excluded_label(pi_spec):
         subst=tree.subst + ((label, _t(pi_spec, "boutA(a, b)")),),
     )
     assert replay(pi_spec, relabelled) == ["node ParL: label boutA is excluded"]
+
+
+def _wrap(k: int, inner: str) -> str:
+    for _ in range(k):
+        inner = f"new([u]{inner})"
+    return inner
+
+
+def _claims(a: str, b: str):
+    """The benchmark's prove-binders claims, (name, source, target), with
+    the free atoms a and b: three templates under 0-5 vacuous binders."""
+    for k in range(6):
+        yield (
+            f"open-through-{k}",
+            _wrap(k, f"new([w]out({a},w,null))"),
+            f"(boutA({a},{b}), {_wrap(k, 'null')})",
+        )
+        yield (
+            f"close-{k}",
+            f"par({_wrap(k, f'new([w]out({a},w,null))')}, in({a},[v]out(v,v,null)))",
+            f"(tauA, new([w]par({_wrap(k, 'null')}, out(w,w,null))))",
+        )
+        yield (
+            f"restricted-out-{k}",
+            _wrap(k, f"new([w]out(w,{b},null))"),
+            f"(outA({a},{b}), {_wrap(k, 'new([w]null)')})",
+        )
+
+
+def test_prove_trees_are_pinned(pi_spec):
+    # The printed trees and replay reports of the 18 claims under one
+    # renaming, recorded before the search keyed its table by orbit.
+    lines = []
+    for name, src, tgt in _claims("e", "c"):
+        out = prove(pi_spec, _t(pi_spec, src), _t(pi_spec, tgt))
+        if out.tree is None:
+            lines.append(f"{name}: unprovable truncated={out.truncated}")
+        else:
+            errors = replay(pi_spec, out.tree)
+            lines.append(f"{name}:\n{tree_text(out.tree)}\nreplay errors={errors}")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "a8e3b0fa4c867a75c6611ae3b978267d8d60c094837c8efdb5e9e7f85d36344c"
+
+
+def _literal_and_orbit(monkeypatch, call):
+    """The results of `call` with the table keyed by the literal key (the
+    canonical permutation patched to the identity) and by orbit."""
+    with monkeypatch.context() as m:
+        m.setattr(engine._Search, "_canonical", lambda self, atoms: Permutation.identity())
+        literal = call()
+    return literal, call()
+
+
+def _binder_scopes(t, out: dict) -> dict:
+    """The schematic atoms a pattern binds, each with the variables in its
+    scope."""
+    match t:
+        case Abs(binder, body):
+            if isinstance(binder, MetaAtom):
+                out[binder.name] = term_vars(body)
+            _binder_scopes(body, out)
+        case Susp(_, body):
+            _binder_scopes(body, out)
+        case Tup(items):
+            for item in items:
+                _binder_scopes(item, out)
+        case App(_, arg):
+            _binder_scopes(arg, out)
+    return out
+
+
+def _same_but_binder_names(spec, lit, orb) -> None:
+    """Every node has the same rule and transition. Atoms, substitution
+    and freshness conditions agree except for the atom a node gives a
+    binder of its conclusion source, the variables in its scope and the
+    conditions on that atom."""
+    assert (orb.rule_name, orb.transition) == (lit.rule_name, lit.transition)
+    rule = spec.rule(lit.rule_name)
+    scopes = _binder_scopes(rule.conclusion.source, {})
+    scoped = set().union(*scopes.values())
+
+    def kept(tree):
+        return (
+            [(n, a) for n, a in tree.atoms if n not in scopes],
+            [(v, t) for v, t in tree.subst if v not in scoped],
+            [
+                d
+                for d, ra in zip(tree.discharged, rule.env)
+                if not (isinstance(ra.atom, MetaAtom) and ra.atom.name in scopes)
+            ],
+        )
+
+    assert kept(orb) == kept(lit)
+    assert len(orb.children) == len(lit.children)
+    for c, d in zip(lit.children, orb.children):
+        _same_but_binder_names(spec, c, d)
+
+
+def _assert_enumerations_agree(spec, literal, orbit) -> None:
+    assert orbit.truncated == literal.truncated
+    assert orbit.state == literal.state
+    assert [(d.transition, d.fresh_atoms) for d in orbit.derivations] == [
+        (d.transition, d.fresh_atoms) for d in literal.derivations
+    ]
+    for lit, orb in zip(literal.derivations, orbit.derivations):
+        _same_but_binder_names(spec, lit.tree, orb.tree)
+        assert replay(spec, orb.tree) == []
+
+
+def test_orbit_keys_agree_with_literal_keys_on_par_states(pi_spec, monkeypatch):
+    # Orbit keys change no transition, fresh atom or truncation. A first
+    # tree may name a binder differently: the literal search tries the
+    # subject's own binder first, and that choice is not the image of the
+    # representative's under the permutation.
+    rng = random.Random(2026)
+    states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
+    literal, orbit = _literal_and_orbit(
+        monkeypatch, lambda: [enumerate_transitions(pi_spec, s) for s in states]
+    )
+    for lit, orb in zip(literal, orbit):
+        _assert_enumerations_agree(pi_spec, lit, orb)
+
+
+def test_orbit_keys_agree_with_literal_keys_on_prove_claims(pi_spec, monkeypatch):
+    claims = [
+        (_t(pi_spec, src), _t(pi_spec, tgt))
+        for a, b in (("a", "b"), ("h", "c"))
+        for _, src, tgt in _claims(a, b)
+    ]
+    literal, orbit = _literal_and_orbit(
+        monkeypatch, lambda: [prove(pi_spec, src, tgt) for src, tgt in claims]
+    )
+    for lit, orb in zip(literal, orbit):
+        assert (orb.tree is None, orb.truncated) == (lit.tree is None, lit.truncated)
+        if lit.tree is not None:
+            _same_but_binder_names(pi_spec, lit.tree, orb.tree)
+            assert tree_text(orb.tree) == tree_text(lit.tree)
+            assert replay(pi_spec, orb.tree) == []
+
+
+def test_orbit_keys_agree_with_literal_keys_on_a_cyclic_rule(monkeypatch):
+    spec = nomsos.load_corpus("pi-rep.spec")
+    states = [
+        _t(spec, "rep(out(a,b,null))"),
+        _t(spec, "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"),
+    ]
+    literal, orbit = _literal_and_orbit(
+        monkeypatch,
+        lambda: [enumerate_transitions(spec, s, Budget(depth=20)) for s in states],
+    )
+    for lit, orb in zip(literal, orbit):
+        assert lit.truncated
+        _assert_enumerations_agree(spec, lit, orb)
+
+
+def _table_size(spec, state: str) -> tuple[int, int]:
+    """The entries and the literal keys of one search from the state."""
+    search = engine._Search(spec, Budget())
+    search.run(normalize(_t(spec, state)), frozenset())
+    return len(search.table), len(search.records)
+
+
+def test_orbit_keys_shrink_the_table(pi_spec, monkeypatch):
+    # Eight vacuous binders: 157 literal keys fall into at most 40 orbits.
+    # A rule with a concrete atom breaks equivariance, so every key is its
+    # own representative.
+    nest = _wrap(8, "out(a,b,null)")
+    literal, orbit = _literal_and_orbit(monkeypatch, lambda: _table_size(pi_spec, nest))
+    assert literal == (157, 157)
+    assert orbit[0] <= 40
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    text = text.replace(
+        "rule In", "rule Tick :\n  conclusion rep(out(a,a,x)) -> (tauA, x) ;\n\nrule In", 1
+    )
+    concrete = parse_spec(text)
+    assert any(rule.atoms() for rule in concrete.rules)
+    assert _table_size(concrete, nest) == literal
