@@ -10,16 +10,22 @@ being the least atom not free in `t` and on `t` being canonical. So every
 subterm of a canonical term is canonical, and a tuple or application of
 canonical terms is canonical. `normalize` is therefore one bottom-up pass:
 it closes each canonical body under its canonical binder, and discharges a
-delayed permutation over a canonical term with `_move`. The same pass
+delayed permutation over a canonical term by moving it. The same pass
 instantiates a rule pattern, given the images of its schematic atoms and
-canonical terms for its variables."""
+canonical terms for its variables.
+
+The kernel (`_rename` and `_close`) moves a term by a plain dict that maps
+each atom it moves to its image, and closing a binder extends a copy of that
+dict by one swap; a swap list is composed into such a dict directly. No
+`Permutation` is built per node: `Permutation` is the type of the API, and
+`_move` takes one and reads its pairs once."""
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .atoms import Atom, Permutation, fresh_atoms
-from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, Variable, perm_of, resolve
+from .atoms import Atom, Permutation, PermutationError
+from .terms import Abs, App, Atm, AtomLike, RawTerm, Susp, Tup, Var, Variable, resolve
 
 
 class NotGroundError(ValueError):
@@ -45,29 +51,65 @@ def _free_atoms(t: RawTerm) -> frozenset[Atom]:
     raise TypeError(f"unexpected node in susp-free term: {t!r}")
 
 
-def _close(perm: Permutation, a: Atom, body: RawTerm) -> RawTerm:
-    """The canonical form of `perm·[a]body` for a canonical `body`. Its
-    binder is the least atom of the sort not free in the moved abstraction;
-    the body is then moved once, by `perm` followed by the swap of the
-    moved binder with that atom."""
-    c = fresh_atoms(a.sort, {perm(x) for x in _free_atoms(body) if x != a}, 1)[0]
-    return Abs(c, _move(Permutation.swap(perm(a), c).compose(perm), body))
+def _close(image: dict[Atom, Atom], a: Atom, body: RawTerm) -> RawTerm:
+    """The canonical form of `π·[a]body` for a canonical `body`, where π
+    moves each key of `image` to its value. Its binder is the least atom of
+    the sort not free in the moved abstraction; the body is then moved
+    once, by π followed by the swap of the moved binder with that atom."""
+    sort = a.sort
+    taken = {image.get(x, x).index for x in _free_atoms(body) if x != a and x.sort == sort}
+    i = 0
+    while i in taken:
+        i += 1
+    c = Atom(sort, i)
+    moved = image.get(a, a)
+    if c != moved:
+        # Followed by the swap of π(a) and c, π sends a to c and the atom
+        # it sent to c to π(a).
+        back = next((x for x, y in image.items() if y == c), c)
+        image = {**image, a: c, back: moved}
+        for x in (a, back):
+            if image[x] == x:
+                del image[x]
+    return Abs(c, _rename(image, body))
+
+
+def _rename(image: dict[Atom, Atom], t: RawTerm) -> RawTerm:
+    """The canonical form of `π·t` for a canonical `t`, where π moves each
+    key of `image` to its value and fixes every other atom."""
+    if not image:
+        return t
+    match t:
+        case Atm(a):
+            return Atm(image.get(a, a))
+        case Abs(a, s):
+            return _close(image, a, s)
+        case Tup(items):
+            return Tup(tuple(_rename(image, s) for s in items))
+        case App(f, s):
+            return App(f, _rename(image, s))
+    raise TypeError(f"unexpected node in canonical term: {t!r}")
 
 
 def _move(perm: Permutation, t: RawTerm) -> RawTerm:
     """The canonical form of `perm·t` for a canonical `t`."""
-    if perm.is_identity:
-        return t
-    match t:
-        case Atm(a):
-            return Atm(perm(a))
-        case Abs(a, s):
-            return _close(perm, a, s)
-        case Tup(items):
-            return Tup(tuple(_move(perm, s) for s in items))
-        case App(f, s):
-            return App(f, _move(perm, s))
-    raise TypeError(f"unexpected node in canonical term: {t!r}")
+    return _rename(dict(perm.pairs), t)
+
+
+def _swap_image(
+    swaps: Iterable[tuple[AtomLike, AtomLike]], metas: Mapping[str, AtomLike] = {}
+) -> dict[Atom, Atom]:
+    """The atoms moved by the permutation a swap list denotes, leftmost
+    swap applied last, each mapped to its image; schematic atoms are given
+    their images under `metas`. Composing a swap on the right exchanges the
+    images of its two atoms."""
+    image: dict[Atom, Atom] = {}
+    for a, b in swaps:
+        a, b = resolve(a, metas), resolve(b, metas)
+        if a.sort != b.sort:
+            raise PermutationError(f"permutation does not preserve sorts: {a} -> {b}")
+        image[a], image[b] = image.get(b, b), image.get(a, a)
+    return {x: y for x, y in image.items() if x != y}
 
 
 def normalize(
@@ -91,10 +133,9 @@ def normalize(
         case Atm(a):
             return Atm(resolve(a, metas))
         case Susp(p, s):
-            return _move(perm_of(p, metas), normalize(s, metas, subst))
+            return _rename(_swap_image(p, metas), normalize(s, metas, subst))
         case Abs(a, s):
-            body = normalize(s, metas, subst)
-            return _close(Permutation.identity(), resolve(a, metas), body)
+            return _close({}, resolve(a, metas), normalize(s, metas, subst))
         case Tup(items):
             return Tup(tuple(normalize(s, metas, subst) for s in items))
         case App(f, s):

@@ -11,7 +11,10 @@ built every entry from complete ones, so another pass would find nothing
 new, and the first tree found for each residual is kept.  A rule that
 cycles through its own conclusion can add a deeper residual on every pass,
 so the search makes at most `Budget.depth` passes (at least one) and reports
-`truncated` when the last still called for another.  Atom
+`truncated` when the last still called for another.  An entry whose solve
+read only complete entries is complete itself and is not solved again: a
+later pass only reads again what that solve read, so it reaches the same
+subgoals at the same depths and cuts where a full solve would.  Atom
 instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit.
@@ -161,6 +164,29 @@ class _RulePlan:
         )
 
 
+class _Plans(NamedTuple):
+    """What the search works out once per spec: the plan of each rule and
+    whether the rule set is equivariant. A rule with a concrete atom breaks
+    equivariance: every key is then its own representative."""
+
+    rules: tuple[Rule, ...]
+    plans: tuple[_RulePlan, ...]
+    equivariant: bool
+
+
+def _plans(spec: Spec) -> _Plans:
+    """The plans of the spec's rules, worked out on its first search and
+    kept on the spec for as long as its rules are the same tuple."""
+    kept = spec.search_plans
+    if not isinstance(kept, _Plans) or kept.rules is not spec.rules:
+        kept = spec.search_plans = _Plans(
+            spec.rules,
+            tuple(map(_RulePlan.of, spec.rules)),
+            not any(rule.atoms() for rule in spec.rules),
+        )
+    return kept
+
+
 class _Carried(NamedTuple):
     """A proof tree still to be moved by `perm`: a subtree carried back from
     an orbit representative. It lives only inside the search; `_force`
@@ -173,9 +199,13 @@ class _Carried(NamedTuple):
 class _Entry:
     """One orbit representative: its state, extra atoms and pool, the
     residuals found so far with the first tree of each, and the pass that
-    last reached it (`settled` once that pass solved it)."""
+    last reached it (`settled` once that pass solved it). `reads` stays
+    None until the entry is complete: a solve of it read only complete
+    entries, so no entry still being solved (a stale read) and no entry the
+    depth budget cut before it was complete. Its residuals can then no
+    longer grow, and `reads` keeps the records that solve read, in order."""
 
-    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled")
+    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled", "reads")
 
     def __init__(self, state: RawTerm, extra: frozenset[Atom], pool: AtomPool):
         self.state = state
@@ -184,6 +214,7 @@ class _Entry:
         self.residuals: dict[RawTerm, ProofTree] = {}
         self.reached = 0
         self.settled = False
+        self.reads: Optional[tuple[_Record, ...]] = None
 
 
 class _Record:
@@ -213,16 +244,15 @@ class _Record:
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
         self.budget = budget
-        self.plans = tuple(_RulePlan.of(rule) for rule in spec.rules)
-        # A rule with a concrete atom breaks equivariance: every key is
-        # then its own representative.
-        self.equivariant = not any(rule.atoms() for rule in spec.rules)
+        _, self.plans, self.equivariant = _plans(spec)
         self.table: dict[tuple, _Entry] = {}
         self.records: dict[tuple, _Record] = {}
         self.truncated = False
         self.changed = False
         self.stale = False
         self.passes = 0
+        # The records the solve in progress has read, in order.
+        self.reads: dict[_Record, None] = {}
 
     def run(
         self, state: RawTerm, extra: frozenset[Atom]
@@ -231,7 +261,7 @@ class _Search:
             self.passes += 1
             self.changed = False
             self.stale = False
-            entry = self._solve(state, extra, self.budget.depth)
+            entry = self._solve(self._record(state, extra), self.budget.depth)
             if not (self.changed and self.stale):
                 return entry
         self.truncated = True
@@ -254,9 +284,13 @@ class _Search:
         return Permutation.of(moved)
 
     def _record(self, state: RawTerm, extra: frozenset[Atom]) -> _Record:
-        """The record of a key not reached before: the key moved by
-        `_canonical` is its representative, whose entry is made here unless
-        another key of the orbit made it."""
+        """The record of a key, made when the key is first reached: the key
+        moved by `_canonical` is its representative, whose entry is made
+        then unless another key of the orbit made it."""
+        key = (state, extra)
+        record = self.records.get(key)
+        if record is not None:
+            return record
         atoms = _free_atoms(state) | extra
         perm = self._canonical(atoms)
         inverse = None
@@ -266,20 +300,15 @@ class _Search:
             extra = frozenset(image.get(a, a) for a in extra)
             atoms = frozenset(image.get(a, a) for a in atoms)
             inverse = perm.inverse()
-        key = (state, extra)
-        entry = self.table.get(key)
+        entry = self.table.get((state, extra))
         if entry is None:
             pool = AtomPool(tuple(sorted(atoms)), self.budget.fresh)
-            entry = self.table[key] = _Entry(state, extra, pool)
-        return _Record(entry, inverse)
+            entry = self.table[(state, extra)] = _Entry(state, extra, pool)
+        record = self.records[key] = _Record(entry, inverse)
+        return record
 
-    def _solve(
-        self, state: RawTerm, extra: frozenset[Atom], depth: int
-    ) -> dict[RawTerm, ProofTree | _Carried]:
-        key = (state, extra)
-        record = self.records.get(key)
-        if record is None:
-            record = self.records[key] = self._record(state, extra)
+    def _solve(self, record: _Record, depth: int) -> dict[RawTerm, ProofTree | _Carried]:
+        self.reads[record] = None
         entry = record.entry
         if entry.reached == self.passes:
             if not entry.settled:
@@ -291,10 +320,23 @@ class _Search:
             return record.carried()
         entry.reached = self.passes
         entry.settled = False
-        for plan in self.plans:
-            source = plan.rule.conclusion.source
-            for st in match_term(source, entry.state, MatchState(), entry.pool):
-                self._premises(plan, 0, st, (), entry, depth)
+        # Reads below this entry are logged for it alone, never for its
+        # reader, whose replay must reach them through this entry.
+        outer, self.reads = self.reads, {}
+        if entry.reads is None:
+            for plan in self.plans:
+                source = plan.rule.conclusion.source
+                for st in match_term(source, entry.state, MatchState(), entry.pool):
+                    self._premises(plan, 0, st, (), entry, depth)
+            if all(r.entry.reads is not None for r in self.reads):
+                entry.reads = tuple(self.reads)
+        else:
+            # A complete entry finds nothing new. Reading again what its
+            # solve read reaches the subgoals a solve would reach, at the
+            # same depths, so cuts and stale reads are those of a solve.
+            for child in entry.reads:
+                self._solve(child, depth - 1)
+        self.reads = outer
         entry.settled = True
         return record.carried()
 
@@ -319,7 +361,7 @@ class _Search:
         for st1 in bind_metas(pp.metas, st, pool):
             src = normalize(pp.premise.source, st1.metas, st1.subst)
             inner_extra = entry.extra | set(st1.metas.values())
-            subgoals = self._solve(src, frozenset(inner_extra), depth - 1)
+            subgoals = self._solve(self._record(src, frozenset(inner_extra)), depth - 1)
             for residual, subtree in list(subgoals.items()):
                 for st2 in match_term(pp.premise.target, residual, st1, pool):
                     self._premises(plan, i + 1, st2, children + (subtree,), entry, depth)

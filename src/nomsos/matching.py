@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable
 
-from .atoms import Atom, AtomSort, Permutation, fresh_atoms
-from .alpha import _free_atoms, _move
+from .atoms import Atom, AtomSort, fresh_atoms
+from .alpha import _free_atoms, _rename, _swap_image
 from .terms import (
     Abs,
     App,
@@ -20,7 +20,6 @@ from .terms import (
     Tup,
     Var,
     Variable,
-    perm_of,
     resolve,
 )
 
@@ -100,7 +99,8 @@ def match_term(
         case Susp(swaps, inner):
             out: list[MatchState] = []
             for st in bind_metas(chain.from_iterable(swaps), state, pool):
-                flipped = _move(perm_of(swaps, st.metas).inverse(), subject)
+                # The reversed swap list denotes the inverse permutation.
+                flipped = _rename(_swap_image(reversed(swaps), st.metas), subject)
                 out.extend(match_term(inner, flipped, st, pool))
             return out
         case Abs(binder, body):
@@ -111,9 +111,9 @@ def match_term(
             binder = resolve(binder, state.metas)
             if binder.sort != d.sort:
                 return []
+            free_q = _free_atoms(q)
             options: list[tuple[Atom, MatchState]] = [(binder, state)]
             if isinstance(binder, MetaAtom):
-                free_q = _free_atoms(q)
                 others = [
                     c
                     for c in pool.candidates(binder.sort)
@@ -124,8 +124,8 @@ def match_term(
             for a, st in options:
                 if a == d:
                     body_subject = q
-                elif a not in _free_atoms(q):
-                    body_subject = _move(Permutation.swap(a, d), q)
+                elif a not in free_q:
+                    body_subject = _rename({a: d, d: a}, q)
                 else:
                     continue
                 out.extend(match_term(body, body_subject, st, pool))

@@ -149,6 +149,9 @@ class Spec:
     bn: dict[str, tuple[int, ...]] = field(default_factory=dict)
     strat: tuple[StratCase, ...] = ()
     variables: dict[str, Variable] = field(default_factory=dict)
+    search_plans: object = field(default=None, init=False, repr=False, compare=False)
+    """What the derivation engine works out once from `rules`, with the
+    rules it was worked out from; set by the first search of the spec."""
 
     @property
     def signature(self) -> Signature:

@@ -3,10 +3,14 @@ rebinding oracle and the interpretation laws for moderated terms."""
 
 import random
 
+import pytest
+
 from nomsos import (
     Abs,
     App,
     Atm,
+    Atom,
+    AtomSort,
     Permutation,
     Susp,
     Tup,
@@ -16,9 +20,14 @@ from nomsos import (
     normalize,
     nt_fresh,
     nt_support,
+    parse_spec,
 )
+from nomsos.alpha import _move
+from nomsos.atoms import PermutationError
+from nomsos.terms import perm_of
 
 from conftest import (
+    CH,
     atoms,
     oracle_alpha,
     random_perm,
@@ -116,3 +125,74 @@ def test_nt_support_ignores_bound_atoms():
     assert nt_support(t) == {a}
     assert nt_fresh(b, t)
     assert not nt_fresh(a, t)
+
+
+# --- the kernel over two atom sorts --------------------------------------------
+
+LOC = AtomSort("loc")
+
+TWO_SORTS = parse_spec(
+    """
+    atomsort ch loc ;
+    basesort pr ;
+    statesort pr ;
+    residualsort pr ;
+    func nil : 1 -> pr ;
+    func go : ch * loc * pr -> pr ;
+    func nu : [ch]pr -> pr ;
+    func at : [loc][ch](ch * loc * pr) -> pr ;
+    func two : pr * pr -> pr ;
+    """
+)
+
+TWO_SORT_POOL = [Atom(sort, i) for sort in (CH, LOC) for i in range(3)]
+
+
+def _sorted_swaps(rng: random.Random) -> tuple[tuple[Atom, Atom], ...]:
+    """Up to five sort-preserving transpositions over three atoms of each
+    sort, so atoms repeat across them and a swap may fix its atom."""
+    swaps = []
+    for _ in range(rng.randrange(6)):
+        sort = rng.choice((CH, LOC))
+        swaps.append((Atom(sort, rng.randrange(3)), Atom(sort, rng.randrange(3))))
+    return tuple(swaps)
+
+
+def _two_sort_cases(seed: int, n: int):
+    rng = random.Random(seed)
+    for _ in range(n):
+        t = random_term(rng, TWO_SORTS, depth=5, pool=TWO_SORT_POOL)
+        yield t, _sorted_swaps(rng)
+
+
+def test_kernel_move_is_the_action_over_two_sorts():
+    # Moving a canonical term by an atom map agrees with acting on it and
+    # normalising, binders of both sorts nested.
+    rebound = 0
+    for t, swaps in _two_sort_cases(41, 400):
+        n = normalize(t)
+        p = perm_of(swaps)
+        moved = _move(p, n)
+        assert moved == normalize(act(p, n))
+        rebound += moved != act(p, n)
+    assert rebound  # some moves had to pick a new binder
+
+
+def test_kernel_suspension_is_the_action_over_two_sorts():
+    # A swap list composed into a map, leftmost swap applied last, is the
+    # permutation `perm_of` builds from it.
+    c = Atom(CH, 0)
+    for t, swaps in _two_sort_cases(43, 400):
+        p = perm_of(swaps)
+        assert normalize(Susp(swaps, t)) == normalize(act(p, t))
+        # and the reversed list is its inverse: p·[c](p^-1·t) is [p(c)]t
+        nested = Susp(swaps, Abs(c, Susp(tuple(reversed(swaps)), t)))
+        assert normalize(nested) == normalize(Abs(p(c), t))
+
+
+def test_kernel_rejects_a_sort_changing_swap():
+    a, loc = Atom(CH, 0), Atom(LOC, 0)
+    with pytest.raises(PermutationError):
+        normalize(Susp(((a, loc),), Atm(a)))
+    with pytest.raises(PermutationError):
+        normalize(Susp(((a, a), (loc, a)), app("nil")))

@@ -1,6 +1,7 @@
 """Transition derivation: proof-tree search, enumeration, and replay."""
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -200,6 +201,75 @@ def test_cyclic_rule_ends_within_its_depth_budget():
     enum = enumerate_transitions(spec, _t(spec, "rep(out(a,b,null))"), Budget(depth=50))
     assert enum.truncated
     assert 0 < len(enum.derivations) <= 50
+
+
+# Recorded when every pass solved again every subgoal it reached: for each
+# state, every derivation and tree and the truncation at depths 1 to 20.
+_CYCLIC_DIGESTS = {
+    "rep(new([c]out(a,c,null)))": (
+        "ae39e1f48d051a4fef2b990e51f60fa74789f1d53a59d73d46c6708d26425ecd"
+    ),
+    "rep(sum(out(a,b,null), in(b,[c]null)))": (
+        "d57622e60a7a0b67e95521de2c0e58a7d8b651256485b11c26095476570cb055"
+    ),
+}
+
+
+def test_complete_subgoals_keep_derivations_trees_and_truncation():
+    spec = nomsos.load_corpus("pi-rep.spec")
+    for state, digest in _CYCLIC_DIGESTS.items():
+        lines = []
+        for depth in range(1, 21):
+            enum = enumerate_transitions(spec, _t(spec, state), Budget(depth=depth))
+            lines.append(f"{state} depth={depth} truncated={enum.truncated}")
+            for d in enum.derivations:
+                residual = term_str(d.transition.residual)
+                fresh = [str(a) for a in d.fresh_atoms]
+                tree = tree_dict(d.tree)
+                lines.append(json.dumps({"residual": residual, "fresh": fresh, "tree": tree}))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, state
+
+
+def test_complete_subgoals_are_not_solved_again(monkeypatch):
+    # Only the subgoals that reach Rep's cycle can still grow after their
+    # first solve; every other one is complete then, and a later pass only
+    # reads again what it read.
+    spec = nomsos.load_corpus("pi-rep.spec")
+    again = Counter()
+    solve = engine._Search._solve
+
+    def counted(self, record, depth):
+        entry = record.entry
+        if entry.reads is None and entry.reached not in (0, self.passes) and depth > 0:
+            again["rep(" in term_str(entry.state)] += 1
+        return solve(self, record, depth)
+
+    monkeypatch.setattr(engine._Search, "_solve", counted)
+    state = _t(spec, "rep(new([c]out(a,c,null)))")
+    assert enumerate_transitions(spec, state, Budget(depth=20)).truncated
+    assert again[True] and not again[False]
+
+
+def test_rule_plans_are_built_once_per_spec(monkeypatch):
+    spec = nomsos.load_corpus("pi.spec")
+    built = Counter()
+    of = engine._RulePlan.of
+
+    def counted(rule):
+        built[rule.name] += 1
+        return of(rule)
+
+    monkeypatch.setattr(engine._RulePlan, "of", staticmethod(counted))
+    state = _t(spec, "par(out(a,b,null), in(a,[c]null))")
+    enumerate_transitions(spec, state)
+    assert prove(spec, state, _t(spec, "(outA(a,b), par(null, in(a,[c]null)))")).tree
+    once = Counter(rule.name for rule in spec.rules)
+    assert built == once
+    # Another spec, or the same spec given other rules, plans again.
+    enumerate_transitions(nomsos.load_corpus("pi.spec"), state)
+    spec.rules = spec.rules[:-1]
+    enumerate_transitions(spec, state)
+    assert built == once + once + Counter(rule.name for rule in spec.rules)
 
 
 def _random_par(rng: random.Random, spec, width: int):
