@@ -2,8 +2,8 @@
 access to the freshness/alpha/support primitives.
 
 Exit codes: 0 success (or all checks pass), 1 failed check / unprovable
-claim / false judgement, 2 usage or parse errors, or a term nested too
-deeply for the recursion limit."""
+claim / false judgement, 2 usage or parse errors, a state or residual of
+the wrong sort, or a term nested too deeply for the recursion limit."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .alpha import alpha_eq, nt_support
+from .atoms import NominalSort, sort_str
 from .engine import Budget, enumerate_transitions, prove, transition_str, tree_dict, tree_text
 from .formats import check_all
 from .freshness import entails, nf
@@ -23,13 +24,20 @@ from .parser import (
     parse_term_str,
     parse_formula_str,
 )
-from .printer import atoms_str, env_str, term_str
+from .printer import atom_str, atoms_str, env_str, term_str
 from .spec import Spec
+from .terms import RawTerm, SortError, sort_check
 
 
 def _load_spec(path: str) -> Spec:
     text = Path(path).read_text(encoding="utf-8")
     return parse_spec(text)
+
+
+def _check_sort(spec: Spec, t: RawTerm, expected: NominalSort, what: str) -> None:
+    got = sort_check(spec.signature, t)
+    if got != expected:
+        raise SortError(f"{what} {term_str(t)} has sort {sort_str(got)}, expected {sort_str(expected)}")
 
 
 def _cmd_check(args) -> int:
@@ -55,6 +63,7 @@ def _cmd_check(args) -> int:
 def _cmd_derive(args) -> int:
     spec = _load_spec(args.spec)
     term = parse_term_str(spec, args.term)
+    _check_sort(spec, term, spec.rsig.state_sort, "state")
     budget = Budget(depth=args.depth, fresh=args.fresh)
     enum = enumerate_transitions(spec, term, budget)
     if args.json:
@@ -65,7 +74,7 @@ def _cmd_derive(args) -> int:
             "transitions": [
                 {
                     "residual": term_str(d.transition.residual),
-                    "fresh_atoms": [str(a.index) for a in d.fresh_atoms],
+                    "fresh_atoms": [atom_str(a) for a in d.fresh_atoms],
                     "orbit_representative": bool(d.fresh_atoms),
                     "tree": tree_dict(d.tree),
                 }
@@ -91,6 +100,8 @@ def _cmd_derive(args) -> int:
 def _cmd_prove(args) -> int:
     spec = _load_spec(args.spec)
     formula = parse_formula_str(spec, args.claim)
+    _check_sort(spec, formula.source, spec.rsig.state_sort, "state")
+    _check_sort(spec, formula.target, spec.rsig.residual_sort, "residual")
     budget = Budget(depth=args.depth, fresh=args.fresh)
     outcome = prove(spec, formula.source, formula.target, budget)
     if args.json:

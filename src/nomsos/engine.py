@@ -11,10 +11,12 @@ built every entry from complete ones, so another pass would find nothing
 new, and the first tree found for each residual is kept.  A rule that
 cycles through its own conclusion can add a deeper residual on every pass,
 so the search makes at most `Budget.depth` passes (at least one) and reports
-`truncated` when the last still called for another.  An entry whose solve
-read only complete entries is complete itself and is not solved again: a
-later pass only reads again what that solve read, so it reaches the same
-subgoals at the same depths and cuts where a full solve would.  Atom
+`truncated` when the last still called for another.  A pass solves again
+every entry it reaches, but joins semi-naively: an entry and its views only
+grow, in insertion order, so a solve skips each combination of premise
+residuals that the entry's last solve joined.  It still reads every subgoal
+in the same order and at the same depth, so the cuts and the first tree of
+each residual stay the same.  Atom
 instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit.
@@ -199,13 +201,12 @@ class _Carried(NamedTuple):
 class _Entry:
     """One orbit representative: its state, extra atoms and pool, the
     residuals found so far with the first tree of each, and the pass that
-    last reached it (`settled` once that pass solved it). `reads` stays
-    None until the entry is complete: a solve of it read only complete
-    entries, so no entry still being solved (a stale read) and no entry the
-    depth budget cut before it was complete. Its residuals can then no
-    longer grow, and `reads` keeps the records that solve read, in order."""
+    last reached it (`settled` once that pass solved it). `joined` is None
+    until the entry is first solved; then it maps each record its last
+    solve read to the length of the record's view at the first such read.
+    Every combination of residuals below those lengths was joined then."""
 
-    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled", "reads")
+    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled", "joined")
 
     def __init__(self, state: RawTerm, extra: frozenset[Atom], pool: AtomPool):
         self.state = state
@@ -214,7 +215,7 @@ class _Entry:
         self.residuals: dict[RawTerm, ProofTree] = {}
         self.reached = 0
         self.settled = False
-        self.reads: Optional[tuple[_Record, ...]] = None
+        self.joined: Optional[dict[_Record, int]] = None
 
 
 class _Record:
@@ -251,8 +252,6 @@ class _Search:
         self.changed = False
         self.stale = False
         self.passes = 0
-        # The records the solve in progress has read, in order.
-        self.reads: dict[_Record, None] = {}
 
     def run(
         self, state: RawTerm, extra: frozenset[Atom]
@@ -308,36 +307,22 @@ class _Search:
         return record
 
     def _solve(self, record: _Record, depth: int) -> dict[RawTerm, ProofTree | _Carried]:
-        self.reads[record] = None
         entry = record.entry
         if entry.reached == self.passes:
             if not entry.settled:
                 self.stale = True
-            return record.carried()
-        if depth <= 0:
+        elif depth <= 0:
             self.truncated = True
             self.stale = True
-            return record.carried()
-        entry.reached = self.passes
-        entry.settled = False
-        # Reads below this entry are logged for it alone, never for its
-        # reader, whose replay must reach them through this entry.
-        outer, self.reads = self.reads, {}
-        if entry.reads is None:
+        else:
+            entry.reached = self.passes
+            entry.settled = False
+            joined, entry.joined = entry.joined, {}
             for plan in self.plans:
                 source = plan.rule.conclusion.source
                 for st in match_term(source, entry.state, MatchState(), entry.pool):
-                    self._premises(plan, 0, st, (), entry, depth)
-            if all(r.entry.reads is not None for r in self.reads):
-                entry.reads = tuple(self.reads)
-        else:
-            # A complete entry finds nothing new. Reading again what its
-            # solve read reaches the subgoals a solve would reach, at the
-            # same depths, so cuts and stale reads are those of a solve.
-            for child in entry.reads:
-                self._solve(child, depth - 1)
-        self.reads = outer
-        entry.settled = True
+                    self._premises(plan, 0, st, (), entry, depth, joined)
+            entry.settled = True
         return record.carried()
 
     def _premises(
@@ -348,9 +333,12 @@ class _Search:
         children: tuple[ProofTree | _Carried, ...],
         entry: _Entry,
         depth: int,
+        joined: Optional[dict[_Record, int]],
     ) -> None:
+        """Join premise i onwards: `joined` is the last solve's marks until a residual is new."""
         if i == len(plan.premises):
-            self._conclude(plan, st, children, entry)
+            if joined is None:
+                self._conclude(plan, st, children, entry)
             return
         pp = plan.premises[i]
         # Matching binds variables to ground terms only, so the source is
@@ -360,11 +348,16 @@ class _Search:
         pool = entry.pool
         for st1 in bind_metas(pp.metas, st, pool):
             src = normalize(pp.premise.source, st1.metas, st1.subst)
-            inner_extra = entry.extra | set(st1.metas.values())
-            subgoals = self._solve(self._record(src, frozenset(inner_extra)), depth - 1)
-            for residual, subtree in list(subgoals.items()):
+            record = self._record(src, entry.extra.union(st1.metas.values()))
+            items = list(self._solve(record, depth - 1).items())
+            entry.joined.setdefault(record, len(items))
+            old = 0 if joined is None else joined.get(record, 0)
+            # At the last premise, old residuals complete joined combinations.
+            for k in range(old if i + 1 == len(plan.premises) else 0, len(items)):
+                residual, subtree = items[k]
+                below = joined if k < old else None
                 for st2 in match_term(pp.premise.target, residual, st1, pool):
-                    self._premises(plan, i + 1, st2, children + (subtree,), entry, depth)
+                    self._premises(plan, i + 1, st2, children + (subtree,), entry, depth, below)
 
     def _conclude(
         self,
@@ -431,16 +424,11 @@ def _force(
     )
 
 
-def enumerate_transitions(
-    spec: Spec,
-    state: RawTerm,
-    budget: Budget = Budget(),
-    extra_atoms: Iterable[Atom] = (),
-) -> Enumeration:
+def enumerate_transitions(spec: Spec, state: RawTerm, budget: Budget = Budget()) -> Enumeration:
     s = normalize(state)
-    base = _free_atoms(s) | set(extra_atoms)
+    base = _free_atoms(s)
     search = _Search(spec, budget)
-    table = search.run(s, frozenset(extra_atoms))
+    table = search.run(s, frozenset())
     derivations = []
     for residual, tree in table.items():
         fresh = tuple(sorted(_free_atoms(residual) - base))

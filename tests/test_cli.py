@@ -56,6 +56,25 @@ def test_derive_json_and_trees(capsys):
     assert "[Out]" in out
 
 
+def test_derive_json_prints_fresh_atoms_as_atoms(capsys):
+    code, out = run(capsys, "derive", PI, "in(a, [c]null)", "--json")
+    assert code == 0
+    fresh = {
+        t["residual"]: t["fresh_atoms"] for t in json.loads(out)["transitions"]
+    }
+    assert fresh["(inA(a, b), null)"] == ["b"]
+    assert fresh["(inA(a, a), null)"] == []
+
+
+def test_terms_of_the_wrong_sort_are_rejected(capsys):
+    assert main(["derive", PI, "tauA"]) == 2
+    assert "error: state tauA has sort ac, expected pr" in capsys.readouterr().err
+    assert main(["derive", PI, "out(a, null, null)"]) == 2
+    assert "error: out: argument has sort" in capsys.readouterr().err
+    assert main(["prove", PI, "null -> null"]) == 2
+    assert "error: residual null has sort pr, expected ac * pr" in capsys.readouterr().err
+
+
 def test_prove_success(capsys):
     code, out = run(
         capsys, "prove", PI, "new([b]out(a, b, null)) -> (boutA(a, b), null)"

@@ -230,24 +230,24 @@ def test_complete_subgoals_keep_derivations_trees_and_truncation():
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, state
 
 
-def test_complete_subgoals_are_not_solved_again(monkeypatch):
-    # Only the subgoals that reach Rep's cycle can still grow after their
-    # first solve; every other one is complete then, and a later pass only
-    # reads again what it read.
+def test_solving_again_joins_only_new_residuals(monkeypatch):
+    # Every pass of Rep's cycle solves its entries again, but joins only
+    # combinations of premise residuals that the last solve did not join,
+    # so most conclusions add a residual.
     spec = nomsos.load_corpus("pi-rep.spec")
-    again = Counter()
-    solve = engine._Search._solve
+    conclude = engine._Search._conclude
+    calls = Counter()
 
-    def counted(self, record, depth):
-        entry = record.entry
-        if entry.reads is None and entry.reached not in (0, self.passes) and depth > 0:
-            again["rep(" in term_str(entry.state)] += 1
-        return solve(self, record, depth)
+    def counted(self, plan, st, children, entry):
+        before = len(entry.residuals)
+        conclude(self, plan, st, children, entry)
+        calls[len(entry.residuals) > before] += 1
 
-    monkeypatch.setattr(engine._Search, "_solve", counted)
-    state = _t(spec, "rep(new([c]out(a,c,null)))")
-    assert enumerate_transitions(spec, state, Budget(depth=20)).truncated
-    assert again[True] and not again[False]
+    monkeypatch.setattr(engine._Search, "_conclude", counted)
+    for state in _CYCLIC_DIGESTS:
+        calls.clear()
+        assert enumerate_transitions(spec, _t(spec, state), Budget(depth=20)).truncated
+        assert calls[True] >= calls[False], (state, calls)
 
 
 def test_rule_plans_are_built_once_per_spec(monkeypatch):
