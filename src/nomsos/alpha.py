@@ -14,18 +14,18 @@ delayed permutation over a canonical term by moving it. The same pass
 instantiates a rule pattern, given the images of its schematic atoms and
 canonical terms for its variables.
 
-The kernel (`_rename` and `_close`) moves a term by a plain dict that maps
-each atom it moves to its image, and closing a binder extends a copy of that
-dict by one swap; a swap list is composed into such a dict directly. No
-`Permutation` is built per node: `Permutation` is the type of the API, and
-`_move` takes one and reads its pairs once."""
+The kernel (`_rename` and `_close`) moves a term by `Permutation.image`, the
+dict that maps each atom a permutation moves to its image, and closing a
+binder extends a copy of that dict by one swap. No `Permutation` is built
+per node: a delayed permutation is composed once, by `perm_of`, and the
+kernel reads its `image`."""
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .atoms import Atom, Permutation, PermutationError
-from .terms import Abs, App, Atm, AtomLike, RawTerm, Susp, Tup, Var, Variable, resolve
+from .atoms import Atom
+from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, Variable, perm_of, resolve
 
 
 class NotGroundError(ValueError):
@@ -91,27 +91,6 @@ def _rename(image: dict[Atom, Atom], t: RawTerm) -> RawTerm:
     raise TypeError(f"unexpected node in canonical term: {t!r}")
 
 
-def _move(perm: Permutation, t: RawTerm) -> RawTerm:
-    """The canonical form of `perm·t` for a canonical `t`."""
-    return _rename(dict(perm.pairs), t)
-
-
-def _swap_image(
-    swaps: Iterable[tuple[AtomLike, AtomLike]], metas: Mapping[str, AtomLike] = {}
-) -> dict[Atom, Atom]:
-    """The atoms moved by the permutation a swap list denotes, leftmost
-    swap applied last, each mapped to its image; schematic atoms are given
-    their images under `metas`. Composing a swap on the right exchanges the
-    images of its two atoms."""
-    image: dict[Atom, Atom] = {}
-    for a, b in swaps:
-        a, b = resolve(a, metas), resolve(b, metas)
-        if a.sort != b.sort:
-            raise PermutationError(f"permutation does not preserve sorts: {a} -> {b}")
-        image[a], image[b] = image.get(b, b), image.get(a, a)
-    return {x: y for x, y in image.items() if x != y}
-
-
 def normalize(
     t: RawTerm,
     metas: Mapping[str, Atom] = {},
@@ -133,7 +112,7 @@ def normalize(
         case Atm(a):
             return Atm(resolve(a, metas))
         case Susp(p, s):
-            return _rename(_swap_image(p, metas), normalize(s, metas, subst))
+            return _rename(perm_of(p, metas).image, normalize(s, metas, subst))
         case Abs(a, s):
             return _close({}, resolve(a, metas), normalize(s, metas, subst))
         case Tup(items):

@@ -38,11 +38,15 @@ class PermutationError(ValueError):
 
 @dataclass(frozen=True)
 class Permutation:
-    """A finite sort-preserving bijection on atoms, stored as the pairs it
-    moves (no fixpoints). Canonical representation, so == is permutation
-    equality."""
+    """A finite sort-preserving bijection on atoms. `image` maps each atom it
+    moves to that atom's image and holds no fixpoint, so `==` is equality
+    of maps; the kernel moves terms by `image` directly. Every constructor
+    keeps that invariant, and nothing mutates `image`."""
 
-    pairs: tuple[tuple[Atom, Atom], ...]
+    image: dict[Atom, Atom]
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.image.items()))
 
     @staticmethod
     def of(mapping: Mapping[Atom, Atom]) -> "Permutation":
@@ -52,51 +56,51 @@ class Permutation:
                 raise PermutationError(f"permutation does not preserve sorts: {a} -> {b}")
         if len(set(moved.values())) != len(moved) or set(moved.values()) != set(moved):
             raise PermutationError("mapping is not a bijection on the atoms it moves")
-        return Permutation(tuple(sorted(moved.items())))
+        return Permutation(moved)
 
     @staticmethod
     def identity() -> "Permutation":
-        return Permutation(())
+        return Permutation({})
 
     @staticmethod
     def swap(a: Atom, b: Atom) -> "Permutation":
-        if a == b:
-            return Permutation(())
-        return Permutation.of({a: b, b: a})
+        return Permutation.from_swaps(((a, b),))
 
     @staticmethod
     def from_swaps(swaps: Iterable[tuple[Atom, Atom]]) -> "Permutation":
-        """Compose a sequence of transpositions, leftmost applied last."""
-        perm = Permutation.identity()
+        """Compose a sequence of transpositions, leftmost applied last.
+        Composing a swap on the right exchanges the images of its two
+        atoms."""
+        image: dict[Atom, Atom] = {}
         for a, b in swaps:
-            perm = perm.compose(Permutation.swap(a, b))
-        return perm
+            if a.sort != b.sort:
+                raise PermutationError(f"permutation does not preserve sorts: {a} -> {b}")
+            image[a], image[b] = image.get(b, b), image.get(a, a)
+        return Permutation({a: b for a, b in image.items() if a != b})
 
     def __call__(self, a: Atom) -> Atom:
-        return dict(self.pairs).get(a, a)
+        return self.image.get(a, a)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(a) == self(other(a))."""
-        if not self.pairs:
-            return other
-        if not other.pairs:
-            return self
-        atoms = {a for a, _ in self.pairs} | {a for a, _ in other.pairs}
-        return Permutation.of({a: self(other(a)) for a in atoms})
+        f, g = self.image, other.image
+        return Permutation(
+            {a: b for a in f.keys() | g.keys() if (b := f.get(g.get(a, a), g.get(a, a))) != a}
+        )
 
     def inverse(self) -> "Permutation":
-        return Permutation(tuple(sorted((b, a) for a, b in self.pairs)))
+        return Permutation({b: a for a, b in self.image.items()})
 
     def conjugate(self, other: "Permutation") -> "Permutation":
         """The action of self on other: self o other o self^-1."""
         return self.compose(other).compose(self.inverse())
 
     def support(self) -> frozenset[Atom]:
-        return frozenset(a for a, _ in self.pairs)
+        return frozenset(self.image)
 
     @property
     def is_identity(self) -> bool:
-        return not self.pairs
+        return not self.image
 
 
 # --- nominal sorts -----------------------------------------------------------

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
-from .alpha import _free_atoms, _move, alpha_eq, normalize, nt_fresh
+from .alpha import _free_atoms, _rename, alpha_eq, normalize, nt_fresh
 from .atoms import Atom, Permutation
 from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
@@ -238,7 +238,7 @@ class _Record:
         inverse = self.inverse
         if inverse is not None and len(self.view) < len(self.entry.residuals):
             for residual, tree in islice(self.entry.residuals.items(), len(self.view), None):
-                self.view[_move(inverse, residual)] = _Carried(tree, inverse)
+                self.view[_rename(inverse.image, residual)] = _Carried(tree, inverse)
         return self.view
 
 
@@ -294,8 +294,8 @@ class _Search:
         perm = self._canonical(atoms)
         inverse = None
         if not perm.is_identity:
-            image = dict(perm.pairs)
-            state = _move(perm, state)
+            image = perm.image
+            state = _rename(image, state)
             extra = frozenset(image.get(a, a) for a in extra)
             atoms = frozenset(image.get(a, a) for a in atoms)
             inverse = perm.inverse()
@@ -411,16 +411,16 @@ def _force(
         if all(c is d for c, d in zip(children, tree.children)):
             return tree
         return replace(tree, children=children)
-    image = dict(perm.pairs)
+    image = perm.image
     return ProofTree(
         rule_name=tree.rule_name,
         atoms=tuple((n, image.get(a, a)) for n, a in tree.atoms),
-        subst=tuple((v, _move(perm, t)) for v, t in tree.subst),
+        subst=tuple((v, _rename(image, t)) for v, t in tree.subst),
         transition=Transition(
-            _move(perm, tree.transition.state), _move(perm, tree.transition.residual)
+            _rename(image, tree.transition.state), _rename(image, tree.transition.residual)
         ),
         children=children,
-        discharged=tuple((image.get(a, a), _move(perm, t)) for a, t in tree.discharged),
+        discharged=tuple((image.get(a, a), _rename(image, t)) for a, t in tree.discharged),
     )
 
 

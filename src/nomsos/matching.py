@@ -8,7 +8,7 @@ from itertools import chain
 from typing import Iterable
 
 from .atoms import Atom, AtomSort, fresh_atoms
-from .alpha import _free_atoms, _rename, _swap_image
+from .alpha import _free_atoms, _rename
 from .terms import (
     Abs,
     App,
@@ -20,6 +20,7 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    perm_of,
     resolve,
 )
 
@@ -100,7 +101,7 @@ def match_term(
             out: list[MatchState] = []
             for st in bind_metas(chain.from_iterable(swaps), state, pool):
                 # The reversed swap list denotes the inverse permutation.
-                flipped = _rename(_swap_image(reversed(swaps), st.metas), subject)
+                flipped = _rename(perm_of(reversed(swaps), st.metas).image, subject)
                 out.extend(match_term(inner, flipped, st, pool))
             return out
         case Abs(binder, body):

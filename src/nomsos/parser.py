@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .atoms import (
     AbsSort,
@@ -49,6 +49,7 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<nat>\d+)
   | (?P<sym>[;:{}()\[\],*=@#+∘])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -61,8 +62,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -70,26 +70,23 @@ class Token:
 
 
 def _tokenize(text: str) -> list[Token]:
+    """One scan of the master pattern; only whitespace spans a newline, and
+    a column counts from the last newline before the token."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group()
-        if kind != "ws":
-            tok_kind = chunk if kind == "sym" else kind
-            tokens.append(Token(tok_kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, chunk = m.lastgroup, m.group()
+        if kind == "ws":
+            newlines = chunk.count("\n")
+            if newlines:
+                line += newlines
+                start = m.start() + chunk.rfind("\n") + 1
+            continue
+        col = m.start() - start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", line, col)
+        tokens.append(Token(chunk if kind == "sym" else kind, chunk, line, col))
+    tokens.append(Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -279,6 +276,9 @@ def parse_spec(text: str) -> Spec:
         cur.error("missing signature: spec must start with 'atomsort'")
     while cur.try_take("name", "atomsort"):
         while cur.at("name"):
+            if cur.tok.text[-1].isdigit():
+                # An atom literal is the sort name followed by its index.
+                cur.error(f"atom sort name {cur.tok.text!r} ends in a digit")
             n = cur.take("name").text
             atom_sorts[n] = AtomSort(n)
         cur.take(";")

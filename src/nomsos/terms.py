@@ -3,12 +3,12 @@ permutations, abstractions, tuples and constructor applications, plus the
 permutation action, support, substitution and sort checking.
 
 A delayed permutation keeps the transpositions it was written as; `perm_of`
-gives the `Permutation` they denote. A rule is used only through its
-instances, so the jobs on patterns have one implementation each here: `_walk`
-is the one traversal behind the collectors `support`, `term_vars` and
-`meta_atoms`; `_map` is the one rebuild behind `act`, `instantiate` and
-`subst_apply`; and `resolve` is the one place that gives a schematic atom
-its image under an assignment.
+gives the `Permutation` they denote, which `Permutation.from_swaps` composes.
+A rule is used only through its instances, so the jobs on patterns have one
+implementation each here: `_walk` is the one traversal behind the
+collectors `support`, `term_vars` and `meta_atoms`; `_map` is the one
+rebuild behind `act`, `instantiate` and `subst_apply`; and `resolve` is the
+one place that gives a schematic atom its image under an assignment.
 
 Nodes are named tuples: `==`, hash and order run in C, a node equals the
 plain tuple of its fields, and nodes of two types never compare equal. The
@@ -17,7 +17,7 @@ points normalise first, in Python, and raise `RecursionError` long before."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .atoms import (
     AbsSort,
@@ -101,9 +101,14 @@ def resolve(a: AtomLike, metas: Mapping[str, AtomLike]) -> AtomLike:
     return metas.get(a.name, a) if isinstance(a, MetaAtom) else a
 
 
-def perm_of(swaps: SwapList, metas: Mapping[str, AtomLike] = {}) -> Permutation:
+def perm_of(
+    swaps: Iterable[tuple[AtomLike, AtomLike]], metas: Mapping[str, AtomLike] = {}
+) -> Permutation:
     """The permutation a swap list denotes, its schematic atoms given their
-    images under `metas`; every atom must then be concrete."""
+    images under `metas`; every atom must then be concrete. This is the one
+    way from a pattern's swap list to a permutation: `normalize` discharges
+    a delayed permutation by its `image`, and matching undoes one by the
+    reversed list, which denotes the inverse."""
     return Permutation.from_swaps(
         (resolve(a, metas), resolve(b, metas)) for a, b in swaps  # type: ignore[misc]
     )

@@ -22,7 +22,7 @@ from nomsos import (
     nt_support,
     parse_spec,
 )
-from nomsos.alpha import _move
+from nomsos.alpha import _rename
 from nomsos.atoms import PermutationError
 from nomsos.terms import perm_of
 
@@ -172,7 +172,7 @@ def test_kernel_move_is_the_action_over_two_sorts():
     for t, swaps in _two_sort_cases(41, 400):
         n = normalize(t)
         p = perm_of(swaps)
-        moved = _move(p, n)
+        moved = _rename(p.image, n)
         assert moved == normalize(act(p, n))
         rebound += moved != act(p, n)
     assert rebound  # some moves had to pick a new binder

@@ -3,18 +3,24 @@ supply."""
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from nomsos import Atom, AtomSort, Permutation, fresh_atoms
+from nomsos.atoms import PermutationError
+from nomsos.terms import MetaAtom, perm_of
 
 CH = AtomSort("ch")
 LOC = AtomSort("loc")
 
 
-def perms(pool_size=5, max_swaps=4):
+def swap_lists(pool_size=5, max_swaps=4):
     atom = st.integers(0, pool_size - 1).map(lambda i: Atom(CH, i))
-    swap = st.tuples(atom, atom)
-    return st.lists(swap, max_size=max_swaps).map(Permutation.from_swaps)
+    return st.lists(st.tuples(atom, atom), max_size=max_swaps)
+
+
+def perms(pool_size=5, max_swaps=4):
+    return swap_lists(pool_size, max_swaps).map(Permutation.from_swaps)
 
 
 @given(perms(), perms(), perms())
@@ -79,3 +85,41 @@ def test_conjugate():
         conj = p.conjugate(q)
         for a in pool:
             assert conj(a) == p(q(p.inverse()(a)))
+
+
+@given(swap_lists(), swap_lists())
+def test_equal_maps_are_equal_and_hash_alike(xs, ys):
+    # One permutation built by `of`, `from_swaps`, `compose` and `inverse`,
+    # its map filled in different orders.
+    p = Permutation.from_swaps(xs + ys)
+    built = [
+        Permutation.from_swaps(xs).compose(Permutation.from_swaps(ys)),
+        Permutation.of(dict(reversed(list(p.image.items())))),
+        Permutation.of({Atom(CH, i): p(Atom(CH, i)) for i in (4, 2, 0, 3, 1, 5)}),
+        Permutation.from_swaps([(b, a) for a, b in reversed(xs + ys)]).inverse(),
+        p.inverse().inverse(),
+    ]
+    for q in built:
+        assert q == p and hash(q) == hash(p)
+        assert q.image == p.image and all(a != b for a, b in q.image.items())
+    assert (p == Permutation.identity()) == p.is_identity
+
+
+@given(swap_lists(max_swaps=6), st.integers(0, 4), st.integers(0, 4))
+def test_reversed_swap_list_is_the_inverse(swaps, i, j):
+    # Schematic atoms resolve through `metas` before the swaps compose.
+    x, y = MetaAtom("x", CH), MetaAtom("y", CH)
+    metas = {"x": Atom(CH, i), "y": Atom(CH, j)}
+    pattern = [(x, y), *swaps, (y, x)]
+    p = perm_of(pattern, metas)
+    assert p == Permutation.from_swaps([(metas["x"], metas["y"]), *swaps, (metas["y"], metas["x"])])
+    assert perm_of(reversed(pattern), metas) == p.inverse()
+
+
+def test_from_swaps_keeps_sorts():
+    a, b, loc = Atom(CH, 0), Atom(CH, 1), Atom(LOC, 0)
+    for swaps in ([(a, loc)], [(a, b), (loc, a)], [(loc, loc), (b, loc)]):
+        with pytest.raises(PermutationError, match="does not preserve sorts"):
+            Permutation.from_swaps(swaps)
+    with pytest.raises(PermutationError):
+        Permutation.swap(loc, a)

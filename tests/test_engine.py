@@ -345,7 +345,7 @@ def test_deep_chain_fits_the_stack(pi_spec):
     # from the top level of a script, one 331 deep overflows the stack in
     # `normalize`, which recurses three frames per level; over atoms that
     # must be moved to their orbit representative, one 330 deep overflows
-    # it in `_move`.
+    # it in `_rename`.
     deep = "out(a, b, null)"
     for _ in range(300):
         deep = f"sum({deep}, null)"

@@ -153,3 +153,42 @@ rule Move forall a b : ch, m : loc :
     rule = spec.rules[0]
     sorts = {m.name: m.sort.name for m in rule.metas}
     assert sorts == {"a": "ch", "b": "ch", "m": "loc"}
+
+
+def _error(parse, text: str) -> tuple[int, int, str]:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value.line, err.value.col, str(err.value)
+
+
+def test_error_positions(pi_spec):
+    # (line, col) of the first bad token; only whitespace and comments span
+    # lines, and a column counts from the last newline before the token.
+    term = lambda text: parse_term_str(pi_spec, text)  # noqa: E731
+    assert _error(term, "// one\n// two\n  out(a, b, null) $") == (
+        3, 19, "3:19: unexpected character '$'"
+    )
+    # at the end of the input
+    assert _error(term, "out(a,\n  b") == (2, 4, "2:4: expected ')', found ''")
+    assert _error(term, "out(a,\n  b\n") == (3, 1, "3:1: expected ')', found ''")
+    spec = (
+        "atomsort ch ; basesort pr ; statesort pr ; residualsort pr ;\n"
+        "func null : 1 -> pr ; var x : pr ;\n"
+        "rule Bad : conclusion mystery(x) -> x ;"
+    )
+    assert _error(parse_spec, spec) == (3, 23, "3:23: unknown identifier 'mystery'")
+
+
+def test_atom_sort_name_ending_in_a_digit_is_rejected():
+    # An atom literal is its sort's name followed by its index, so `ch20`
+    # could never name an atom of a sort `ch2`.
+    head = "basesort pr ; statesort pr ; residualsort pr ;\nfunc nil : 1 -> pr ;\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec("atomsort ch ch2 ;\n" + head + "func go : ch2 * pr -> pr ;")
+    assert (err.value.line, err.value.col) == (1, 13)
+    assert "atom sort name 'ch2' ends in a digit" in str(err.value)
+    # a digit elsewhere in the name is fine
+    spec = parse_spec("atomsort c2h ;\n" + head + "func go : c2h * pr -> pr ;")
+    t = parse_term_str(spec, "go(c2h26, nil)")
+    assert t.arg.items[0] == Atm(Atom(spec.signature.atom_sorts[0], 26))
+    assert parse_term_str(spec, term_str(t)) == t
