@@ -3,7 +3,8 @@ access to the freshness/alpha/support primitives.
 
 Exit codes: 0 success (or all checks pass), 1 failed check / unprovable
 claim / false judgement, 2 usage or parse errors, a state or residual of
-the wrong sort, or a term nested too deeply for the recursion limit."""
+the wrong sort, an ill-formed spec given to `derive` or `prove`, or a term
+nested too deeply for the recursion limit."""
 
 from __future__ import annotations
 

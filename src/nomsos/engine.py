@@ -54,7 +54,7 @@ from .alpha import _free_atoms, _rename, alpha_eq, normalize, nt_fresh
 from .atoms import Atom, Permutation
 from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
-from .spec import Formula, Rule, Spec
+from .spec import Formula, Rule, Spec, validate_spec
 from .terms import (
     MetaAtom,
     RawTerm,
@@ -131,38 +131,29 @@ def _by_name(metas: Iterable[MetaAtom]) -> tuple[MetaAtom, ...]:
 class _PremisePlan:
     premise: Formula
     metas: tuple[MetaAtom, ...]
-    variables: frozenset[Variable]
 
 
 @dataclass(frozen=True)
 class _RulePlan:
     """What the search needs of a rule beyond the rule itself, worked out
-    once: the schematic atoms the conclusion still has to bind and the
-    variables the residual and freshness conditions need. Schematic atoms
-    are sorted by name."""
+    once: the schematic atoms each premise source and the conclusion still
+    have to bind, sorted by name."""
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
     pending: tuple[MetaAtom, ...]
-    conclusion_vars: frozenset[Variable]
 
     @staticmethod
     def of(rule: Rule) -> "_RulePlan":
         pending = set(meta_atoms(rule.conclusion.target))
-        conclusion_vars = set(term_vars(rule.conclusion.target))
         for ra in rule.env:
             pending |= meta_atoms(ra.term)
             if isinstance(ra.atom, MetaAtom):
                 pending.add(ra.atom)
-            conclusion_vars |= term_vars(ra.term)
         return _RulePlan(
             rule=rule,
-            premises=tuple(
-                _PremisePlan(p, _by_name(meta_atoms(p.source)), term_vars(p.source))
-                for p in rule.premises
-            ),
+            premises=tuple(_PremisePlan(p, _by_name(meta_atoms(p.source))) for p in rule.premises),
             pending=_by_name(pending),
-            conclusion_vars=frozenset(conclusion_vars),
         )
 
 
@@ -178,9 +169,15 @@ class _Plans(NamedTuple):
 
 def _plans(spec: Spec) -> _Plans:
     """The plans of the spec's rules, worked out on its first search and
-    kept on the spec for as long as its rules are the same tuple."""
+    kept on the spec for as long as its rules are the same tuple. An
+    ill-formed spec raises `ValueError` with `validate_spec`'s report: the
+    search relies on every rule variable being bound by the time it is
+    needed, and on every residual having the residual sort."""
     kept = spec.search_plans
     if not isinstance(kept, _Plans) or kept.rules is not spec.rules:
+        report = validate_spec(spec)
+        if report:
+            raise ValueError("ill-formed spec: " + "; ".join(report))
         kept = spec.search_plans = _Plans(
             spec.rules,
             tuple(map(_RulePlan.of, spec.rules)),
@@ -341,10 +338,6 @@ class _Search:
                 self._conclude(plan, st, children, entry)
             return
         pp = plan.premises[i]
-        # Matching binds variables to ground terms only, so the source is
-        # ground exactly when all of its variables are bound.
-        if not st.subst.keys() >= pp.variables:
-            return
         pool = entry.pool
         for st1 in bind_metas(pp.metas, st, pool):
             src = normalize(pp.premise.source, st1.metas, st1.subst)
@@ -367,8 +360,6 @@ class _Search:
         entry: _Entry,
     ) -> None:
         rule = plan.rule
-        if not st.subst.keys() >= plan.conclusion_vars:
-            return
         if rule.excluded_label(st.subst) is not None:
             return
         residuals = entry.residuals

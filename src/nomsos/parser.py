@@ -1,16 +1,22 @@
 """Parser for specification files and for the term/formula/environment
 syntax used on the command line.
 
-Identifier resolution inside terms: schematic atoms bound by `forall`, then
-declared variables, then function symbols; any remaining single-letter name
-is an atom literal (letters a..z alias the per-sort enumeration indices
-0..25)."""
+Every identifier goes through one resolver, `_Scope.resolve`. It looks a name
+up in this order: the schematic atoms of the rule (its `forall`), declared
+variables, function symbols, and atom literals (`printer.atom_named`: a
+letter `a`..`z` for the index when the spec has one atom sort, otherwise the
+sort's name and the index, as `ch30`). The first of these that the position
+can take wins: a term takes any of them, a binder, a transposition or the
+left of `#` takes an atom, and `label` and `S(...)` take a variable. In an
+order clause there are no atom literals: a name that is not a schematic
+atom, variable or function symbol is a new schematic atom of the clause, of
+the spec's single atom sort."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Collection, NamedTuple, NoReturn, Optional, Union
 
 from .atoms import (
     AbsSort,
@@ -25,7 +31,7 @@ from .atoms import (
     prod,
 )
 from .freshness import Assertion
-from .printer import _ALPHABET
+from .printer import atom_named
 from .spec import Formula, ResidualSignature, Rule, Spec, StratCase
 from .terms import (
     Abs,
@@ -90,6 +96,10 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _shown(tok: Token) -> str:
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
+
+
 class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -99,132 +109,167 @@ class _Cursor:
     def tok(self) -> Token:
         return self.tokens[self.i]
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.tok
-        return t.kind == kind and (text is None or t.text == text)
-
-    def take(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.at(kind, text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {self.tok.text!r}", self.tok.line, self.tok.col)
-        t = self.tok
-        self.i += 1
-        return t
+    def at(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
+        t = self.tokens[self.i]
+        return t if t.kind == kind and (text is None or t.text == text) else None
 
     def try_take(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.take(kind, text)
-        return None
+        t = self.at(kind, text)
+        if t is not None:
+            self.i += 1
+        return t
 
-    def error(self, msg: str):
+    def take(self, kind: str, text: Optional[str] = None) -> Token:
+        t = self.try_take(kind, text)
+        if t is None:
+            self.error(f"expected {text or kind!r}, found {_shown(self.tok)}")
+        return t
+
+    def sep(self, item: Callable, *args, by: str = ",") -> list:
+        """`item (by item)*`, each item read by `item(self, *args)`."""
+        items = [item(self, *args)]
+        while self.try_take(by):
+            items.append(item(self, *args))
+        return items
+
+    def error(self, msg: str) -> NoReturn:
         raise ParseError(msg, self.tok.line, self.tok.col)
+
+
+def _read_all(text: str, read: Callable, *args):
+    """`read(cursor, *args)` over the whole of `text`."""
+    cur = _Cursor(_tokenize(text))
+    out = read(cur, *args)
+    cur.take("eof")
+    return out
+
+
+_ANY = (MetaAtom, Variable, FuncDecl, Atom)
+_ATOM = (MetaAtom, Atom)
+_VARIABLE = (Variable,)
+
+
+def _single_atom_sort(sorts: Collection[AtomSort], cur: _Cursor) -> AtomSort:
+    if len(sorts) != 1:
+        cur.error("atom sort annotation required when several atom sorts exist")
+    return next(iter(sorts))
 
 
 @dataclass
 class _Scope:
-    """Name resolution context for one term."""
+    """Name resolution for the terms of one rule, order clause or
+    command-line input."""
 
     sig: Signature
     variables: dict[str, Variable]
-    metas: dict[str, MetaAtom]
-    allow_atoms: bool = True
+    metas: dict[str, MetaAtom] = field(default_factory=dict)
+    clause: bool = False
+    """Whether the scope is an order clause's; see `resolve`."""
+
+    def resolve(
+        self, name: str, cur: _Cursor, kinds: tuple[type, ...] = _ANY
+    ) -> Union[MetaAtom, Variable, FuncDecl, Atom, None]:
+        """The first of the schematic atom, variable, function symbol and
+        atom literal that `name` denotes and that is one of `kinds`, or None.
+        In an order clause a name that is none of the first three is a new
+        schematic atom, where `kinds` takes one, instead of an atom literal."""
+        known = False
+        for look in (self.metas.get, self.variables.get, self.sig.func):
+            found = look(name)
+            if isinstance(found, kinds):
+                return found
+            known = known or found is not None
+        if not self.clause:
+            atom = atom_named(self.sig, name)
+            return atom if isinstance(atom, kinds) else None
+        if known or MetaAtom not in kinds:
+            return None
+        meta = self.metas[name] = MetaAtom(name, _single_atom_sort(self.sig.atom_sorts, cur))
+        return meta
 
 
-def _resolve_atomlike(scope: _Scope, tok: Token, cur: _Cursor) -> AtomLike:
-    name = tok.text
-    if name in scope.metas:
-        return scope.metas[name]
-    atom = _atom_literal(scope, name)
+def _take_atom(cur: _Cursor, scope: _Scope) -> AtomLike:
+    name = cur.take("name").text
+    atom = scope.resolve(name, cur, _ATOM)
     if atom is None:
         cur.error(f"{name!r} is not an atom here")
     return atom  # type: ignore[return-value]
 
 
-def _atom_literal(scope: _Scope, name: str) -> Optional[Atom]:
-    if not scope.allow_atoms:
-        return None
-    if len(name) == 1 and name in _ALPHABET and len(scope.sig.atom_sorts) == 1:
-        return Atom(scope.sig.atom_sorts[0], _ALPHABET.index(name))
-    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*?)(\d+)", name)
-    if m and scope.sig.atom_sort(m.group(1)) is not None:
-        return Atom(scope.sig.atom_sort(m.group(1)), int(m.group(2)))  # type: ignore[arg-type]
-    return None
+def _take_variable(cur: _Cursor, scope: _Scope) -> Variable:
+    tok = cur.take("name")
+    v = scope.resolve(tok.text, cur, _VARIABLE)
+    if v is None:
+        raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+    return v  # type: ignore[return-value]
 
 
-def _parse_sort(cur: _Cursor, sig_atoms: dict[str, AtomSort], sig_bases: set[str]) -> NominalSort:
-    parts = [_parse_sort_prim(cur, sig_atoms, sig_bases)]
-    while cur.try_take("*"):
-        parts.append(_parse_sort_prim(cur, sig_atoms, sig_bases))
-    if len(parts) == 1:
-        return parts[0]
-    return prod(parts)
+def _take_nat(cur: _Cursor) -> int:
+    return int(cur.take("nat").text)
 
 
-def _parse_sort_prim(cur: _Cursor, sig_atoms: dict[str, AtomSort], sig_bases: set[str]) -> NominalSort:
+def _take_name(cur: _Cursor) -> str:
+    return cur.take("name").text
+
+
+def _parse_sort(cur: _Cursor, d: _Decls) -> NominalSort:
+    return prod(cur.sep(_parse_sort_prim, d, by="*"))
+
+
+def _parse_sort_prim(cur: _Cursor, d: _Decls) -> NominalSort:
     if cur.try_take("nat", "1"):
         return ProdSort(())
     if cur.try_take("["):
-        name = cur.take("name").text
-        if name not in sig_atoms:
+        name = _take_name(cur)
+        if name not in d.atom_sorts:
             cur.error(f"unknown atom sort {name!r}")
         cur.take("]")
-        body = _parse_sort_prim(cur, sig_atoms, sig_bases)
-        return AbsSort(sig_atoms[name], body)
+        return AbsSort(d.atom_sorts[name], _parse_sort_prim(cur, d))
     if cur.try_take("("):
-        s = _parse_sort(cur, sig_atoms, sig_bases)
+        s = _parse_sort(cur, d)
         cur.take(")")
         return s
-    name = cur.take("name").text
-    if name in sig_atoms:
-        return AtomSortRef(sig_atoms[name])
-    if name in sig_bases:
+    name = _take_name(cur)
+    if name in d.atom_sorts:
+        return AtomSortRef(d.atom_sorts[name])
+    if name in d.base_sorts:
         return BaseSort(name)
     cur.error(f"unknown sort {name!r}")
-    raise AssertionError
 
 
 # --- terms -------------------------------------------------------------------
 
 
 def _parse_term(cur: _Cursor, scope: _Scope) -> RawTerm:
-    if cur.at("["):
-        cur.take("[")
-        binder = _resolve_atomlike(scope, cur.take("name"), cur)
+    # Leading binders are read in a loop, not by recursion, so that nesting
+    # costs the stack no more than the rest of the program allows.
+    binders = []
+    while cur.try_take("["):
+        binders.append(_take_atom(cur, scope))
         cur.take("]")
-        return Abs(binder, _parse_term(cur, scope))
-    if cur.at("("):
-        susp = _try_parse_susp(cur, scope)
-        if susp is not None:
-            return susp
-        cur.take("(")
-        if cur.try_take(")"):
-            return Tup(())
-        items = [_parse_term(cur, scope)]
-        while cur.try_take(","):
-            items.append(_parse_term(cur, scope))
+    t = _try_parse_susp(cur, scope) if cur.at("(") else None
+    if t is None and cur.try_take("("):
+        items = [] if cur.at(")") else cur.sep(_parse_term, scope)
         cur.take(")")
-        if len(items) == 1:
-            return items[0]
-        return Tup(tuple(items))
-    tok = cur.take("name")
-    name = tok.text
-    if name in scope.metas:
-        return Atm(scope.metas[name])
-    if name in scope.variables:
-        return Var(scope.variables[name])
-    decl = scope.sig.func(name)
-    if decl is not None:
-        args = []
-        if cur.try_take("("):
-            args.append(_parse_term(cur, scope))
-            while cur.try_take(","):
-                args.append(_parse_term(cur, scope))
-            cur.take(")")
-        return app(name, *args)
-    atom = _atom_literal(scope, name)
-    if atom is not None:
-        return Atm(atom)
-    raise ParseError(f"unknown identifier {name!r}", tok.line, tok.col)
+        t = items[0] if len(items) == 1 else Tup(tuple(items))
+    elif t is None:
+        tok = cur.take("name")
+        found = scope.resolve(tok.text, cur)
+        if isinstance(found, FuncDecl):
+            args = []
+            if cur.try_take("("):
+                args = cur.sep(_parse_term, scope)
+                cur.take(")")
+            t = app(tok.text, *args)
+        elif isinstance(found, Variable):
+            t = Var(found)
+        elif found is None:
+            raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
+        else:
+            t = Atm(found)
+    for binder in reversed(binders):
+        t = Abs(binder, t)
+    return t
 
 
 def _try_parse_susp(cur: _Cursor, scope: _Scope) -> Optional[RawTerm]:
@@ -237,13 +282,10 @@ def _try_parse_susp(cur: _Cursor, scope: _Scope) -> Optional[RawTerm]:
         while True:
             if not cur.try_take("name", "id"):
                 cur.take("(")
-                a = _resolve_atomlike(scope, cur.take("name"), cur)
-                b = _resolve_atomlike(scope, cur.take("name"), cur)
+                swaps.append((_take_atom(cur, scope), _take_atom(cur, scope)))
                 cur.take(")")
-                swaps.append((a, b))
-            if cur.try_take("name", "o") or cur.try_take("∘"):
-                continue
-            break
+            if not (cur.try_take("name", "o") or cur.try_take("∘")):
+                break
         cur.take(")")
         cur.take("*")
     except ParseError:
@@ -259,7 +301,7 @@ def _parse_formula(cur: _Cursor, scope: _Scope) -> Formula:
 
 
 def _parse_assertion(cur: _Cursor, scope: _Scope) -> Assertion:
-    atom = _resolve_atomlike(scope, cur.take("name"), cur)
+    atom = _take_atom(cur, scope)
     cur.take("#")
     return Assertion(atom, _parse_term(cur, scope))
 
@@ -268,214 +310,173 @@ def _parse_assertion(cur: _Cursor, scope: _Scope) -> Assertion:
 
 
 def parse_spec(text: str) -> Spec:
-    cur = _Cursor(_tokenize(text))
-    atom_sorts: dict[str, AtomSort] = {}
-    base_sorts: list[str] = []
+    return _read_all(text, _read_spec)
 
+
+class _Decls:
+    """The sorts and declarations of a spec read so far."""
+
+    def __init__(self) -> None:
+        self.atom_sorts: dict[str, AtomSort] = {}
+        self.base_sorts: list[str] = []
+        self.functions: list[FuncDecl] = []
+        self.variables: dict[str, Variable] = {}
+        self.rules: list[Rule] = []
+        self.bn: dict[str, tuple[int, ...]] = {}
+        self.strat: list[StratCase] = []
+
+    def sig(self) -> Signature:
+        return Signature(tuple(self.base_sorts), tuple(self.atom_sorts.values()), tuple(self.functions))
+
+
+def _read_spec(cur: _Cursor) -> Spec:
     if not cur.at("name", "atomsort"):
         cur.error("missing signature: spec must start with 'atomsort'")
+    d = _Decls()
     while cur.try_take("name", "atomsort"):
-        while cur.at("name"):
-            if cur.tok.text[-1].isdigit():
+        while tok := cur.try_take("name"):
+            if tok.text[-1].isdigit():
                 # An atom literal is the sort name followed by its index.
-                cur.error(f"atom sort name {cur.tok.text!r} ends in a digit")
-            n = cur.take("name").text
-            atom_sorts[n] = AtomSort(n)
+                raise ParseError(f"atom sort name {tok.text!r} ends in a digit", tok.line, tok.col)
+            d.atom_sorts[tok.text] = AtomSort(tok.text)
         cur.take(";")
     while cur.try_take("name", "basesort"):
-        while cur.at("name"):
-            base_sorts.append(cur.take("name").text)
+        while tok := cur.try_take("name"):
+            d.base_sorts.append(tok.text)
         cur.take(";")
-    bases = set(base_sorts)
-
     cur.take("name", "statesort")
-    state_sort = _parse_sort(cur, atom_sorts, bases)
+    state_sort = _parse_sort(cur, d)
     cur.take(";")
     cur.take("name", "residualsort")
-    residual_sort = _parse_sort(cur, atom_sorts, bases)
+    residual_sort = _parse_sort(cur, d)
     cur.take(";")
-
-    functions: list[FuncDecl] = []
-    variables: dict[str, Variable] = {}
-    rules: list[Rule] = []
-    bn: dict[str, tuple[int, ...]] = {}
-    strat: list[StratCase] = []
-
-    def sig() -> Signature:
-        return Signature(tuple(base_sorts), tuple(atom_sorts.values()), tuple(functions))
 
     while not cur.at("eof"):
-        if cur.try_take("name", "func"):
-            name = cur.take("name").text
-            cur.take(":")
-            arg = _parse_sort(cur, atom_sorts, bases)
-            cur.take("arrow")
-            result = cur.take("name").text
-            cur.take(";")
-            functions.append(FuncDecl(name, arg, result))
-        elif cur.try_take("name", "var"):
-            name = cur.take("name").text
-            cur.take(":")
-            sort = _parse_sort(cur, atom_sorts, bases)
-            cur.take(";")
-            variables[name] = Variable(name, sort)
-        elif cur.try_take("name", "bn"):
-            name = cur.take("name").text
-            cur.take("=")
-            cur.take("{")
-            positions = [int(cur.take("nat").text)]
-            while cur.try_take(","):
-                positions.append(int(cur.take("nat").text))
-            cur.take("}")
-            cur.take(";")
-            bn[name] = tuple(positions)
-        elif cur.try_take("name", "rule"):
-            rules.append(_parse_rule(cur, sig(), variables, atom_sorts))
-        elif cur.try_take("name", "order"):
-            strat.append(_parse_strat_case(cur, sig(), variables, atom_sorts))
-        else:
-            cur.error(f"expected a declaration, found {cur.tok.text!r}")
+        tok = cur.tok
+        read = _DECLARATIONS.get(tok.text) if tok.kind == "name" else None
+        if read is None:
+            cur.error(f"expected a declaration, found {_shown(tok)}")
+        cur.take("name")
+        read(cur, d)
+        cur.take(";")
 
-    rsig = ResidualSignature(sig(), state_sort, residual_sort)
-    return Spec(rsig, tuple(rules), bn, tuple(strat), variables)
+    rsig = ResidualSignature(d.sig(), state_sort, residual_sort)
+    return Spec(rsig, tuple(d.rules), d.bn, tuple(d.strat), d.variables)
 
 
-def _take_variable(cur: _Cursor, variables: dict[str, Variable]) -> Variable:
-    tok = cur.take("name")
-    v = variables.get(tok.text)
-    if v is None:
-        raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-    return v
+def _read_func(cur: _Cursor, d: _Decls) -> None:
+    name = _take_name(cur)
+    cur.take(":")
+    arg = _parse_sort(cur, d)
+    cur.take("arrow")
+    d.functions.append(FuncDecl(name, arg, _take_name(cur)))
 
 
-def _single_atom_sort(atom_sorts: dict[str, AtomSort], cur: _Cursor) -> AtomSort:
-    if len(atom_sorts) != 1:
-        cur.error("atom sort annotation required when several atom sorts exist")
-    return next(iter(atom_sorts.values()))
+def _read_var(cur: _Cursor, d: _Decls) -> None:
+    name = _take_name(cur)
+    cur.take(":")
+    d.variables[name] = Variable(name, _parse_sort(cur, d))
 
 
-def _parse_rule(
-    cur: _Cursor,
-    sig: Signature,
-    variables: dict[str, Variable],
-    atom_sorts: dict[str, AtomSort],
-) -> Rule:
-    name = cur.take("name").text
+def _read_bn(cur: _Cursor, d: _Decls) -> None:
+    name = _take_name(cur)
+    cur.take("=")
+    cur.take("{")
+    d.bn[name] = tuple(cur.sep(_take_nat))
+    cur.take("}")
+
+
+def _each(cur: _Cursor, keyword: str, item: Callable, *args) -> tuple:
+    """Every `keyword item ;` in a row."""
+    items = []
+    while cur.try_take("name", keyword):
+        items.append(item(cur, *args))
+        cur.take(";")
+    return tuple(items)
+
+
+def _read_forall(cur: _Cursor, atom_sorts: dict[str, AtomSort]) -> dict[str, MetaAtom]:
+    """A rule's schematic atoms, up to the ':' that starts its body. After
+    `forall`, names are separated by spaces or commas, and a group of them
+    may end in ': sort'; the colon that ends the quantifier is told apart by
+    what follows it."""
     metas: dict[str, MetaAtom] = {}
-    if cur.try_take("name", "forall"):
-        # names separated by spaces/commas; a group may end in ": sortname";
-        # the ":" closing the quantifier list is told apart by what follows it
-        group: list[str] = []
-        while True:
-            if cur.at("name"):
-                group.append(cur.take("name").text)
-                cur.try_take(",")
-                continue
-            colon = cur.take(":")
-            if cur.at("name") and cur.tok.text in atom_sorts:
-                sort = atom_sorts[cur.take("name").text]
-                for g in group:
-                    metas[g] = MetaAtom(g, sort)
-                group = []
-                cur.try_take(",")
-                continue
-            if group:
-                for g in group:
-                    metas[g] = MetaAtom(g, _single_atom_sort(atom_sorts, cur))
-            if not metas:
-                raise ParseError("empty forall", colon.line, colon.col)
-            break
-    else:
+    if not cur.try_take("name", "forall"):
         cur.take(":")
+        return metas
+    group: list[str] = []
+    while True:
+        if tok := cur.try_take("name"):
+            group.append(tok.text)
+            cur.try_take(",")
+            continue
+        colon = cur.take(":")
+        named = cur.at("name")
+        if named and named.text in atom_sorts:
+            cur.take("name")
+            metas.update((g, MetaAtom(g, atom_sorts[named.text])) for g in group)
+            group = []
+            cur.try_take(",")
+            continue
+        if group:
+            sort = _single_atom_sort(atom_sorts.values(), cur)
+            metas.update((g, MetaAtom(g, sort)) for g in group)
+        if not metas:
+            raise ParseError("empty forall", colon.line, colon.col)
+        return metas
 
-    scope = _Scope(sig, variables, metas)
-    label_excluded: list[tuple[Variable, tuple[str, ...]]] = []
-    premises: list[Formula] = []
-    env: list[Assertion] = []
-    while cur.try_take("name", "label"):
-        lvar = _take_variable(cur, variables)
-        cur.take("name", "notin")
-        cur.take("{")
-        excl = [cur.take("name").text]
-        while cur.try_take(","):
-            excl.append(cur.take("name").text)
-        cur.take("}")
-        cur.take(";")
-        label_excluded.append((lvar, tuple(excl)))
-    while cur.try_take("name", "premise"):
-        premises.append(_parse_formula(cur, scope))
-        cur.take(";")
-    while cur.try_take("name", "fresh"):
-        env.append(_parse_assertion(cur, scope))
-        cur.take(";")
+
+def _read_label(cur: _Cursor, scope: _Scope) -> tuple[Variable, tuple[str, ...]]:
+    var = _take_variable(cur, scope)
+    cur.take("name", "notin")
+    cur.take("{")
+    excluded = tuple(cur.sep(_take_name))
+    cur.take("}")
+    return var, excluded
+
+
+def _read_rule(cur: _Cursor, d: _Decls) -> None:
+    name = _take_name(cur)
+    metas = _read_forall(cur, d.atom_sorts)
+    scope = _Scope(d.sig(), d.variables, metas)
+    label_excluded = _each(cur, "label", _read_label, scope)
+    premises = _each(cur, "premise", _parse_formula, scope)
+    env = _each(cur, "fresh", _parse_assertion, scope)
     cur.take("name", "conclusion")
     conclusion = _parse_formula(cur, scope)
-    cur.take(";")
-    return Rule(
-        name=name,
-        metas=tuple(sorted(metas.values(), key=lambda m: m.name)),
-        premises=tuple(premises),
-        env=tuple(env),
-        conclusion=conclusion,
-        label_excluded=tuple(label_excluded),
-    )
+    by_name = tuple(sorted(metas.values(), key=lambda m: m.name))
+    d.rules.append(Rule(name, by_name, premises, env, conclusion, label_excluded))
 
 
-class _CaseMetas(dict):
-    """The schematic atoms of one order clause, made on first use: a name in
-    a clause's patterns that is neither a declared variable nor a function
-    symbol is a case-local schematic atom."""
-
-    def __init__(
-        self,
-        sig: Signature,
-        variables: dict[str, Variable],
-        atom_sorts: dict[str, AtomSort],
-        cur: _Cursor,
-    ):
-        super().__init__()
-        self.sig = sig
-        self.variables = variables
-        self.atom_sorts = atom_sorts
-        self.cur = cur
-
-    def __contains__(self, name: object) -> bool:
-        if name in self.variables or self.sig.func(name) is not None:
-            return False
-        if not super().__contains__(name):
-            self[name] = MetaAtom(name, _single_atom_sort(self.atom_sorts, self.cur))
-        return True
+def _read_constraint(cur: _Cursor) -> tuple[str, str, bool]:
+    m1 = _take_name(cur)
+    eq = not cur.try_take("neq")
+    if eq:
+        cur.take("=")
+    return m1, _take_name(cur), eq
 
 
-def _parse_strat_case(
-    cur: _Cursor,
-    sig: Signature,
-    variables: dict[str, Variable],
-    atom_sorts: dict[str, AtomSort],
-) -> StratCase:
-    metas = _CaseMetas(sig, variables, atom_sorts, cur)
-    scope = _Scope(sig, variables, metas, allow_atoms=False)
+def _read_call(cur: _Cursor, scope: _Scope) -> tuple[Variable, RawTerm]:
+    cur.take("name", "S")
+    cur.take("(")
+    v = _take_variable(cur, scope)
+    cur.take(",")
+    label = _parse_term(cur, scope)
+    cur.take(")")
+    return v, label
+
+
+def _read_order(cur: _Cursor, d: _Decls) -> None:
+    scope = _Scope(d.sig(), d.variables, clause=True)
     head = _parse_term(cur, scope)
     cur.take("@")
     label = _parse_term(cur, scope)
-    constraints: list[tuple[str, str, bool]] = []
-    if cur.try_take("name", "when"):
-        while True:
-            m1 = cur.take("name").text
-            if cur.try_take("neq"):
-                eq = False
-            else:
-                cur.take("=")
-                eq = True
-            m2 = cur.take("name").text
-            constraints.append((m1, m2, eq))
-            if not cur.try_take(","):
-                break
+    constraints = cur.sep(_read_constraint) if cur.try_take("name", "when") else []
     cur.take("=")
     base: Optional[int] = None
     recursion: list[tuple[Variable, RawTerm]] = []
     if cur.at("nat") and cur.tokens[cur.i + 1].kind != "+":
-        base = int(cur.take("nat").text)
+        base = _take_nat(cur)
     else:
         one = cur.take("nat")
         if one.text != "1":
@@ -483,71 +484,49 @@ def _parse_strat_case(
         cur.take("+")
         cur.take("name", "max")
         cur.take("(")
-        while True:
-            cur.take("name", "S")
-            cur.take("(")
-            v = _take_variable(cur, variables)
-            cur.take(",")
-            labpat = _parse_term(cur, scope)
-            cur.take(")")
-            recursion.append((v, labpat))
-            if not cur.try_take(","):
-                break
+        recursion = cur.sep(_read_call, scope)
         cur.take(")")
-    cur.take(";")
-    return StratCase(head, label, tuple(constraints), base, tuple(recursion))
+    d.strat.append(StratCase(head, label, tuple(constraints), base, tuple(recursion)))
+
+
+_DECLARATIONS: dict[str, Callable[[_Cursor, _Decls], None]] = {
+    "func": _read_func,
+    "var": _read_var,
+    "bn": _read_bn,
+    "rule": _read_rule,
+    "order": _read_order,
+}
 
 
 # --- command-line term syntax --------------------------------------------------
 
 
-def _cli_scope(spec: Spec) -> _Scope:
-    return _Scope(spec.signature, spec.variables, {})
+def _parse_env(cur: _Cursor, scope: _Scope) -> frozenset[Assertion]:
+    cur.take("{")
+    env = frozenset() if cur.at("}") else frozenset(cur.sep(_parse_assertion, scope))
+    cur.take("}")
+    return env
+
+
+def _parse_entailment(cur: _Cursor, scope: _Scope) -> tuple[frozenset[Assertion], frozenset[Assertion]]:
+    left = _parse_env(cur, scope)
+    cur.take("turnstile")
+    return left, _parse_env(cur, scope)
 
 
 def parse_term_str(spec: Spec, text: str) -> RawTerm:
-    cur = _Cursor(_tokenize(text))
-    t = _parse_term(cur, _cli_scope(spec))
-    cur.take("eof")
-    return t
+    return _read_all(text, _parse_term, _Scope(spec.signature, spec.variables))
 
 
 def parse_formula_str(spec: Spec, text: str) -> Formula:
-    cur = _Cursor(_tokenize(text))
-    f = _parse_formula(cur, _cli_scope(spec))
-    cur.take("eof")
-    return f
-
-
-def _parse_env(cur: _Cursor, scope: _Scope) -> frozenset[Assertion]:
-    cur.take("{")
-    out: set[Assertion] = set()
-    if not cur.at("}"):
-        while True:
-            assertion = _parse_assertion(cur, scope)
-            if not isinstance(assertion.atom, Atom):
-                cur.error("environment assertions need concrete atoms")
-            out.add(assertion)
-            if not cur.try_take(","):
-                break
-    cur.take("}")
-    return frozenset(out)
+    return _read_all(text, _parse_formula, _Scope(spec.signature, spec.variables))
 
 
 def parse_env_str(spec: Spec, text: str) -> frozenset[Assertion]:
-    cur = _Cursor(_tokenize(text))
-    e = _parse_env(cur, _cli_scope(spec))
-    cur.take("eof")
-    return e
+    return _read_all(text, _parse_env, _Scope(spec.signature, spec.variables))
 
 
 def parse_entailment_str(
     spec: Spec, text: str
 ) -> tuple[frozenset[Assertion], frozenset[Assertion]]:
-    cur = _Cursor(_tokenize(text))
-    scope = _cli_scope(spec)
-    left = _parse_env(cur, scope)
-    cur.take("turnstile")
-    right = _parse_env(cur, scope)
-    cur.take("eof")
-    return left, right
+    return _read_all(text, _parse_entailment, _Scope(spec.signature, spec.variables))

@@ -1,22 +1,36 @@
 """Deterministic concrete-syntax printing for atoms, terms, formulas and
-environments. In a spec with one atom sort, the printed form parses back to
-the same object. With several atom sorts it does not: atoms print by index
-alone, as `a`, `b`, ..., so the sort is lost and the letters do not parse."""
+environments, and the reading of an atom's name, which the parser uses. In a
+spec with one atom sort, the printed form parses back to the same object.
+With several atom sorts it does not: atoms print by index alone, as `a`,
+`b`, ..., so the sort is lost and the letters do not parse."""
 
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from typing import Iterable, Optional
 
-from .atoms import Atom
+from .atoms import Atom, Signature
 from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var, app_args
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_SORT_INDEX = re.compile(r"([A-Za-z_][A-Za-z0-9_]*?)(\d+)")
 
 
 def atom_str(a: Atom) -> str:
     if a.index < len(_ALPHABET):
         return _ALPHABET[a.index]
     return f"{a.sort.name}{a.index}"
+
+
+def atom_named(sig: Signature, name: str) -> Optional[Atom]:
+    """The atom a name spells, or None: a letter `a`..`z` is the index
+    alone when the signature has one atom sort; otherwise the name is an
+    atom sort's name followed by the index, as in `ch30`."""
+    if len(sig.atom_sorts) == 1 and len(name) == 1 and name in _ALPHABET:
+        return Atom(sig.atom_sorts[0], _ALPHABET.index(name))
+    m = _SORT_INDEX.fullmatch(name)
+    sort = sig.atom_sort(m.group(1)) if m else None
+    return None if sort is None else Atom(sort, int(m.group(2)))
 
 
 def _atomlike_str(a) -> str:

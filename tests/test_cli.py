@@ -152,3 +152,77 @@ def test_usage_error(capsys):
     # argparse usage errors are caught and mapped to exit code 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_json_of_every_command(capsys):
+    code, out = run(capsys, "prove", PI, "new([b]out(a, b, null)) -> (boutA(a, b), null)", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["provable"] and not data["truncated"]
+    assert data["tree"]["rule"] == "Open" and data["tree"]["children"][0]["rule"] == "Out"
+    code, out = run(capsys, "prove", PI, "new([b]out(a, b, null)) -> (outA(a, b), null)", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "prove",
+        "claim": "new([b]out(a, b, null)) -> (outA(a, b), null)",
+        "provable": False,
+        "truncated": False,
+        "tree": None,
+    }
+    code, out = run(capsys, "entail", PI, "{b # x} |- {b # new([b]x)}", "--json")
+    assert code == 0 and json.loads(out) == {"command": "entail", "holds": True}
+    code, out = run(capsys, "entail", PI, "{a # x} |- {b # x}", "--json")
+    assert code == 1 and json.loads(out) == {"command": "entail", "holds": False}
+    code, out = run(capsys, "nf", PI, "{a # a, b # new([b]x)}", "--json")
+    assert code == 0
+    assert json.loads(out) == {"command": "nf", "consistent": False, "normal_form": "{a # a}"}
+    code, out = run(capsys, "alpha", PI, "new([b]out(a, b, null))", "new([c]out(a, c, null))", "--json")
+    assert code == 0 and json.loads(out) == {"command": "alpha", "equivalent": True}
+    code, out = run(capsys, "alpha", PI, "[a]null", "[b]out(a, b, null)", "--json")
+    assert code == 1 and json.loads(out) == {"command": "alpha", "equivalent": False}
+    code, out = run(capsys, "supp", PI, "new([b]out(a, c, null))", "--json")
+    assert code == 0 and json.loads(out) == {"command": "supp", "support": "{a, c}"}
+
+
+def test_derive_without_transitions_and_truncated(capsys):
+    code, out = run(capsys, "derive", PI, "null")
+    assert code == 0 and out == "no transitions\n"
+    assert capsys.readouterr().err == ""
+    assert main(["derive", PI, "par(out(a, b, null), null)", "--depth", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "no transitions\n"
+    assert captured.err == "warning: search truncated by budget\n"
+
+
+def test_deep_term_exits_2(capsys):
+    deep = "sum(" * 1000 + "null" + ", null)" * 1000
+    for argv in (["derive", PI, deep], ["alpha", PI, deep, deep]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: term nests too deeply\n"
+
+
+def test_ill_formed_spec_is_refused(capsys, tmp_path):
+    # Out with a conclusion variable no match can bind, and with the
+    # residual pair reversed: `check` reports them, `derive` and `prove`
+    # refuse to search.
+    text = Path(PI).read_text(encoding="utf-8")
+    conclusion = "conclusion out(a,b,x) -> (outA(a,b), x) ;"
+    assert text.count(conclusion) == 1
+    for bad, message in (
+        ("conclusion out(a,b,x) -> (outA(a,b), y) ;", "rule Out: conclusion target mentions unbindable y"),
+        (
+            "conclusion out(a,b,x) -> (x, outA(a,b)) ;",
+            "rule Out: conclusion target has sort pr * ac, expected residual sort",
+        ),
+    ):
+        path = tmp_path / "bad.spec"
+        path.write_text(text.replace(conclusion, bad), encoding="utf-8")
+        for argv in (
+            ["derive", str(path), "out(a, b, null)"],
+            ["prove", str(path), "out(a, b, null) -> (outA(a, b), null)"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ill-formed spec: ")
+            assert message in captured.err

@@ -140,3 +140,120 @@ def test_rule_instance_is_instantiate_then_substitute(name, request):
             for t, u in zip(rule.terms(), r.terms(), strict=True):
                 assert u == subst_apply(subst, instantiate(t, asg))
             assert [a.atom for a in r.env] == [resolve(a.atom, asg) for a in rule.env]
+
+
+# One-line edits of pi.spec and the full report `validate_spec` gives each.
+_INVALID = [
+    ("rule Out forall a b :", "rule In forall a b :", ["duplicate rule name: In"]),
+    (
+        "conclusion out(a,b,x) -> (outA(a,b), x) ;",
+        "conclusion outA(a,b) -> (outA(a,b), x) ;",
+        [
+            "rule Out: conclusion source has sort ac, expected state sort",
+            "rule Out: conclusion target mentions unbindable x",
+        ],
+    ),
+    (
+        "conclusion out(a,b,x) -> (outA(a,b), x) ;",
+        "conclusion out(a,b,x) -> x ;",
+        [
+            "rule Out: conclusion target has sort pr, expected residual sort",
+            "rule Out: residual is not a (label, target) pair: out(a, b, x) -> x",
+        ],
+    ),
+    (
+        "conclusion out(a,b,x) -> (outA(a,b), x) ;",
+        "conclusion out(a,x,x) -> (outA(a,b), x) ;",
+        ["rule Out: conclusion: out: argument has sort ch * pr * pr, expected ch * ch * pr"],
+    ),
+    (
+        "conclusion sum(x1,x2) -> (l, y1) ;",
+        "conclusion sum(x1,x2) -> (x1, y1) ;",
+        [
+            "rule SumL: conclusion target has sort pr * pr, expected residual sort",
+            "rule SumL: label variable x1 is not action-sorted",
+        ],
+    ),
+    (
+        "conclusion rep(x) -> (l, par(y, rep(x))) ;",
+        "conclusion rep(x) -> (((a b))*l, par(y, rep(x))) ;",
+        ["rule Rep: action must be ground: "],
+    ),
+    (
+        "fresh b # a ;",
+        "fresh b # out(a) ;",
+        ["rule Open: freshness assertion: out: argument has sort ch, expected ch * ch * pr"],
+    ),
+    (
+        "premise x -> (outA(a,b), y) ;",
+        "premise x1 -> (outA(a,b), y) ;",
+        ["rule Open: unschedulable premise 1: unbound x1"],
+    ),
+    (
+        "conclusion out(a,b,x) -> (outA(a,b), x) ;",
+        "conclusion out(a,b,x) -> (outA(a,b), y) ;",
+        ["rule Out: conclusion target mentions unbindable y"],
+    ),
+    (
+        "fresh b # x2 ;\n  conclusion par(x1,x2) -> (boutA(a,b), par(y1,x2)) ;",
+        "fresh b # y2 ;\n  conclusion par(x1,x2) -> (boutA(a,b), par(y1,x2)) ;",
+        ["rule ParResL: freshness assertion mentions unbindable y2"],
+    ),
+    (
+        "rule ParL :\n  label l notin { boutA } ;",
+        "rule ParL :\n  label x notin { boutA } ;",
+        ["rule ParL: label constraint on non-action variable x"],
+    ),
+    (
+        "rule ParL :\n  label l notin { boutA } ;",
+        "rule ParL :\n  label l notin { null, nosuch } ;",
+        [
+            "rule ParL: label constraint names non-action constructor null",
+            "rule ParL: label constraint names non-action constructor nosuch",
+        ],
+    ),
+    ("bn boutA = { 2 } ;", "bn nosuch = { 2 } ;", ["bn: unknown constructor nosuch"]),
+    (
+        "bn boutA = { 2 } ;",
+        "bn boutA = { 0, 3 } ;",
+        ["bn: boutA has no argument position 0", "bn: boutA has no argument position 3"],
+    ),
+    ("bn boutA = { 2 } ;", "bn out = { 3 } ;", ["bn: position 3 of out is not of atom sort"]),
+    (
+        "order out(a,b,x) @ outA(a,b) = 0 ;",
+        "order x @ outA(a,b) = 0 ;",
+        ["order clause 1: head pattern is not constructor-headed"],
+    ),
+    (
+        "order rep(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;",
+        "order rep(x) @ outA(a,b) = 1 + max(S(y, outA(a,b))) ;",
+        ["order clause 10: recursive call on y, absent from the head pattern"],
+    ),
+    (
+        "order new([c]x) @ outA(a,b) when c != a, c != b",
+        "order new([c]x) @ outA(a,b) when c != a, c = d",
+        ["order clause 4: constraint names unknown atom d"],
+    ),
+]
+
+
+@pytest.mark.parametrize("old, new, report", _INVALID, ids=[r[2][0][:48] for r in _INVALID])
+def test_validate_spec_messages(old, new, report):
+    from nomsos import corpus_path, parse_spec
+
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    got = validate_spec(parse_spec(text.replace(old, new)))
+    assert len(got) == len(report)
+    for line, want in zip(got, report):
+        # a message ending in ": " pins its head only
+        assert line.startswith(want) if want.endswith(": ") else line == want
+
+
+def test_validate_spec_ill_formed_state_and_residual_sorts(pi_spec):
+    # The parser admits only declared sorts, so build such a spec by hand.
+    from dataclasses import replace
+
+    rsig = replace(pi_spec.rsig, state_sort=BaseSort("zz"), residual_sort=BaseSort("yy"))
+    report = validate_spec(replace(pi_spec, rsig=rsig, rules=(), strat=()))
+    assert report[:2] == ["state sort is ill-formed: zz", "residual sort is ill-formed: yy"]
