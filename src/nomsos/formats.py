@@ -11,11 +11,21 @@ constructor's atom positions and fresh variables elsewhere.
 Stratification owns the defined order: it matches every label instance
 against the order cases once, and its report's `defined` holds the instances
 some case matches. The residual alpha-conversion check constrains exactly
-those, so `check_acr(spec, defined)` reads them instead of matching again."""
+those, so `check_acr(spec, defined)` reads them instead of matching again.
+
+Matching a case against a label instance has one "unknown" rule: a case
+shape other than a variable against a rule variable or delayed permutation,
+and a concrete atom, binder or delayed permutation in the case, fall outside
+the sufficient conditions. A match leaves pairs of rule atoms that must be
+equal or must differ, decided by one rule: one atom twice is equal and never
+distinct; two atoms are equal in some valid instance unless the rule's
+freshness environment forces them apart, and distinct in every one only
+when it does."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from itertools import count
 from typing import Iterable, Iterator, Optional
 
 from .atoms import (
@@ -151,27 +161,19 @@ def _premise_parts(inst: Rule) -> Iterator[tuple[RawTerm, RawTerm, RawTerm]]:
 
 def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
     """A most general pattern for one action constructor: fresh schematic
-    atoms at atom positions, fresh variables elsewhere."""
+    atoms at atom positions, fresh variables elsewhere. Names `_b<i>` and
+    `_v<i>` share one counter and skip the names in `taken`."""
     items: list[RawTerm] = []
     new_metas: list[MetaAtom] = []
-    counter = 0
-
-    def fresh_name(prefix: str) -> str:
-        nonlocal counter
-        while True:
-            counter += 1
-            n = f"{prefix}{counter}"
-            if n not in taken:
-                taken.add(n)
-                return n
-
+    numbers = count(1)
     for part in prod_parts(decl.arg):
+        prefix = "_b" if isinstance(part, AtomSortRef) else "_v"
+        name = next(n for n in (f"{prefix}{i}" for i in numbers) if n not in taken)
         if isinstance(part, AtomSortRef):
-            m = MetaAtom(fresh_name("_b"), part.sort)
-            new_metas.append(m)
-            items.append(Atm(m))
+            new_metas.append(MetaAtom(name, part.sort))
+            items.append(Atm(new_metas[-1]))
         else:
-            items.append(Var(Variable(fresh_name("_v"), part)))
+            items.append(Var(Variable(name, part)))
     return app(decl.name, *items), new_metas
 
 
@@ -194,7 +196,7 @@ def label_instances(spec: Spec, rule: Rule) -> list[Rule]:
     for decl in spec.signature.constructors_of(action.name):
         if decl.name in excluded:
             continue
-        term, new_metas = _fresh_label_term(decl, set(taken))
+        term, new_metas = _fresh_label_term(decl, taken)
         inst = rule.instance({}, {label.var: term})
         out.append(replace(inst, metas=rule.metas + tuple(new_metas)))
     return out
@@ -225,40 +227,37 @@ class _Bind:
 def _sym_match(case_pat: RawTerm, rule_pat: RawTerm, bind: _Bind) -> Optional[bool]:
     """Structural match of a case pattern against a rule pattern (both may
     contain schematic parts). True = match, False = definite mismatch,
-    None = outside the sufficient conditions."""
+    None = outside the sufficient conditions (see the module docstring)."""
+    if isinstance(case_pat, Var):
+        seen = bind.vars.setdefault(case_pat.var, rule_pat)
+        return seen == rule_pat
+    if isinstance(rule_pat, (Var, Susp)):
+        return None
     match case_pat:
-        case Var(v):
-            if v in bind.vars:
-                return bind.vars[v] == rule_pat
-            bind.vars[v] = rule_pat
+        case App(f, arg):
+            if not isinstance(rule_pat, App) or rule_pat.func != f:
+                return False
+            return _sym_match(arg, rule_pat.arg, bind)
+        case Tup(items):
+            if not isinstance(rule_pat, Tup) or len(rule_pat.items) != len(items):
+                return False
+            for c, r in zip(items, rule_pat.items):
+                if (res := _sym_match(c, r, bind)) is not True:
+                    return res
             return True
-        case Atm(m) if isinstance(m, MetaAtom):
+        case Atm(MetaAtom() as m):
             if not isinstance(rule_pat, Atm):
-                return False if isinstance(rule_pat, (App, Tup, Abs)) else None
+                return False
             bind.bind_meta(m, rule_pat.atom)
             return True
-        case App(f, arg):
-            if isinstance(rule_pat, App):
-                if rule_pat.func != f:
-                    return False
-                return _sym_match(arg, rule_pat.arg, bind)
-            return None if isinstance(rule_pat, (Var, Susp)) else False
-        case Tup(items):
-            if isinstance(rule_pat, Tup) and len(rule_pat.items) == len(items):
-                for c, r in zip(items, rule_pat.items):
-                    res = _sym_match(c, r, bind)
-                    if res is not True:
-                        return res
-                return True
-            return None if isinstance(rule_pat, (Var, Susp)) else False
         case Abs(a, body):
-            if isinstance(rule_pat, Abs):
-                if isinstance(a, MetaAtom):
-                    bind.bind_meta(a, rule_pat.binder)
-                    return _sym_match(body, rule_pat.body, bind)
+            if not isinstance(rule_pat, Abs):
+                return False
+            if not isinstance(a, MetaAtom):
                 return None
-            return None if isinstance(rule_pat, (Var, Susp)) else False
-    return None
+            bind.bind_meta(a, rule_pat.binder)
+            return _sym_match(body, rule_pat.body, bind)
+    return None  # a concrete case atom, or a delayed permutation
 
 
 def _assignment(
@@ -298,7 +297,8 @@ class CaseMatch:
 def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
     """Stratification cases that can match some valid instance of the rule's
     conclusion. The flag reports whether any case shape fell outside the
-    sufficient matching conditions (status unknown)."""
+    sufficient matching conditions (status unknown). The atom pairs are the
+    identifications, which must be equal, then the `when` constraints."""
     out = []
     saw_unknown = False
     label = _residual(inst.conclusion.target)[0]
@@ -307,40 +307,28 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
         res = _sym_match(case.label, label, bind)
         if res is True:
             res = _sym_match(case.head, inst.conclusion.source, bind)
-        if res is None:
-            saw_unknown = True
+        if res is not True:
+            saw_unknown = saw_unknown or res is None
             continue
-        if res is False:
-            continue
-        satisfiable = True
+        pairs = [(x, y, True) for x, y in bind.identifications] + [
+            (bind.metas.get(m1), bind.metas.get(m2), eq) for m1, m2, eq in case.constraints
+        ]
         guaranteed = True
-        for x, y in bind.identifications:
-            guaranteed = False
-            if _forced_distinct(inst, x, y):
-                satisfiable = False
-                break
-        for m1, m2, must_equal in case.constraints:
-            if not satisfiable:
-                break
-            x = bind.metas.get(m1)
-            y = bind.metas.get(m2)
+        for x, y, must_equal in pairs:
             if x is None or y is None:
                 saw_unknown = True
-                satisfiable = False
                 break
-            if must_equal:
-                if x != y:
-                    guaranteed = False
-                    if _forced_distinct(inst, x, y):
-                        satisfiable = False
-                        break
-            else:
-                if x == y:
-                    satisfiable = False
-                    break
-                if not _forced_distinct(inst, x, y):
-                    guaranteed = False
-        if satisfiable:
+            if x == y:
+                if must_equal:
+                    continue
+                break
+            distinct = _forced_distinct(inst, x, y)
+            if must_equal and distinct:
+                break
+            # two atoms the env does not force apart may be equal or not, so
+            # neither constraint holds in every valid instance
+            guaranteed = guaranteed and distinct
+        else:
             out.append(CaseMatch(case, guaranteed, bind))
     return out, saw_unknown
 
@@ -369,14 +357,9 @@ def check_stratification(spec: Spec) -> CheckReport:
     return CheckReport("stratification", tuple(checks), notes, tuple(defined))
 
 
-def _strat_failure(
-    spec: Spec, inst: Rule, matches: list[CaseMatch]
-) -> Optional[RuleCheck]:
+def _strat_failure(spec: Spec, inst: Rule, matches: list[CaseMatch]) -> Optional[RuleCheck]:
     """The coverage or decrease failure of one label instance, if any."""
-    try:
-        binding = bn_eval(spec, _residual(inst.conclusion.target)[0])
-    except ValueError:
-        binding = frozenset()
+    binding = bn_eval(spec, _residual(inst.conclusion.target)[0])
     if binding and not any(m.guaranteed for m in matches):
         return RuleCheck(
             inst.name,
@@ -386,15 +369,13 @@ def _strat_failure(
             f"{', '.join(sorted(_atomlike_str(b) for b in binding))} "
             "but no stratification case is guaranteed to match",
         )
-    problem = _check_decrease(spec, inst, matches)
+    problem = _check_decrease(inst, matches)
     if problem is None:
         return None
     return RuleCheck(inst.name, "fail", "decrease", f"{describe(inst)}: {problem}")
 
 
-def _check_decrease(
-    spec: Spec, inst: Rule, matches: list[CaseMatch]
-) -> Optional[str]:
+def _check_decrease(inst: Rule, matches: list[CaseMatch]) -> Optional[str]:
     """Every premise source must be a variable covered by a recursive call of
     each matching case, with the premise label equal to the call's label."""
     if not inst.premises:
@@ -407,17 +388,14 @@ def _check_decrease(
                 "with premises"
             )
         bind = cm.bind
-        calls = []
-        for v, labpat in cm.case.recursion:
-            label = subst_apply(bind.vars, instantiate(labpat, bind.metas))
-            calls.append((bind.vars.get(v, Var(v)), label))
+        calls = [
+            (bind.vars.get(v, Var(v)), subst_apply(bind.vars, instantiate(labpat, bind.metas)))
+            for v, labpat in cm.case.recursion
+        ]
         for psource, plabel, _ in parts:
             if not isinstance(psource, Var):
                 return f"premise source {term_str(psource)} is not a variable"
-            ok = any(
-                src == psource and lab == plabel for src, lab in calls
-            )
-            if not ok:
+            if (psource, plabel) not in calls:
                 return (
                     f"premise {term_str(psource)} -> ... @ {term_str(plabel)} "
                     "has no matching recursive call"
@@ -512,13 +490,12 @@ def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
 
 
 def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
-    premise_vars: set[Variable] = set()
-    for s, _, t in _premise_parts(inst):
-        premise_vars |= term_vars(s) | term_vars(t)
-    other_vars = set(term_vars(_residual(inst.conclusion.target)[1]))
-    for ra in inst.env:
-        other_vars |= term_vars(ra.term)
-    d_vars = term_vars(inst.conclusion.source) - premise_vars - other_vars
+    # D-variables: source variables that occur nowhere else in the rule
+    d_vars = term_vars(inst.conclusion.source).difference(
+        *(term_vars(t) for p in inst.premises for t in (p.source, p.target)),
+        term_vars(_residual(inst.conclusion.target)[1]),
+        *(term_vars(a.term) for a in inst.env),
+    )
 
     # The atoms of the rule, with every atom a partition below can give a
     # schematic atom; the closed terms and the fresh candidates avoid them.
@@ -550,14 +527,12 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
         prem = list(_premise_parts(r))
 
         gamma_source = subst_apply(gamma, source)
-        rule_atoms = set(support(source)) | set(asg.values())
-        for s, l, t in prem:
-            rule_atoms |= support(s) | support(t)
-        rule_atoms |= support(target_pair)
+        rule_atoms = set(asg.values()).union(
+            support(source), support(target_pair), *(support(s) | support(t) for s, _, t in prem)
+        )
         excluded = {c for c in support(source) if not nf([Assertion(c, source)]).all}
         candidates = sorted(rule_atoms - excluded)
-        sorts = {a.sort for a in rule_atoms} | set(spec.signature.atom_sorts)
-        for s in sorted(sorts, key=lambda s: s.name):
+        for s in sorted(spec.signature.atom_sorts, key=lambda s: s.name):
             candidates += fresh_atoms(s, taken, 1)
 
         binders = bn_eval(spec, _residual(r.conclusion.target)[0])
@@ -603,15 +578,8 @@ def _acr_fail(
 
 def check_all(spec: Spec) -> list[CheckReport]:
     errors = validate_spec(spec)
-    wf = CheckReport(
-        "well-formedness",
-        tuple(
-            [RuleCheck("spec", "pass")]
-            if not errors
-            else [RuleCheck("spec", "fail", "validation", e) for e in errors]
-        ),
-    )
-    reports = [wf]
+    failed = [RuleCheck("spec", "fail", "validation", e) for e in errors]
+    reports = [CheckReport("well-formedness", tuple(failed or [RuleCheck("spec", "pass")]))]
     if not errors:
         reports.append(check_equivariant(spec))
         strat = check_stratification(spec)

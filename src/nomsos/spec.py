@@ -19,7 +19,7 @@ from .atoms import (
 )
 from .freshness import Assertion
 from .matching import AtomPool, MatchState, match_term
-from .printer import formula_str
+from .printer import formula_str, term_str
 from .terms import (
     App,
     Atm,
@@ -271,8 +271,23 @@ def _label_positions_ground(spec: Spec, formula: Formula) -> list[str]:
         if label.var.sort != spec.action_sort:
             errors.append(f"label variable {label.var.name} is not action-sorted")
     elif term_vars(label):
-        errors.append(f"action must be ground: {label} in {formula}")
+        errors.append(f"action must be ground: {term_str(label)} in {formula}")
     return errors
+
+
+def _binding_positions(spec: Spec, formula: Formula) -> list[str]:
+    """The binding positions of a constructor-headed label must hold an atom
+    or a schematic atom: those are the binding names `bn_eval` reads."""
+    pair = spec.split_residual(formula.target)
+    label = pair[0] if pair else None
+    if not isinstance(label, App) or label.func not in spec.bn:
+        return []
+    args = app_args(label)
+    return [
+        f"binding position {pos} of {label.func} is not an atom: {term_str(args[pos - 1])}"
+        for pos in spec.bn.get(label.func, ())
+        if 0 < pos <= len(args) and not isinstance(args[pos - 1], Atm)
+    ]
 
 
 def validate_spec(spec: Spec) -> list[str]:
@@ -306,6 +321,7 @@ def validate_spec(spec: Spec) -> list[str]:
                 report.append(f"{prefix}: {what}: {e}")
             if spec.nts_mode:
                 report.extend(f"{prefix}: {e}" for e in _label_positions_ground(spec, formula))
+                report.extend(f"{prefix}: {what}: {e}" for e in _binding_positions(spec, formula))
         for assertion in rule.env:
             try:
                 sort_check(sig, assertion.term)

@@ -226,3 +226,30 @@ def test_ill_formed_spec_is_refused(capsys, tmp_path):
             assert captured.out == ""
             assert captured.err.startswith("error: ill-formed spec: ")
             assert message in captured.err
+
+
+def test_delayed_permutation_at_a_binding_position_is_ill_formed(capsys, tmp_path):
+    # A bound-output label whose binding position holds ((a b))*a: `check`
+    # reports it with exit 1 and `derive` refuses it, in a premise (ParResL)
+    # and in a conclusion (Open, with the order clauses for boutA gone, where
+    # reading the position as "binds nothing" would hide a coverage failure).
+    text = Path(PI).read_text(encoding="utf-8")
+    premise = "premise x1 -> (boutA(a,b), y1) ;\n  fresh b # x2 ;"
+    conclusion = "conclusion new([b]x) -> (boutA(a,b), y) ;"
+    without_bout_order = "\n".join(
+        line for line in text.splitlines() if not (line.startswith("order") and "@ boutA" in line)
+    )
+    for spec, old, message in (
+        (text, premise, "rule ParResL: premise 1: binding position 2 of boutA is not an atom: ((a b))*a"),
+        (without_bout_order, conclusion, "rule Open: conclusion: binding position 2 of boutA is not an atom: ((a b))*a"),
+    ):
+        assert spec.count(old) == 1
+        path = tmp_path / "bad.spec"
+        path.write_text(spec.replace(old, old.replace("boutA(a,b)", "boutA(a,((a b))*a)")), encoding="utf-8")
+        code, out = run(capsys, "check", str(path))
+        assert code == 1
+        assert out == (
+            f"well-formedness: fail\n  spec: fail [validation] -- {message}\n0/1 checks passed\n"
+        )
+        assert main(["derive", str(path), "out(a, b, null)"]) == 2
+        assert message in capsys.readouterr().err

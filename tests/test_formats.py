@@ -3,6 +3,7 @@ decrease, and residual alpha-conversion."""
 
 import dataclasses
 import gc
+import hashlib
 from collections import Counter
 
 from nomsos import (
@@ -17,7 +18,9 @@ from nomsos import (
     parse_spec,
     parse_term_str,
 )
-from nomsos.formats import describe, label_instances
+from nomsos.atoms import Atom, AtomSort, BaseSort
+from nomsos.formats import _Bind, _sym_match, case_matches, describe, label_instances
+from nomsos.terms import Abs, App, Atm, MetaAtom, Susp, Tup, Var, Variable
 
 
 def test_corpus_passes_all_checks(pi_spec):
@@ -323,3 +326,198 @@ def test_defined_order_lists_instances_after_a_failing_one():
             for name in (r.name for r in spec.rules)
         ]
     )
+
+
+_OUT_RULE = "rule Out forall a b :\n  conclusion out(a,b,x) -> (outA(a,b), x) ;"
+_OPEN_RULE = (
+    "rule Open forall a b :\n  premise x -> (outA(a,b), y) ;\n  fresh b # a ;\n"
+    "  conclusion new([b]x) -> (boutA(a,b), y) ;"
+)
+_REP_RULE = "rule Rep :\n  premise x -> (l, y) ;\n  conclusion rep(x)"
+_OUT_ORDER = "order out(a,b,x) @ outA(a,b) = 0 ;"
+_OPEN_ORDER = "order new([b]x) @ boutA(a,b) = 1 + max(S(x, outA(a,b))) ;"
+_PAR_BOUT = "order par(x1,x2) @ boutA(a,b) ="
+_PAR_OUT = "order par(x1,x2) @ outA(a,b) = 1 + max(S(x1, outA(a,b)), S(x2, outA(a,b))) ;"
+_REP_ORDER = "order rep(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;"
+_REP_PAR = "order rep(par(x1,x2)) @ outA(a,b) = 1 + max(S(x1, outA(a,b))) ;\n" + _REP_ORDER
+
+# (corpus spec, its edits as (old, new) pairs, a line the report must hold):
+# each reaches a path of the case matcher or the ACR check that the corpus
+# alone does not.
+_PINNED_EDITS = [
+    ("pi.spec", [], "stratification: pass"),
+    ("pi-rep.spec", [], "Rep: fail [decrease]"),
+    ("pi-broken.spec", [], "ParResL: fail [(iii)]"),
+    # `when b = d` on one rule atom: still guaranteed
+    (
+        "pi.spec",
+        [(_OPEN_ORDER, "order new([b]x) @ boutA(a,d) when b = d = 1 + max(S(x, outA(a,b))) ;")],
+        "Open: pass",
+    ),
+    # `when a = b` on two rule atoms the env leaves apart: not guaranteed
+    ("pi.spec", [(_PAR_BOUT, _PAR_BOUT.replace(" =", " when a = b ="))], "ParResL: fail [coverage]"),
+    # `when a = b` on two rule atoms `fresh b # a` forces apart: no match
+    (
+        "pi.spec",
+        [(_OPEN_ORDER, "order new([b]x) @ boutA(a,b) when a = b = 1 + max(S(x, outA(a,b))) ;")],
+        "Open: skipped -- no defined-order instance",
+    ),
+    # `when a != b` on two rule atoms the env leaves apart: not guaranteed
+    ("pi.spec", [(_PAR_BOUT, _PAR_BOUT.replace(" =", " when a != b ="))], "ParResR: fail [coverage]"),
+    # a repeated case variable against two rule variables
+    (
+        "pi.spec",
+        [(_PAR_OUT, "order par(x1,x1) @ outA(a,b) = 1 + max(S(x1, outA(a,b))) ;")],
+        "ParL: skipped -- no defined-order instance",
+    ),
+    # a case structure against a rule variable: the unknown line
+    ("pi.spec", [(_REP_ORDER, _REP_PAR)], "Rep: unknown [decrease]"),
+    ("pi-rep.spec", [(_REP_ORDER, _REP_PAR)], "Rep: fail [decrease]"),
+    # a case structure against a delayed permutation in a rule source
+    (
+        "pi.spec",
+        [
+            (_REP_RULE, "rule Rep forall a b :\n  premise x -> (l, y) ;\n  conclusion rep(((a b))*x)"),
+            (_REP_ORDER, _REP_PAR),
+        ],
+        "Rep: fail [(ii)]",
+    ),
+    # a case schematic atom against a delayed permutation
+    (
+        "pi.spec",
+        [(_OUT_RULE, "rule Out forall a b c :\n  conclusion out(a,((a c))*b,x) -> (outA(a,b), x) ;")],
+        "Out: unknown [decrease]",
+    ),
+    # a case binder against a rule variable of abstraction sort
+    (
+        "pi.spec",
+        [("var l : ac ;", "var l : ac ;\nvar w : [ch]pr ;\nrule NewV forall a b :\n  conclusion new(w) -> (outA(a,b), null) ;")],
+        "NewV: unknown [decrease]",
+    ),
+    # a delayed permutation in a case pattern
+    (
+        "pi.spec",
+        [(_REP_ORDER, "order rep(((a b))*x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;\n" + _REP_ORDER)],
+        "Rep: unknown [decrease]",
+    ),
+    # `when a != b` on two concrete atoms: guaranteed
+    (
+        "pi.spec",
+        [
+            (
+                _OPEN_RULE,
+                "rule Open :\n  premise x -> (outA(c,d), y) ;\n  fresh d # c ;\n"
+                "  conclusion new([d]x) -> (boutA(c,d), y) ;",
+            ),
+            (_OPEN_ORDER, _OPEN_ORDER.replace(" =", " when a != b =", 1)),
+        ],
+        "Open: pass",
+    ),
+    # a case identifying two concrete atoms: no match
+    (
+        "pi.spec",
+        [
+            (_OUT_RULE, "rule Out :\n  conclusion out(c,d,x) -> (outA(c,d), x) ;"),
+            (_OUT_ORDER, "order out(a,a,x) @ outA(a,a) = 0 ;"),
+        ],
+        "Out: skipped -- no defined-order instance",
+    ),
+    # an action constructor with a non-atom argument: `_v` names
+    (
+        "pi.spec",
+        [
+            ("func boutA : ch * ch -> ac ;", "func boutA : ch * ch -> ac ;\nfunc stepA : pr * ch -> ac ;"),
+            (_REP_ORDER, _REP_ORDER + "\norder rep(x) @ stepA(y,a) = 1 + max(S(x, stepA(null,a))) ;"),
+        ],
+        "Rep: fail [decrease] -- Rep@stepA: premise x -> ... @ stepA(_v1, _b2) has no matching recursive call",
+    ),
+    # ACR (ii): no closed term of the sort of a variable only the source has
+    (
+        "pi.spec",
+        [
+            ("basesort pr ac ;", "basesort pr ac void ;"),
+            (
+                "var l : ac ;",
+                "var l : ac ;\nvar z : void ;\nfunc hold : void * pr -> pr ;\nfunc mk : void -> void ;\n"
+                "rule Hold :\n  premise x -> (l, y) ;\n  conclusion hold(z, x) -> (l, y) ;\n"
+                "order hold(z, x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;",
+            ),
+        ],
+        "Hold: fail [(ii)] -- Hold@outA: no closed term inhabits the sort of z",
+    ),
+    # ACR (ii): a failure witness
+    (
+        "pi.spec",
+        [(_OUT_RULE, "rule Out forall a b c :\n  fresh c # x ;\n  conclusion out(a,b,x) -> (outA(a,b), null) ;")],
+        "Out: fail [(ii)] -- Out@outA with atoms {a} {b} {c}, candidate d: ",
+    ),
+]
+
+# SHA-256 of the `check_all` texts of the edits above, one line per report.
+_PINNED_DIGEST = "85cc85bef49922eec683e67f1670d47addd0e60b787b490ea8a9ba4d91679ee3"
+
+
+def test_check_reports_of_pi_edits_are_pinned():
+    texts = []
+    for name, edits, line in _PINNED_EDITS:
+        text = corpus_path(name).read_text(encoding="utf-8")
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        report = "\n".join(r.text() for r in check_all(parse_spec(text)))
+        assert line in report, (edits, report)
+        texts.append(report)
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == _PINNED_DIGEST
+
+
+def test_case_shapes_the_parser_cannot_write():
+    # Concrete atoms and binders, and tuples of other arities, in a case
+    # pattern: built by hand and matched directly.
+    ch = AtomSort("ch")
+    a, b = Atom(ch, 0), Atom(ch, 1)
+    m = MetaAtom("m", ch)
+    v = Var(Variable("v", BaseSort("pr")))
+    susp = Susp(((a, b),), v)
+    body = App("null", Tup(()))
+    cases = [
+        (Atm(a), Atm(a), None),
+        (Atm(a), body, None),
+        (Atm(a), v, None),
+        (Abs(a, v), Abs(a, body), None),
+        (Abs(a, v), Abs(m, body), None),
+        (Abs(a, v), v, None),
+        (Abs(a, v), susp, None),
+        (Abs(a, v), body, False),
+        (Abs(m, v), Abs(b, body), True),
+        (Abs(m, v), Atm(a), False),
+        (Atm(m), body, False),
+        (Atm(m), Tup(()), False),
+        (Atm(m), v, None),
+        (Atm(m), susp, None),
+        (Tup((v, v)), Tup((body,)), False),
+        (Tup((v,)), v, None),
+        (Tup((v,)), susp, None),
+        (Tup((v,)), body, False),
+        (Tup((Atm(m), Atm(m))), Tup((Atm(a), Atm(b))), True),
+        (App("f", v), App("g", v), False),
+        (App("f", v), Tup(()), False),
+        (App("f", v), susp, None),
+        (App("f", Tup((v, v))), App("f", Tup((body, body))), True),
+        (App("f", Tup((v, v))), App("f", Tup((body, v))), False),
+        (susp, body, None),
+        (susp, susp, None),
+    ]
+    for case, rule, want in cases:
+        assert _sym_match(case, rule, _Bind()) is want, (case, rule)
+    bind = _Bind()
+    assert _sym_match(Tup((Atm(m), Abs(m, v))), Tup((Atm(a), Abs(b, body))), bind)
+    assert (bind.metas, bind.identifications, bind.vars) == ({"m": a}, [(a, b)], {v.var: body})
+
+
+def test_constraint_on_an_unbound_case_atom_is_unknown(pi_spec):
+    # Validation rejects a constraint on an atom the case does not write;
+    # the matcher, called directly, reports it as unknown.
+    case = dataclasses.replace(pi_spec.strat[0], constraints=(("a", "zz", True),))
+    spec = dataclasses.replace(pi_spec, strat=(case,))
+    assert case_matches(spec, spec.rule("Out")) == ([], True)
