@@ -16,17 +16,18 @@ those, so `check_acr(spec, defined)` reads them instead of matching again.
 Matching a case against a label instance has one "unknown" rule: a case
 shape other than a variable against a rule variable or delayed permutation,
 and a concrete atom, binder or delayed permutation in the case, fall outside
-the sufficient conditions. A match leaves pairs of rule atoms that must be
-equal or must differ, decided by one rule: one atom twice is equal and never
-distinct; two atoms are equal in some valid instance unless the rule's
-freshness environment forces them apart, and distinct in every one only
-when it does."""
+the sufficient conditions. So, in both checks, does a label instance with
+a premise residual that is not a (label, target) pair. A match leaves
+pairs of rule atoms that must be equal or must differ, decided by one rule:
+one atom twice is equal and never distinct; two atoms are equal in some
+valid instance unless the rule's freshness environment forces them apart,
+and distinct in every one only when it does."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .atoms import (
     AbsSort,
@@ -41,7 +42,7 @@ from .atoms import (
     fresh_atoms,
     prod_parts,
 )
-from .freshness import Assertion, entails, nf
+from .freshness import Assertion, entails_reduced, is_consistent_reduced, nf, reduce, reduce_all
 from .printer import _atomlike_str, atom_str, env_str, term_str
 from .spec import Rule, Spec, StratCase, bn_eval, validate_spec
 from .terms import (
@@ -57,6 +58,8 @@ from .terms import (
     Variable,
     app,
     instantiate,
+    meta_atoms,
+    resolve,
     subst_apply,
     support,
     term_vars,
@@ -139,7 +142,8 @@ def check_equivariant(spec: Spec) -> CheckReport:
 
 
 def _residual(t: RawTerm) -> tuple[RawTerm, RawTerm]:
-    """The (label, target) of a residual of a label instance."""
+    """The (label, target) of the conclusion residual of a label instance,
+    a pair by `label_instances`."""
     pair = Spec.split_residual(t)
     if pair is None:
         raise ValueError(f"residual is not a (label, target) pair: {term_str(t)}")
@@ -153,10 +157,16 @@ def describe(inst: Rule) -> str:
     return f"{inst.name}@{head}"
 
 
-def _premise_parts(inst: Rule) -> Iterator[tuple[RawTerm, RawTerm, RawTerm]]:
-    """(source, label, target) per premise, the target the whole residual."""
+def _premise_parts(inst: Rule) -> Optional[list[tuple[RawTerm, RawTerm, RawTerm]]]:
+    """(source, label, target) per premise, the target the whole residual;
+    None when a premise residual is not a (label, target) pair."""
+    parts = []
     for p in inst.premises:
-        yield p.source, _residual(p.target)[0], p.target
+        pair = Spec.split_residual(p.target)
+        if pair is None:
+            return None
+        parts.append((p.source, pair[0], p.target))
+    return parts
 
 
 def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
@@ -278,13 +288,14 @@ def _assignment(
     return asg
 
 
-def _forced_distinct(inst: Rule, x: AtomLike, y: AtomLike) -> bool:
+def _forced_distinct(inst: Rule, literals: frozenset[Atom], x: AtomLike, y: AtomLike) -> bool:
     """True when identifying two schematic atoms makes the rule's freshness
-    environment inconsistent, so no valid instance identifies them."""
+    environment inconsistent, so no valid instance identifies them.
+    `literals` are the rule's concrete atoms, `inst.atoms()`."""
     if not isinstance(x, MetaAtom) or not isinstance(y, MetaAtom):
         return isinstance(x, Atom) and isinstance(y, Atom) and x != y
     blocks = [[m] for m in set(inst.metas) - {x, y}] + [[x, y]]
-    return not nf(inst.instance(_assignment(blocks, inst.atoms())).env).is_consistent
+    return not nf(inst.instance(_assignment(blocks, literals)).env).is_consistent
 
 
 @dataclass(frozen=True)
@@ -302,6 +313,7 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
     out = []
     saw_unknown = False
     label = _residual(inst.conclusion.target)[0]
+    literals: Optional[frozenset[Atom]] = None  # inst.atoms(), read once if needed
     for case in spec.strat:
         bind = _Bind()
         res = _sym_match(case.label, label, bind)
@@ -322,7 +334,9 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
                 if must_equal:
                     continue
                 break
-            distinct = _forced_distinct(inst, x, y)
+            if literals is None:
+                literals = inst.atoms()
+            distinct = _forced_distinct(inst, literals, x, y)
             if must_equal and distinct:
                 break
             # two atoms the env does not force apart may be equal or not, so
@@ -335,6 +349,10 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
 
 # --- stratification ------------------------------------------------------------
 
+# The witness of an unknown verdict: a case shape the matcher cannot decide,
+# or a premise residual that is not a (label, target) pair.
+_OUTSIDE = "rule shape outside the syntactic sufficient conditions"
+
 
 def check_stratification(spec: Spec) -> CheckReport:
     checks = []
@@ -344,14 +362,13 @@ def check_stratification(spec: Spec) -> CheckReport:
         unknown = False
         for inst in label_instances(spec, rule):
             matches, saw_unknown = case_matches(spec, inst)
-            unknown = unknown or saw_unknown
+            unknown = unknown or saw_unknown or _premise_parts(inst) is None
             if matches:
                 defined.append(inst)
             if failure is None:
                 failure = _strat_failure(spec, inst, matches)
         if failure is None and unknown:
-            witness = "rule shape outside the syntactic sufficient conditions"
-            failure = RuleCheck(rule.name, "unknown", "decrease", witness)
+            failure = RuleCheck(rule.name, "unknown", "decrease", _OUTSIDE)
         checks.append(failure or RuleCheck(rule.name, "pass"))
     notes = ("defined order: " + (", ".join(map(describe, defined)) or "none"),)
     return CheckReport("stratification", tuple(checks), notes, tuple(defined))
@@ -378,9 +395,9 @@ def _strat_failure(spec: Spec, inst: Rule, matches: list[CaseMatch]) -> Optional
 def _check_decrease(inst: Rule, matches: list[CaseMatch]) -> Optional[str]:
     """Every premise source must be a variable covered by a recursive call of
     each matching case, with the premise label equal to the call's label."""
-    if not inst.premises:
-        return None
-    parts = list(_premise_parts(inst))
+    parts = _premise_parts(inst)
+    if not inst.premises or parts is None:
+        return None  # nothing to decrease, or an unknown shape
     for cm in matches:
         if cm.case.base is not None:
             return (
@@ -490,6 +507,15 @@ def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
 
 
 def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
+    """Constraints (i)-(iii) on one label instance, for each partition of
+    its schematic atoms. The partition's env is reduced once, and each
+    assertion about a candidate atom once; an obligation is then a union
+    and an inclusion of reduced sets. A partition whose env is inconsistent
+    is skipped: every left side holds the env, so (i)-(iii) hold there."""
+    prem = _premise_parts(inst)
+    if prem is None:
+        return RuleCheck(inst.name, "unknown", "", f"{describe(inst)}: {_OUTSIDE}")
+
     # D-variables: source variables that occur nowhere else in the rule
     d_vars = term_vars(inst.conclusion.source).difference(
         *(term_vars(t) for p in inst.premises for t in (p.source, p.target)),
@@ -517,43 +543,58 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
         gamma[v] = t
         taken |= support(t)
 
+    # Collected once: the source's atoms and schematic atoms, whose images
+    # under a partition's assignment are the atoms of the instance's source,
+    # and the concrete atoms of the rule's formulas, which with the images
+    # of all schematic atoms are the atoms of the instance's formulas.
+    source_atoms = support(inst.conclusion.source) | meta_atoms(inst.conclusion.source)
+    fixed = frozenset().union(
+        *(support(f.source) | support(f.target) for f in (inst.conclusion, *inst.premises))
+    )
+    fresh = [
+        a
+        for s in sorted(spec.signature.atom_sorts, key=lambda s: s.name)
+        for a in fresh_atoms(s, taken, 1)
+    ]
+
     metas = sorted(set(inst.metas), key=lambda m: m.name)
     for partition in _partitions(metas):
         asg = _assignment(partition, literals)
         r = inst.instance(asg)
+        env = reduce_all(r.env)
+        if not is_consistent_reduced(env):
+            continue  # every left side below holds the env: (i)-(iii) hold
         source = r.conclusion.source
         target_pair = r.conclusion.target
-        env = frozenset(r.env)
-        prem = list(_premise_parts(r))
-
         gamma_source = subst_apply(gamma, source)
-        rule_atoms = set(asg.values()).union(
-            support(source), support(target_pair), *(support(s) | support(t) for s, _, t in prem)
-        )
-        excluded = {c for c in support(source) if not nf([Assertion(c, source)]).all}
-        candidates = sorted(rule_atoms - excluded)
-        for s in sorted(spec.signature.atom_sorts, key=lambda s: s.name):
-            candidates += fresh_atoms(s, taken, 1)
+        sources = [p.source for p in r.premises]
+        targets = [p.target for p in r.premises]
 
-        binders = bn_eval(spec, _residual(r.conclusion.target)[0])
+        source_support = (resolve(c, asg) for c in source_atoms)
+        excluded = {c for c in source_support if isinstance(c, Atom) and not reduce(c, source)}
+        candidates = sorted((set(asg.values()) | fixed) - excluded) + fresh
+
         for a in candidates:
-            lhs1 = frozenset({Assertion(a, target_pair)}) | env
-            rhs1 = frozenset(Assertion(a, t) for _, _, t in prem)
-            if not entails(lhs1, rhs1):
-                return _acr_fail(inst, "(i)", partition, a, lhs1, rhs1)
-            lhs2 = lhs1 | frozenset(Assertion(a, s) for s, _, _ in prem)
-            rhs2 = frozenset({Assertion(a, gamma_source)})
-            if not entails(lhs2, rhs2):
-                return _acr_fail(inst, "(ii)", partition, a, lhs2, rhs2)
-        for b in binders:
+            lhs1 = env | reduce(a, target_pair)
+            if not entails_reduced(lhs1, _reduce_each(a, targets)):
+                return _acr_fail(inst, "(i)", partition, a, r.env, [target_pair], targets)
+            lhs2 = lhs1 | _reduce_each(a, sources)
+            if not entails_reduced(lhs2, reduce(a, gamma_source)):
+                lhs = [target_pair, *sources]
+                return _acr_fail(inst, "(ii)", partition, a, r.env, lhs, [gamma_source])
+        for b in bn_eval(spec, _residual(target_pair)[0]):
             assert isinstance(b, Atom)
-            lhs3 = env | frozenset(
-                Assertion(b, s) for s, l, _ in prem if b in bn_eval(spec, l)
-            )
-            rhs3 = frozenset({Assertion(b, gamma_source)})
-            if not entails(lhs3, rhs3):
-                return _acr_fail(inst, "(iii)", partition, b, lhs3, rhs3)
+            # the sources of the premises whose label, in r, binds b
+            bound = [
+                s for s, (_, l, _) in zip(sources, prem) if b in bn_eval(spec, instantiate(l, asg))
+            ]
+            if not entails_reduced(env | _reduce_each(b, bound), reduce(b, gamma_source)):
+                return _acr_fail(inst, "(iii)", partition, b, r.env, bound, [gamma_source])
     return None
+
+
+def _reduce_each(a: Atom, terms: Iterable[RawTerm]) -> frozenset[Assertion]:
+    return frozenset().union(*(reduce(a, t) for t in terms))
 
 
 def _acr_fail(
@@ -561,9 +602,14 @@ def _acr_fail(
     constraint: str,
     partition: list[list[MetaAtom]],
     atom: Atom,
-    lhs: frozenset[Assertion],
-    rhs: frozenset[Assertion],
+    env: Iterable[Assertion],
+    lhs: Iterable[RawTerm],
+    rhs: Iterable[RawTerm],
 ) -> RuleCheck:
+    """The failure of a constraint, its witness the entailment as written:
+    env with atom # t for t in lhs does not entail atom # t for t in rhs."""
+    left = frozenset(env) | {Assertion(atom, t) for t in lhs}
+    right = frozenset(Assertion(atom, t) for t in rhs)
     ident = " ".join(
         "{" + ",".join(m.name for m in block) + "}" for block in partition
     )
@@ -572,7 +618,7 @@ def _acr_fail(
         "fail",
         constraint,
         f"{describe(inst)} with atoms {ident}, candidate {atom_str(atom)}: "
-        f"{env_str(lhs)} does not entail {env_str(rhs)}",
+        f"{env_str(left)} does not entail {env_str(right)}",
     )
 
 

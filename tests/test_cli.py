@@ -253,3 +253,38 @@ def test_delayed_permutation_at_a_binding_position_is_ill_formed(capsys, tmp_pat
         )
         assert main(["derive", str(path), "out(a, b, null)"]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_premise_residual_that_is_not_a_pair_is_reported(capsys, tmp_path):
+    # Outside NTS mode the engine takes a premise residual `y` that is not a
+    # (label, target) pair; `check` reports the rule as unknown (exit 1)
+    # instead of stopping with an error, and `derive` still runs.
+    path = tmp_path / "unsplit.spec"
+    path.write_text(
+        """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort pr * ch ;
+func null : 1 -> pr ;
+func foo : pr -> pr ;
+var x : pr ;
+var y : pr * ch ;
+rule R forall a :
+  premise x -> y ;
+  conclusion foo(x) -> (null, a) ;
+order foo(x) @ null = 1 + max(S(x, null)) ;
+""",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "check", str(path))
+    assert code == 1
+    assert out.splitlines()[-6:] == [
+        "stratification: fail",
+        "  R: unknown [decrease] -- rule shape outside the syntactic sufficient conditions",
+        "  note: defined order: R@null",
+        "residual alpha-conversion format: fail",
+        "  R: unknown -- R@null: rule shape outside the syntactic sufficient conditions",
+        "2/4 checks passed",
+    ]
+    assert main(["derive", str(path), "foo(null)"]) == 0

@@ -18,9 +18,32 @@ from nomsos import (
     parse_spec,
     parse_term_str,
 )
-from nomsos.atoms import Atom, AtomSort, BaseSort
-from nomsos.formats import _Bind, _sym_match, case_matches, describe, label_instances
-from nomsos.terms import Abs, App, Atm, MetaAtom, Susp, Tup, Var, Variable
+from nomsos.atoms import Atom, AtomSort, BaseSort, fresh_atoms
+from nomsos.formats import (
+    RuleCheck,
+    _Bind,
+    _check_acr_instance,
+    _sym_match,
+    case_matches,
+    describe,
+    label_instances,
+)
+from nomsos.freshness import Assertion, entails, nf
+from nomsos.printer import atom_str, env_str
+from nomsos.spec import bn_eval
+from nomsos.terms import (
+    Abs,
+    App,
+    Atm,
+    MetaAtom,
+    Susp,
+    Tup,
+    Var,
+    Variable,
+    subst_apply,
+    support,
+    term_vars,
+)
 
 
 def test_corpus_passes_all_checks(pi_spec):
@@ -521,3 +544,159 @@ def test_constraint_on_an_unbound_case_atom_is_unknown(pi_spec):
     case = dataclasses.replace(pi_spec.strat[0], constraints=(("a", "zz", True),))
     spec = dataclasses.replace(pi_spec, strat=(case,))
     assert case_matches(spec, spec.rule("Out")) == ([], True)
+
+
+def _pinned_texts():
+    for name, edits, _ in _PINNED_EDITS:
+        text = corpus_path(name).read_text(encoding="utf-8")
+        for old, new in edits:
+            text = text.replace(old, new)
+        yield text
+
+
+def _reference_acr_instance(spec, inst):
+    """Constraints (i)-(iii) decided as the checker first did: one `entails`
+    call on unreduced environments per obligation and candidate atom, on
+    every partition, its env included each time."""
+    prem = formats._premise_parts(inst)
+    label, target = spec.split_residual(inst.conclusion.target)
+    d_vars = term_vars(inst.conclusion.source).difference(
+        *(term_vars(t) for s, _, t2 in prem for t in (s, t2)),
+        term_vars(target),
+        *(term_vars(a.term) for a in inst.env),
+    )
+    literals = inst.atoms()
+    taken = set(literals)
+    for sort in {m.sort for m in inst.metas}:
+        taken |= set(fresh_atoms(sort, literals, len(inst.metas)))
+    gamma = {}
+    for v in sorted(d_vars, key=lambda v: v.name):
+        t = formats._smallest_closed(spec.signature, v.sort, taken)
+        if t is None:
+            witness = f"{describe(inst)}: no closed term inhabits the sort of {v.name}"
+            return RuleCheck(inst.name, "fail", "(ii)", witness)
+        gamma[v] = t
+        taken |= support(t)
+
+    metas = sorted(set(inst.metas), key=lambda m: m.name)
+    for partition in formats._partitions(metas):
+
+        def fail(constraint, atom, lhs, rhs):
+            ident = " ".join("{" + ",".join(m.name for m in b) + "}" for b in partition)
+            return RuleCheck(
+                inst.name,
+                "fail",
+                constraint,
+                f"{describe(inst)} with atoms {ident}, candidate {atom_str(atom)}: "
+                f"{env_str(lhs)} does not entail {env_str(rhs)}",
+            )
+
+        asg = formats._assignment(partition, literals)
+        r = inst.instance(asg)
+        source, target_pair, env = r.conclusion.source, r.conclusion.target, frozenset(r.env)
+        prem = formats._premise_parts(r)
+        gamma_source = subst_apply(gamma, source)
+        rule_atoms = set(asg.values()).union(
+            support(source), support(target_pair), *(support(s) | support(t) for s, _, t in prem)
+        )
+        excluded = {c for c in support(source) if not nf([Assertion(c, source)]).all}
+        candidates = sorted(rule_atoms - excluded)
+        for sort in sorted(spec.signature.atom_sorts, key=lambda s: s.name):
+            candidates += fresh_atoms(sort, taken, 1)
+        for a in candidates:
+            lhs1 = frozenset({Assertion(a, target_pair)}) | env
+            rhs1 = frozenset(Assertion(a, t) for _, _, t in prem)
+            if not entails(lhs1, rhs1):
+                return fail("(i)", a, lhs1, rhs1)
+            lhs2 = lhs1 | frozenset(Assertion(a, s) for s, _, _ in prem)
+            rhs2 = frozenset({Assertion(a, gamma_source)})
+            if not entails(lhs2, rhs2):
+                return fail("(ii)", a, lhs2, rhs2)
+        for b in bn_eval(spec, spec.split_residual(target_pair)[0]):
+            lhs3 = env | frozenset(Assertion(b, s) for s, l, _ in prem if b in bn_eval(spec, l))
+            rhs3 = frozenset({Assertion(b, gamma_source)})
+            if not entails(lhs3, rhs3):
+                return fail("(iii)", b, lhs3, rhs3)
+    return None
+
+
+# R's env is inconsistent on the partition {a,b} {c}, and R fails (i) only on
+# a later one, {b} {a,c}, where a is bound in the conclusion target; S fails
+# (i) on its one partition.
+_SKIPPED_PARTITION = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func out : ch * ch * pr -> pr ;
+func par : pr * pr -> pr ;
+func new : [ch]pr -> pr ;
+func foo : pr -> pr ;
+func bar : pr -> pr ;
+func outA : ch * ch -> ac ;
+var x : pr ;
+var y : pr ;
+var l : ac ;
+rule R forall a b c :
+  premise x -> (outA(a, a), y) ;
+  fresh a # b ;
+  conclusion foo(x) -> (outA(b, b), par(new([c]out(a, a, null)), y)) ;
+rule S forall a :
+  premise x -> (l, y) ;
+  conclusion bar(x) -> (outA(a, a), null) ;
+order foo(x) @ outA(a, b) = 1 + max(S(x, outA(a, b))) ;
+order bar(x) @ outA(a, b) = 1 + max(S(x, outA(a, b))) ;
+"""
+
+
+def test_acr_decision_agrees_with_entailment_oracle():
+    # On every defined instance of the corpus, the pinned edits and a rule
+    # with a partition whose env is inconsistent, deciding (i)-(iii) on
+    # sets reduced once gives the same verdict and witness as an `entails`
+    # call per obligation.
+    specs = [parse_spec(text) for text in _pinned_texts()]
+    specs.append(parse_spec(_SKIPPED_PARTITION))
+    verdicts = Counter()
+    for spec in specs:
+        for inst in check_stratification(spec).defined:
+            got = _check_acr_instance(spec, inst)
+            assert got == _reference_acr_instance(spec, inst), describe(inst)
+            verdicts[(got.status, got.constraint) if got else "pass"] += 1
+    assert verdicts.keys() == {"pass", ("fail", "(i)"), ("fail", "(ii)"), ("fail", "(iii)")}
+
+    # R's partition {a,b} {c} is skipped, and the partitions after it are
+    # still decided
+    spec = specs[-1]
+    inst = next(i for i in check_stratification(spec).defined if i.name == "R")
+    a, b, c = sorted(inst.metas)
+    identified = inst.instance(formats._assignment([[a, b], [c]], inst.atoms()))
+    assert not nf(identified.env).is_consistent
+    assert _check_acr_instance(spec, inst).witness.startswith("R@outA with atoms {b} {a,c}, ")
+
+
+def test_premise_residual_that_is_not_a_pair_is_unknown():
+    # Outside NTS mode a premise residual may be a variable: the decrease of
+    # stratification and the ACR constraints of such an instance are unknown,
+    # and validation, which the engine shares, accepts it.
+    spec = parse_spec(
+        """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort pr * ch ;
+func null : 1 -> pr ;
+func foo : pr -> pr ;
+var x : pr ;
+var y : pr * ch ;
+rule R forall a :
+  premise x -> y ;
+  conclusion foo(x) -> (null, a) ;
+order foo(x) @ null = 1 + max(S(x, null)) ;
+"""
+    )
+    _, _, strat, acr = check_all(spec)
+    assert strat.checks[0].status == "unknown" and strat.defined
+    assert acr.checks == (
+        RuleCheck("R", "unknown", "", "R@null: rule shape outside the syntactic sufficient conditions"),
+    )

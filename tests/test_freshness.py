@@ -3,6 +3,8 @@ of the rewrite system under random reduction orders, and entailment."""
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from nomsos import (
     Abs,
     App,
@@ -20,6 +22,7 @@ from nomsos import (
     tautology,
 )
 from nomsos.alpha import nt_fresh
+from nomsos.freshness import entails_reduced, reduce, reduce_all
 from nomsos.terms import subst_apply
 
 from conftest import PR, atoms, random_term
@@ -156,3 +159,36 @@ def test_nf_sound_and_complete_under_ground_valuations(pi_spec):
             assert nt_fresh(a, subst_apply(val, phi)) == expected, (a, phi, val)
             open_checks += any(isinstance(r.term, Var) for r in reduced)
     assert open_checks > 500
+
+
+# --- reduce is the unit ----------------------------------------------------------
+
+
+def _random_env(rng, spec):
+    return [
+        Assertion(
+            rng.choice(atoms(3)),
+            random_term(rng, spec, depth=3, susp=True, variables=[X, Y]),
+        )
+        for _ in range(rng.randrange(0, 4))
+    ]
+
+
+def _reduced(env):
+    return frozenset().union(*(reduce(x.atom, x.term) for x in env))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_nf_is_the_union_of_reduce_and_entails_compares_unions(pi_spec, rng):
+    # Small random terms with delayed permutations and abstractions. The
+    # right side is a random environment, or a part of the left one, so the
+    # inclusion is often true and often false.
+    left = _random_env(rng, pi_spec)
+    right = _random_env(rng, pi_spec) if rng.random() < 0.5 else rng.sample(left, len(left) // 2)
+    left_set, right_set = _reduced(left), _reduced(right)
+    assert nf(left).all == left_set == reduce_all(left) and nf(right).all == right_set
+    inconsistent = any(isinstance(r.term, Atm) for r in left_set)
+    assert nf(left).is_consistent is not inconsistent
+    decision = inconsistent or right_set <= left_set
+    assert entails(left, right) == decision == entails_reduced(left_set, right_set)
