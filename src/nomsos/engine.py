@@ -21,6 +21,18 @@ instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit.
 
+Each rule's plan is worked out once per spec. A subgoal is matched only
+against the rules whose conclusion source has its head constructor or is
+not an application, in rule order (first-argument indexing), so it finds
+the same matches in the same order. Matching binds every schematic atom it
+meets, so by the time a rule's conclusion is reached the atoms of its
+conclusion source and of each premise's source and target are fixed, and so
+is every variable. Per match, each freshness term built from these alone is
+normalised once, with its free atoms; an assertion whose atom is fixed too
+is decided then, and a failure rejects the match before any pending atom is
+bound. Only a term that mentions a pending atom is normalised per
+candidate; every other assertion is a set membership test.
+
 The table is keyed by orbit. A subgoal's candidate atoms, per sort the
 sorted free and extra atoms and then the fresh ones, are renamed in order
 to atoms 0, 1, 2, ...; the search solves that representative once and
@@ -56,6 +68,8 @@ from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec, validate_spec
 from .terms import (
+    App,
+    AtomLike,
     MetaAtom,
     RawTerm,
     Variable,
@@ -134,36 +148,82 @@ class _PremisePlan:
 
 
 @dataclass(frozen=True)
+class _FreshnessPlan:
+    """A freshness assertion of a rule, and whether its term and its atom
+    are fixed when the search reaches the conclusion."""
+
+    atom: AtomLike
+    term: RawTerm
+    term_fixed: bool
+    atom_fixed: bool
+
+
+@dataclass(frozen=True)
 class _RulePlan:
     """What the search needs of a rule beyond the rule itself, worked out
     once: the schematic atoms each premise source and the conclusion still
-    have to bind, sorted by name."""
+    have to bind, sorted by name, and the split of its freshness
+    assertions. Matching binds every schematic atom it meets, so those of
+    the conclusion source and of each premise's source and target are fixed
+    by the time the conclusion is reached."""
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
+    env: tuple[_FreshnessPlan, ...]
     pending: tuple[MetaAtom, ...]
 
     @staticmethod
     def of(rule: Rule) -> "_RulePlan":
-        pending = set(meta_atoms(rule.conclusion.target))
+        fixed = meta_atoms(rule.conclusion.source).union(
+            *(meta_atoms(p.source) | meta_atoms(p.target) for p in rule.premises)
+        )
+        pending = meta_atoms(rule.conclusion.target) - fixed
+        env = []
         for ra in rule.env:
-            pending |= meta_atoms(ra.term)
-            if isinstance(ra.atom, MetaAtom):
-                pending.add(ra.atom)
+            term_metas = meta_atoms(ra.term)
+            atom_fixed = not isinstance(ra.atom, MetaAtom) or ra.atom in fixed
+            pending |= term_metas - fixed
+            if not atom_fixed:
+                pending |= {ra.atom}
+            env.append(_FreshnessPlan(ra.atom, ra.term, term_metas <= fixed, atom_fixed))
         return _RulePlan(
             rule=rule,
             premises=tuple(_PremisePlan(p, _by_name(meta_atoms(p.source))) for p in rule.premises),
+            env=tuple(env),
             pending=_by_name(pending),
         )
 
 
+def _head(plan: _RulePlan) -> Optional[str]:
+    source = plan.rule.conclusion.source
+    return source.func if isinstance(source, App) else None
+
+
+def _head_index(
+    plans: tuple[_RulePlan, ...]
+) -> tuple[dict[str, tuple[_RulePlan, ...]], tuple[_RulePlan, ...]]:
+    """For each head constructor of a conclusion source, the plans whose
+    conclusion source has that head or is not an application, in rule
+    order; and the latter alone, for a state of any other head. Only these
+    can match a state, so matching against them alone finds the same
+    matches in the same order (first-argument indexing)."""
+    by_head = {
+        f: tuple(p for p in plans if _head(p) in (None, f))
+        for f in map(_head, plans)
+        if f is not None
+    }
+    return by_head, tuple(p for p in plans if _head(p) is None)
+
+
 class _Plans(NamedTuple):
-    """What the search works out once per spec: the plan of each rule and
+    """What the search works out once per spec: the plans of the rules
+    indexed by the head of their conclusion source (see `_head_index`), and
     whether the rule set is equivariant. A rule with a concrete atom breaks
     equivariance: every key is then its own representative."""
 
     rules: tuple[Rule, ...]
-    plans: tuple[_RulePlan, ...]
+    by_head: dict[str, tuple[_RulePlan, ...]]
+    unheaded: tuple[_RulePlan, ...]
     equivariant: bool
 
 
@@ -180,7 +240,7 @@ def _plans(spec: Spec) -> _Plans:
             raise ValueError("ill-formed spec: " + "; ".join(report))
         kept = spec.search_plans = _Plans(
             spec.rules,
-            tuple(map(_RulePlan.of, spec.rules)),
+            *_head_index(tuple(map(_RulePlan.of, spec.rules))),
             not any(rule.atoms() for rule in spec.rules),
         )
     return kept
@@ -242,7 +302,7 @@ class _Record:
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
         self.budget = budget
-        _, self.plans, self.equivariant = _plans(spec)
+        _, self.by_head, self.unheaded, self.equivariant = _plans(spec)
         self.table: dict[tuple, _Entry] = {}
         self.records: dict[tuple, _Record] = {}
         self.truncated = False
@@ -315,9 +375,13 @@ class _Search:
             entry.reached = self.passes
             entry.settled = False
             joined, entry.joined = entry.joined, {}
-            for plan in self.plans:
+            state = entry.state
+            plans = self.unheaded
+            if isinstance(state, App):
+                plans = self.by_head.get(state.func, plans)
+            for plan in plans:
                 source = plan.rule.conclusion.source
-                for st in match_term(source, entry.state, MatchState(), entry.pool):
+                for st in match_term(source, state, MatchState(), entry.pool):
                     self._premises(plan, 0, st, (), entry, depth, joined)
             entry.settled = True
         return record.carried()
@@ -362,14 +426,30 @@ class _Search:
         rule = plan.rule
         if rule.excluded_label(st.subst) is not None:
             return
+        # Each fixed term, normalised once per match with its free atoms; an
+        # assertion whose atom is fixed too is decided here.
+        known: list[Optional[tuple[RawTerm, frozenset[Atom]]]] = []
+        for fp in plan.env:
+            if not fp.term_fixed:
+                known.append(None)
+                continue
+            t = normalize(fp.term, st.metas, st.subst)
+            free = _free_atoms(t)
+            if fp.atom_fixed and resolve(fp.atom, st.metas) in free:
+                return
+            known.append((t, free))
         residuals = entry.residuals
         for st1 in bind_metas(plan.pending, st, entry.pool):
             discharged = []
             ok = True
-            for ra in rule.env:
-                atom = resolve(ra.atom, st1.metas)
-                t = normalize(ra.term, st1.metas, st1.subst)
-                if atom in _free_atoms(t):
+            for fp, fixed in zip(plan.env, known):
+                atom = resolve(fp.atom, st1.metas)
+                if fixed is None:
+                    t = normalize(fp.term, st1.metas, st1.subst)
+                    free = _free_atoms(t)
+                else:
+                    t, free = fixed
+                if atom in free:
                     ok = False
                     break
                 discharged.append((atom, t))

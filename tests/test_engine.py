@@ -24,6 +24,7 @@ from nomsos import (
     corpus_path,
     enumerate_transitions,
     normalize,
+    nt_fresh,
     nt_support,
     parse_spec,
     parse_term_str,
@@ -35,8 +36,16 @@ from nomsos import (
     tree_text,
 )
 from nomsos import engine
-from nomsos.matching import AtomPool, MatchState, match_term
-from nomsos.terms import MetaAtom, Var, instantiate, subst_apply, term_vars
+from nomsos.matching import AtomPool, MatchState, bind_metas, match_term
+from nomsos.terms import (
+    MetaAtom,
+    Var,
+    instantiate,
+    meta_atoms,
+    resolve,
+    subst_apply,
+    term_vars,
+)
 
 from conftest import atoms, random_state, random_term
 
@@ -254,22 +263,149 @@ def test_rule_plans_are_built_once_per_spec(monkeypatch):
     spec = nomsos.load_corpus("pi.spec")
     built = Counter()
     of = engine._RulePlan.of
+    head_index = engine._head_index
 
     def counted(rule):
         built[rule.name] += 1
         return of(rule)
 
+    def counted_index(plans):
+        built["head index"] += 1
+        return head_index(plans)
+
     monkeypatch.setattr(engine._RulePlan, "of", staticmethod(counted))
+    monkeypatch.setattr(engine, "_head_index", counted_index)
     state = _t(spec, "par(out(a,b,null), in(a,[c]null))")
     enumerate_transitions(spec, state)
     assert prove(spec, state, _t(spec, "(outA(a,b), par(null, in(a,[c]null)))")).tree
-    once = Counter(rule.name for rule in spec.rules)
+    once = Counter(rule.name for rule in spec.rules) + Counter(["head index"])
     assert built == once
+    # The plans hold each rule's split of its freshness assertions: In's
+    # term [c]x is fixed by its source, its atom b only at the conclusion.
+    (in_plan,) = [p for p in engine._plans(spec).by_head["in"] if p.rule.name == "In"]
+    (fresh,) = in_plan.env
+    assert (fresh.term_fixed, fresh.atom_fixed) == (True, False)
+    assert [m.name for m in in_plan.pending] == ["b"]
     # Another spec, or the same spec given other rules, plans again.
     enumerate_transitions(nomsos.load_corpus("pi.spec"), state)
     spec.rules = spec.rules[:-1]
     enumerate_transitions(spec, state)
-    assert built == once + once + Counter(rule.name for rule in spec.rules)
+    fewer = Counter(rule.name for rule in spec.rules) + Counter(["head index"])
+    assert built == once + once + fewer
+
+
+def _source_matches(monkeypatch, spec, state):
+    """The calls of `match_term` on a rule's conclusion source, per subject,
+    and the matches each rule's source found, during a search from the
+    state."""
+    sources = {id(rule.conclusion.source): rule.name for rule in spec.rules}
+    calls, found = Counter(), Counter()
+    match = engine.match_term
+
+    def counted(pattern, subject, st, pool):
+        out = match(pattern, subject, st, pool)
+        name = sources.get(id(pattern))
+        if name is not None:
+            calls[term_str(subject)] += 1
+            found[name] += len(out)
+        return out
+
+    monkeypatch.setattr(engine, "match_term", counted)
+    enumerate_transitions(spec, _t(spec, state))
+    return calls, found
+
+
+def test_a_subgoal_is_matched_only_against_rules_of_its_head(pi_spec, monkeypatch):
+    # Six of the thirteen rules have a par source; null heads none.
+    calls, _ = _source_matches(monkeypatch, pi_spec, "par(null, null)")
+    assert len(pi_spec.rules) == 13
+    assert calls == Counter({"par(null, null)": 6})
+
+
+def test_a_fixed_freshness_term_is_normalised_once_per_match(pi_spec, monkeypatch):
+    # In's `fresh b # [c]x`: its term is fixed by the source, so it is
+    # normalised once per source match, not once per candidate for b.
+    (in_rule,) = [rule for rule in pi_spec.rules if rule.name == "In"]
+    (assertion,) = in_rule.env
+    normalised = Counter()
+    normalize_ = engine.normalize
+
+    def counted(t, *args):
+        normalised[t is assertion.term] += 1
+        return normalize_(t, *args)
+
+    monkeypatch.setattr(engine, "normalize", counted)
+    _, found = _source_matches(monkeypatch, pi_spec, "in(a,[c]out(c,a,null))")
+    candidates = 3  # the state's free atom a and two fresh atoms
+    assert found["In"] == 2
+    assert normalised[True] == found["In"] < found["In"] * candidates
+
+
+_EDGE_SPEC = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+
+func null : 1 -> pr ;
+func out : ch * pr -> pr ;
+func idle : ch -> ac ;
+func send : ch -> ac ;
+func echo : ch -> ac ;
+
+var x : pr ;
+
+// A bare variable as source: fires on a state of every head.
+rule Idle forall a :
+  fresh a # x ;
+  conclusion x -> (idle(a), x) ;
+
+// The term mentions b, which only the conclusion binds.
+rule Send forall a b :
+  fresh a # out(b, null) ;
+  conclusion out(a, x) -> (send(b), x) ;
+
+// The source fixes both a and x.
+rule Echo forall a b :
+  fresh a # x ;
+  conclusion out(a, x) -> (echo(b), x) ;
+"""
+
+
+def test_head_index_and_freshness_split_on_edge_cases():
+    spec = parse_spec(_EDGE_SPEC)
+    expected = {
+        # No rule has head null: only the bare variable fires.
+        "null": [
+            "(idle(a), null) [Idle] a # null",
+            "(idle(b), null) [Idle] b # null",
+        ],
+        "out(a, null)": [
+            "(echo(a), null) [Echo] a # null",
+            "(echo(b), null) [Echo] a # null",
+            "(echo(c), null) [Echo] a # null",
+            "(idle(b), out(a, null)) [Idle] b # out(a, null)",
+            "(idle(c), out(a, null)) [Idle] c # out(a, null)",
+            "(send(b), null) [Send] a # out(b, null)",
+            "(send(c), null) [Send] a # out(c, null)",
+        ],
+        # Echo's a # out(a, null) fails for every b: Echo adds nothing.
+        "out(a, out(a, null))": [
+            "(idle(b), out(a, out(a, null))) [Idle] b # out(a, out(a, null))",
+            "(idle(c), out(a, out(a, null))) [Idle] c # out(a, out(a, null))",
+            "(send(b), out(a, null)) [Send] a # out(b, null)",
+            "(send(c), out(a, null)) [Send] a # out(c, null)",
+        ],
+    }
+    for state, rows in expected.items():
+        enum = enumerate_transitions(spec, _t(spec, state))
+        assert not enum.truncated
+        got = []
+        for d in enum.derivations:
+            assert replay(spec, d.tree) == []
+            tree = tree_dict(d.tree)
+            got.append(f"{tree['residual']} [{tree['rule']}] " + "; ".join(tree["freshness"]))
+        assert got == rows, state
 
 
 def _random_par(rng: random.Random, spec, width: int):
@@ -602,6 +738,86 @@ def test_orbit_keys_agree_with_literal_keys_on_a_cyclic_rule(monkeypatch):
     for lit, orb in zip(literal, orbit):
         assert lit.truncated
         _assert_enumerations_agree(spec, lit, orb)
+
+
+def _reference_conclude(self, plan, st, children, entry):
+    """`_Search._conclude` that binds every schematic atom of the conclusion
+    target and the freshness assertions left unbound, and then evaluates
+    every assertion from scratch, once per candidate."""
+    rule = plan.rule
+    if rule.excluded_label(st.subst) is not None:
+        return
+    pending = set(meta_atoms(rule.conclusion.target))
+    for ra in rule.env:
+        pending |= meta_atoms(ra.term)
+        if isinstance(ra.atom, MetaAtom):
+            pending.add(ra.atom)
+    for st1 in bind_metas(sorted(pending, key=lambda m: m.name), st, entry.pool):
+        discharged = []
+        for ra in rule.env:
+            atom = resolve(ra.atom, st1.metas)
+            t = normalize(ra.term, st1.metas, st1.subst)
+            if not nt_fresh(atom, t):
+                break
+            discharged.append((atom, t))
+        else:
+            residual = normalize(rule.conclusion.target, st1.metas, st1.subst)
+            if residual not in entry.residuals:
+                entry.residuals[residual] = engine.ProofTree(
+                    rule_name=rule.name,
+                    atoms=tuple(sorted(st1.metas.items())),
+                    subst=tuple(sorted(st1.subst.items(), key=lambda kv: kv[0].name)),
+                    transition=engine.Transition(entry.state, residual),
+                    children=children,
+                    discharged=tuple(discharged),
+                )
+                self.changed = True
+
+
+def _reference_and_indexed(monkeypatch, call):
+    """The results of `call` with a reference search, which tries every
+    rule on every subgoal and decides every freshness assertion once per
+    candidate, and with the engine's search."""
+    init = engine._Search.__init__
+
+    def every_rule(self, spec, budget):
+        init(self, spec, budget)
+        self.by_head, self.unheaded = {}, tuple(map(engine._RulePlan.of, spec.rules))
+
+    with monkeypatch.context() as m:
+        m.setattr(engine._Search, "__init__", every_rule)
+        m.setattr(engine._Search, "_conclude", _reference_conclude)
+        reference = call()
+    return reference, call()
+
+
+def test_head_index_and_fixed_freshness_agree_with_the_oracle(pi_spec, monkeypatch):
+    # The head index and the freshness split change no derivation, tree,
+    # discharged pair or truncation: results are equal, binders included.
+    rng = random.Random(2026)
+    states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
+    claims = [
+        (_t(pi_spec, src), _t(pi_spec, tgt))
+        for a, b in (("a", "b"), ("h", "c"))
+        for _, src, tgt in _claims(a, b)
+    ]
+    rep = nomsos.load_corpus("pi-rep.spec")
+    cyclic = [
+        _t(rep, "rep(out(a,b,null))"),
+        _t(rep, "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"),
+    ]
+
+    def run():
+        return (
+            [enumerate_transitions(pi_spec, s) for s in states],
+            [prove(pi_spec, src, tgt) for src, tgt in claims],
+            [enumerate_transitions(rep, s, Budget(depth=20)) for s in cyclic],
+        )
+
+    reference, indexed = _reference_and_indexed(monkeypatch, run)
+    for ref, new in zip(reference, indexed):
+        assert new == ref
+    assert sum(o.tree is not None for o in indexed[1]) == 24
 
 
 def _table_size(spec, state: str) -> tuple[int, int]:
