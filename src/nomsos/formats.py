@@ -18,16 +18,16 @@ shape other than a variable against a rule variable or delayed permutation,
 and a concrete atom, binder or delayed permutation in the case, fall outside
 the sufficient conditions. So, in both checks, does a label instance with
 a premise residual that is not a (label, target) pair. A match leaves
-pairs of rule atoms that must be equal or must differ, decided by one rule:
-one atom twice is equal and never distinct; two atoms are equal in some
-valid instance unless the rule's freshness environment forces them apart,
-and distinct in every one only when it does."""
+pairs of rule atoms that must be equal or must differ. One atom twice is
+equal; two schematic atoms are distinct in every valid instance when no
+partition that `_consistent_partitions` yields, the ones the ACR check
+decides, identifies them; other pairs are distinct iff both are concrete."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .atoms import (
     AbsSort,
@@ -42,7 +42,7 @@ from .atoms import (
     fresh_atoms,
     prod_parts,
 )
-from .freshness import Assertion, entails_reduced, is_consistent_reduced, nf, reduce, reduce_all
+from .freshness import Assertion, entails_reduced, is_consistent_reduced, reduce, reduce_all
 from .printer import _atomlike_str, atom_str, env_str, term_str
 from .spec import Rule, Spec, StratCase, bn_eval, validate_spec
 from .terms import (
@@ -288,14 +288,34 @@ def _assignment(
     return asg
 
 
-def _forced_distinct(inst: Rule, literals: frozenset[Atom], x: AtomLike, y: AtomLike) -> bool:
-    """True when identifying two schematic atoms makes the rule's freshness
-    environment inconsistent, so no valid instance identifies them.
-    `literals` are the rule's concrete atoms, `inst.atoms()`."""
-    if not isinstance(x, MetaAtom) or not isinstance(y, MetaAtom):
-        return isinstance(x, Atom) and isinstance(y, Atom) and x != y
-    blocks = [[m] for m in set(inst.metas) - {x, y}] + [[x, y]]
-    return not nf(inst.instance(_assignment(blocks, literals)).env).is_consistent
+def _partitions(metas: list[MetaAtom]) -> list[list[list[MetaAtom]]]:
+    """All partitions whose blocks are sort-homogeneous (schematic atoms can
+    only be identified within a sort)."""
+    if not metas:
+        return [[]]
+    first, rest = metas[0], metas[1:]
+    out = []
+    for part in _partitions(rest):
+        out.append([[first]] + part)
+        for i, block in enumerate(part):
+            if block[0].sort == first.sort:
+                out.append(part[:i] + [[first] + block] + part[i + 1 :])
+    return out
+
+
+def _consistent_partitions(
+    inst: Rule,
+) -> Iterator[tuple[list[list[MetaAtom]], dict[str, Atom], frozenset[Assertion]]]:
+    """In `_partitions` order, each partition of a label instance's schematic
+    atoms whose freshness environment, under its `_assignment`, is consistent,
+    with that assignment and environment reduced. Each is judged on its own
+    env: one identifying a pair may be inconsistent while a coarser one is not."""
+    literals = inst.atoms()
+    for partition in _partitions(sorted(set(inst.metas), key=lambda m: m.name)):
+        asg = _assignment(partition, literals)
+        env = reduce_all(Assertion(resolve(a.atom, asg), instantiate(a.term, asg)) for a in inst.env)
+        if is_consistent_reduced(env):
+            yield partition, asg, env
 
 
 @dataclass(frozen=True)
@@ -313,7 +333,7 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
     out = []
     saw_unknown = False
     label = _residual(inst.conclusion.target)[0]
-    literals: Optional[frozenset[Atom]] = None  # inst.atoms(), read once if needed
+    asgs: Optional[list[dict[str, Atom]]] = None  # of `_consistent_partitions`, once
     for case in spec.strat:
         bind = _Bind()
         res = _sym_match(case.label, label, bind)
@@ -334,13 +354,16 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
                 if must_equal:
                     continue
                 break
-            if literals is None:
-                literals = inst.atoms()
-            distinct = _forced_distinct(inst, literals, x, y)
+            if isinstance(x, MetaAtom) and isinstance(y, MetaAtom):
+                if asgs is None:
+                    asgs = [asg for _, asg, _ in _consistent_partitions(inst)]
+                distinct = all(asg[x.name] != asg[y.name] for asg in asgs)
+            else:  # two concrete atoms differ; a schematic one may be either
+                distinct = isinstance(x, Atom) and isinstance(y, Atom)
             if must_equal and distinct:
                 break
-            # two atoms the env does not force apart may be equal or not, so
-            # neither constraint holds in every valid instance
+            # two atoms that some valid instance identifies may be equal or
+            # not, so neither constraint holds in every valid instance
             guaranteed = guaranteed and distinct
         else:
             out.append(CaseMatch(case, guaranteed, bind))
@@ -475,21 +498,6 @@ def _closed(
     return None
 
 
-def _partitions(metas: list[MetaAtom]) -> list[list[list[MetaAtom]]]:
-    """All partitions whose blocks are sort-homogeneous (schematic atoms can
-    only be identified within a sort)."""
-    if not metas:
-        return [[]]
-    first, rest = metas[0], metas[1:]
-    out = []
-    for part in _partitions(rest):
-        out.append([[first]] + part)
-        for i, block in enumerate(part):
-            if block[0].sort == first.sort:
-                out.append(part[:i] + [[first] + block] + part[i + 1 :])
-    return out
-
-
 def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
     """Constraints (i)-(iii) on each label instance of `defined`, the
     instances on which `check_stratification(spec)` defines the order."""
@@ -507,13 +515,11 @@ def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
 
 
 def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
-    """Constraints (i)-(iii) on one label instance, for each partition of
-    its schematic atoms. The partition's env is reduced once, and each
-    assertion about a candidate atom once; an obligation is then a union
-    and an inclusion of reduced sets. A partition whose env is inconsistent
-    is skipped: every left side holds the env, so (i)-(iii) hold there."""
-    prem = _premise_parts(inst)
-    if prem is None:
+    """Constraints (i)-(iii) on one label instance, for each partition of its
+    schematic atoms whose env, reduced once, is consistent; on the others every
+    left side holds the env, so (i)-(iii) hold. Each assertion about a candidate
+    atom is reduced once; an obligation is a union and an inclusion of them."""
+    if _premise_parts(inst) is None:
         return RuleCheck(inst.name, "unknown", "", f"{describe(inst)}: {_OUTSIDE}")
 
     # D-variables: source variables that occur nowhere else in the rule
@@ -557,18 +563,14 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
         for a in fresh_atoms(s, taken, 1)
     ]
 
-    metas = sorted(set(inst.metas), key=lambda m: m.name)
-    for partition in _partitions(metas):
-        asg = _assignment(partition, literals)
+    for partition, asg, env in _consistent_partitions(inst):
         r = inst.instance(asg)
-        env = reduce_all(r.env)
-        if not is_consistent_reduced(env):
-            continue  # every left side below holds the env: (i)-(iii) hold
-        source = r.conclusion.source
-        target_pair = r.conclusion.target
+        parts = _premise_parts(r)
+        assert parts is not None  # as for inst: instantiating keeps each pair
+        source, target_pair = r.conclusion.source, r.conclusion.target
         gamma_source = subst_apply(gamma, source)
-        sources = [p.source for p in r.premises]
-        targets = [p.target for p in r.premises]
+        sources = [s for s, _, _ in parts]
+        targets = [t for _, _, t in parts]
 
         source_support = (resolve(c, asg) for c in source_atoms)
         excluded = {c for c in source_support if isinstance(c, Atom) and not reduce(c, source)}
@@ -585,9 +587,7 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
         for b in bn_eval(spec, _residual(target_pair)[0]):
             assert isinstance(b, Atom)
             # the sources of the premises whose label, in r, binds b
-            bound = [
-                s for s, (_, l, _) in zip(sources, prem) if b in bn_eval(spec, instantiate(l, asg))
-            ]
+            bound = [s for s, l, _ in parts if b in bn_eval(spec, l)]
             if not entails_reduced(env | _reduce_each(b, bound), reduce(b, gamma_source)):
                 return _acr_fail(inst, "(iii)", partition, b, r.env, bound, [gamma_source])
     return None

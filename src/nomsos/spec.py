@@ -276,8 +276,8 @@ def _label_positions_ground(spec: Spec, formula: Formula) -> list[str]:
 
 
 def _binding_positions(spec: Spec, formula: Formula) -> list[str]:
-    """The binding positions of a constructor-headed label must hold an atom
-    or a schematic atom: those are the binding names `bn_eval` reads."""
+    """The binding positions of a constructor-headed label, in NTS mode or not,
+    must hold an atom or a schematic atom: the format checks read them."""
     pair = spec.split_residual(formula.target)
     label = pair[0] if pair else None
     if not isinstance(label, App) or label.func not in spec.bn:
@@ -321,7 +321,7 @@ def validate_spec(spec: Spec) -> list[str]:
                 report.append(f"{prefix}: {what}: {e}")
             if spec.nts_mode:
                 report.extend(f"{prefix}: {e}" for e in _label_positions_ground(spec, formula))
-                report.extend(f"{prefix}: {what}: {e}" for e in _binding_positions(spec, formula))
+            report.extend(f"{prefix}: {what}: {e}" for e in _binding_positions(spec, formula))
         for assertion in rule.env:
             try:
                 sort_check(sig, assertion.term)

@@ -255,6 +255,34 @@ def test_delayed_permutation_at_a_binding_position_is_ill_formed(capsys, tmp_pat
         assert message in capsys.readouterr().err
 
 
+def test_binding_position_outside_nts_mode_is_ill_formed(capsys, tmp_path):
+    # With residual sort ac * ch the spec is not in NTS mode, yet the format
+    # checks read the binding names of every pair-shaped label: a variable at
+    # a binding position is a well-formedness failure (exit 1), not an error.
+    path = tmp_path / "bn.spec"
+    path.write_text(
+        """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * ch ;
+func foo : ch -> pr ;
+func boutA : ch * ch -> ac ;
+var n : ch ;
+bn boutA = { 2 } ;
+rule R forall a :
+  conclusion foo(n) -> (boutA(a, n), a) ;
+""",
+        encoding="utf-8",
+    )
+    code, out = run(capsys, "check", str(path))
+    assert code == 1
+    assert out == (
+        "well-formedness: fail\n  spec: fail [validation] -- rule R: conclusion: "
+        "binding position 2 of boutA is not an atom: n\n0/1 checks passed\n"
+    )
+
+
 def test_premise_residual_that_is_not_a_pair_is_reported(capsys, tmp_path):
     # Outside NTS mode the engine takes a premise residual `y` that is not a
     # (label, target) pair; `check` reports the rule as unknown (exit 1)

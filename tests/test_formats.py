@@ -4,6 +4,8 @@ decrease, and residual alpha-conversion."""
 import dataclasses
 import gc
 import hashlib
+import itertools
+import random
 from collections import Counter
 
 from nomsos import (
@@ -17,6 +19,10 @@ from nomsos import (
     load_corpus,
     parse_spec,
     parse_term_str,
+    strat_eval,
+    transition_str,
+    tree_text,
+    validate_spec,
 )
 from nomsos.atoms import Atom, AtomSort, BaseSort, fresh_atoms
 from nomsos.formats import (
@@ -700,3 +706,193 @@ order foo(x) @ null = 1 + max(S(x, null)) ;
     assert acr.checks == (
         RuleCheck("R", "unknown", "", "R@null: rule shape outside the syntactic sufficient conditions"),
     )
+
+
+# R's env, `a # [c]b`, is inconsistent on the partition {a,b} {c} but holds on
+# {a,b,c}: there a # [a]a, so a valid instance identifies a and b, and the
+# case, which needs them apart, is not guaranteed to match.
+_PAIR_TRAP = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func out : ch * ch * pr -> pr ;
+func boutA : ch * ch -> ac ;
+var x : pr ;
+bn boutA = { 2 } ;
+rule R forall a b c :
+  fresh a # [c]b ;
+  conclusion out(a,b,x) -> (boutA(a,b), x) ;
+order out(a,b,x) @ boutA(a,b) when a != b = 0 ;
+"""
+
+
+def test_coverage_reads_every_consistent_partition():
+    spec = parse_spec(_PAIR_TRAP)
+    assert check_stratification(spec).checks == (
+        RuleCheck(
+            "R",
+            "fail",
+            "coverage",
+            "R@boutA: the conclusion label binds b but no stratification case is guaranteed to match",
+        ),
+    )
+    # the instance the case misses: the engine fires R on it, and the order
+    # is undefined there
+    [d] = enumerate_transitions(spec, parse_term_str(spec, "out(a, a, null)")).derivations
+    assert transition_str(d.transition) == "out(a, a, null) -> (boutA(a, a), null)"
+    label, _ = spec.split_residual(d.transition.residual)
+    assert strat_eval(spec, d.transition.state, label) is None
+
+
+def _reference_case_matches(spec, inst):
+    """The cases `case_matches` finds, with their `guaranteed` flags, each
+    pair of schematic atoms decided by brute force: over every map of the
+    instance's schematic atoms to its first n atoms outside the rule's
+    concrete atoms, n the number of schematic atoms, that leaves the env
+    consistent. Two schematic atoms are distinct when no such map identifies
+    them; two concrete atoms when they differ; a mixed pair never."""
+    metas = sorted(set(inst.metas), key=lambda m: m.name)
+    pools = [fresh_atoms(m.sort, inst.atoms(), len(metas)) for m in metas]
+    valid = None
+
+    def distinct(x, y):
+        nonlocal valid
+        if not (isinstance(x, MetaAtom) and isinstance(y, MetaAtom)):
+            return isinstance(x, Atom) and isinstance(y, Atom) and x != y
+        if valid is None:
+            maps = (dict(zip((m.name for m in metas), images)) for images in itertools.product(*pools))
+            valid = [asg for asg in maps if nf(inst.instance(asg).env).is_consistent]
+        return all(asg[x.name] != asg[y.name] for asg in valid)
+
+    label, _ = spec.split_residual(inst.conclusion.target)
+    out = []
+    for case in spec.strat:
+        bind = _Bind()
+        if not (_sym_match(case.label, label, bind) and _sym_match(case.head, inst.conclusion.source, bind)):
+            continue
+        pairs = [(x, y, True) for x, y in bind.identifications] + [
+            (bind.metas.get(m1), bind.metas.get(m2), eq) for m1, m2, eq in case.constraints
+        ]
+        if any(x is None or y is None for x, y, _ in pairs):
+            continue
+        if any(x == y and not eq for x, y, eq in pairs):
+            continue
+        if any(x != y and eq and distinct(x, y) for x, y, eq in pairs):
+            continue
+        out.append((case, all(distinct(x, y) for x, y, _ in pairs if x != y)))
+    return out
+
+
+_RANDOM_PAIR_SIGNATURE = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func emit : ch * ch * ch * ch * pr -> pr ;
+func boutA : ch * ch -> ac ;
+var x : pr ;
+bn boutA = { 2 } ;
+"""
+
+
+def _random_pair_spec(rng):
+    """One rule over 3 or 4 schematic atoms, with 1-3 freshness conditions
+    on terms built from atoms, abstractions and tuples, and 1-3 order cases
+    that identify atoms by repeating a case atom or constrain them by
+    `when`."""
+    metas = "abcd"[: rng.choice((3, 4))]
+
+    def term(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            return rng.choice(metas)
+        if r < 0.7:
+            return f"[{rng.choice(metas)}]{term(depth - 1)}"
+        return "(" + ", ".join(term(depth - 1) for _ in range(rng.choice((2, 3)))) + ")"
+
+    fresh = "".join(f"  fresh {rng.choice(metas)} # {term(3)} ;\n" for _ in range(rng.randint(1, 3)))
+    args = [rng.choice(metas) for _ in range(4)]
+    lines = [
+        f"rule R forall {' '.join(metas)} :\n{fresh}"
+        f"  conclusion emit({', '.join(args)}, x) -> (boutA({args[0]}, {args[1]}), x) ;"
+    ]
+    for _ in range(rng.randint(1, 3)):
+        head = [rng.choice("pqrs") for _ in range(4)]
+        used = sorted(set(head))
+        when = []
+        if len(used) > 1:
+            for _ in range(rng.randint(0, 2)):
+                u, v = rng.sample(used, 2)
+                when.append(f"{u} {rng.choice(('=', '!='))} {v}")
+        guard = " when " + ", ".join(when) if when else ""
+        lines.append(f"order emit({', '.join(head)}, x) @ boutA({head[0]}, {head[1]}){guard} = 0 ;")
+    return _RANDOM_PAIR_SIGNATURE + "\n".join(lines)
+
+
+def test_pair_decision_agrees_with_partition_oracle():
+    # On every label instance of the corpus, the pinned edits, R and seeded
+    # one-rule specs, the cases `case_matches` finds and their guarantees
+    # are those of the pair rule decided over every consistent map.
+    rng = random.Random(5)
+    texts = [*_pinned_texts(), _PAIR_TRAP] + [_random_pair_spec(rng) for _ in range(50)]
+    flags = Counter()
+    for text in texts:
+        spec = parse_spec(text)
+        assert not validate_spec(spec), text
+        for rule in spec.rules:
+            for inst in label_instances(spec, rule):
+                got = [(m.case, m.guaranteed) for m in case_matches(spec, inst)[0]]
+                assert got == _reference_case_matches(spec, inst), (describe(inst), text)
+                flags.update(g for _, g in got)
+    assert flags[True] and flags[False]
+
+
+def _exporting_state(rng, depth):
+    """A pi process over a, b and c, biased to export a bound name:
+    `new([b]out(a, b, ...))` is one of its six shapes."""
+    if depth == 0:
+        return "null"
+    x, y = rng.sample("abc", 2) if rng.random() < 0.7 else rng.choice("abc") * 2
+    shapes = (
+        lambda: f"out({x}, {y}, {_exporting_state(rng, depth - 1)})",
+        lambda: f"new([{y}]{_exporting_state(rng, depth - 1)})",
+        lambda: f"new([{y}]out({x}, {y}, {_exporting_state(rng, depth - 1)}))",
+        lambda: f"par({_exporting_state(rng, depth - 1)}, {_exporting_state(rng, depth - 1)})",
+        lambda: f"sum({_exporting_state(rng, depth - 1)}, {_exporting_state(rng, depth - 1)})",
+        lambda: f"in({x}, [{y}]{_exporting_state(rng, depth - 1)})",
+    )
+    return rng.choice(shapes)()
+
+
+def test_stratification_promise_holds_on_derived_trees(pi_spec, pi_broken_spec):
+    # Stratification promises an order that is defined on every transition
+    # whose label binds a name and that decreases from a node to its
+    # premises. Both specs pass it; every derived tree must keep the promise.
+    for spec in (pi_spec, pi_broken_spec):
+        assert check_stratification(spec).passed
+        rng = random.Random(1)
+
+        def order(tree):
+            label, _ = spec.split_residual(tree.transition.residual)
+            return strat_eval(spec, tree.transition.state, label), bn_eval(spec, label)
+
+        trees = []
+        for _ in range(60):
+            state = parse_term_str(spec, _exporting_state(rng, 4))
+            trees += [d.tree for d in enumerate_transitions(spec, state).derivations]
+        binding = 0
+        while trees:
+            tree = trees.pop()
+            value, bound = order(tree)
+            if bound:
+                binding += 1
+                assert value is not None, tree_text(tree)
+            for child in tree.children:
+                child_value, _ = order(child)
+                if value is not None and child_value is not None:
+                    assert child_value < value, tree_text(tree)
+                trees.append(child)
+        assert binding >= 50
