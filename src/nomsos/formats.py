@@ -18,10 +18,12 @@ shape other than a variable against a rule variable or delayed permutation,
 and a concrete atom, binder or delayed permutation in the case, fall outside
 the sufficient conditions. So, in both checks, does a label instance with
 a premise residual that is not a (label, target) pair. A match leaves
-pairs of rule atoms that must be equal or must differ. One atom twice is
-equal; two schematic atoms are distinct in every valid instance when no
-partition that `_consistent_partitions` yields, the ones the ACR check
-decides, identifies them; other pairs are distinct iff both are concrete."""
+pairs of rule atoms that must be equal or must differ, decided together:
+the case matches when some partition that `_consistent_partitions` yields
+(the ones the ACR check decides; with none, the schematic atoms as
+written) satisfies every pair, and is guaranteed to when all do. A pair of
+a schematic and a concrete atom, which no partition identifies, is open:
+it can match but is never guaranteed."""
 
 from __future__ import annotations
 
@@ -345,28 +347,21 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
         pairs = [(x, y, True) for x, y in bind.identifications] + [
             (bind.metas.get(m1), bind.metas.get(m2), eq) for m1, m2, eq in case.constraints
         ]
-        guaranteed = True
-        for x, y, must_equal in pairs:
-            if x is None or y is None:
-                saw_unknown = True
-                break
-            if x == y:
-                if must_equal:
-                    continue
-                break
-            if isinstance(x, MetaAtom) and isinstance(y, MetaAtom):
-                if asgs is None:
-                    asgs = [asg for _, asg, _ in _consistent_partitions(inst)]
-                distinct = all(asg[x.name] != asg[y.name] for asg in asgs)
-            else:  # two concrete atoms differ; a schematic one may be either
-                distinct = isinstance(x, Atom) and isinstance(y, Atom)
-            if must_equal and distinct:
-                break
-            # two atoms that some valid instance identifies may be equal or
-            # not, so neither constraint holds in every valid instance
-            guaranteed = guaranteed and distinct
-        else:
-            out.append(CaseMatch(case, guaranteed, bind))
+        if any(x is None or y is None for x, y, _ in pairs):
+            saw_unknown = True
+            continue
+        # a schematic atom against a concrete one stays open: no partition
+        # identifies the two, though an instance may
+        decided = [p for p in pairs if isinstance(p[0], MetaAtom) == isinstance(p[1], MetaAtom)]
+        if asgs is None and any(isinstance(x, MetaAtom) and x != y for x, y, _ in decided):
+            asgs = [asg for _, asg, _ in _consistent_partitions(inst)]
+        # with no consistent partition, the schematic atoms as written
+        holds = [
+            all((resolve(x, asg) == resolve(y, asg)) == eq for x, y, eq in decided)
+            for asg in asgs or [{}]
+        ]
+        if any(holds):
+            out.append(CaseMatch(case, all(holds) and len(decided) == len(pairs), bind))
     return out, saw_unknown
 
 

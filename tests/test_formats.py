@@ -746,25 +746,74 @@ def test_coverage_reads_every_consistent_partition():
     assert strat_eval(spec, d.transition.state, label) is None
 
 
+_EMIT_HEADER = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+var x : pr ;
+"""
+
+
+def test_case_pairs_are_decided_jointly():
+    # Each pair alone can hold: a = b, and b = c. Together they need a = c,
+    # where the env reads a # a, so no valid instance matches the case, the
+    # order is defined nowhere and ACR constrains nothing.
+    spec = parse_spec(
+        _EMIT_HEADER
+        + """
+func emit : ch * ch * ch * pr -> pr ;
+func outA : ch * ch -> ac ;
+rule R forall a b c :
+  fresh a # c ;
+  conclusion emit(a, b, c, x) -> (outA(a, b), x) ;
+order emit(p, q, r, x) @ outA(p, q) when p = q, q = r = 0 ;
+"""
+    )
+    reports = check_all(spec)
+    assert all(r.passed for r in reports), [r.text() for r in reports]
+    assert reports[2].notes == ("defined order: none",)
+
+
+def test_mixed_pair_matches_but_is_never_guaranteed():
+    # No partition identifies the schematic a with the concrete e, but the
+    # engine does: R fires on emit(e, e, null). So `p != q` and `p = q` both
+    # match, and neither is guaranteed.
+    rule = """
+func emit : ch * ch * pr -> pr ;
+func outA : ch * ch -> ac ;
+rule R forall a :
+  conclusion emit(a, e, x) -> (outA(a, e), x) ;
+"""
+    for guard, order_at_ee in (("p != q", None), ("p = q", 0)):
+        spec = parse_spec(_EMIT_HEADER + rule + f"order emit(p, q, x) @ outA(p, q) when {guard} = 0 ;")
+        [inst] = label_instances(spec, spec.rules[0])
+        assert [(m.case, m.guaranteed) for m in case_matches(spec, inst)[0]] == [(spec.strat[0], False)]
+        [d] = enumerate_transitions(spec, parse_term_str(spec, "emit(e, e, null)")).derivations
+        assert transition_str(d.transition) == "emit(e, e, null) -> (outA(e, e), null)"
+        label, _ = spec.split_residual(d.transition.residual)
+        assert strat_eval(spec, d.transition.state, label) == order_at_ee
+
+
 def _reference_case_matches(spec, inst):
-    """The cases `case_matches` finds, with their `guaranteed` flags, each
-    pair of schematic atoms decided by brute force: over every map of the
+    """The cases `case_matches` finds, with their `guaranteed` flags, all
+    pairs of a case decided jointly by brute force: over every map of the
     instance's schematic atoms to its first n atoms outside the rule's
     concrete atoms, n the number of schematic atoms, that leaves the env
-    consistent. Two schematic atoms are distinct when no such map identifies
-    them; two concrete atoms when they differ; a mixed pair never."""
+    consistent, or, when none does, the map that keeps them all apart. A
+    case matches when some map satisfies every pair of two schematic or two
+    concrete atoms, and is guaranteed when every map does and no pair mixes
+    a schematic with a concrete atom."""
     metas = sorted(set(inst.metas), key=lambda m: m.name)
+    names = [m.name for m in metas]
     pools = [fresh_atoms(m.sort, inst.atoms(), len(metas)) for m in metas]
-    valid = None
+    maps = (dict(zip(names, images)) for images in itertools.product(*pools))
+    valid = [asg for asg in maps if nf(inst.instance(asg).env).is_consistent]
+    valid = valid or [dict(zip(names, (pool[i] for i, pool in enumerate(pools))))]
 
-    def distinct(x, y):
-        nonlocal valid
-        if not (isinstance(x, MetaAtom) and isinstance(y, MetaAtom)):
-            return isinstance(x, Atom) and isinstance(y, Atom) and x != y
-        if valid is None:
-            maps = (dict(zip((m.name for m in metas), images)) for images in itertools.product(*pools))
-            valid = [asg for asg in maps if nf(inst.instance(asg).env).is_consistent]
-        return all(asg[x.name] != asg[y.name] for asg in valid)
+    def image(x, asg):
+        return asg[x.name] if isinstance(x, MetaAtom) else x
 
     label, _ = spec.split_residual(inst.conclusion.target)
     out = []
@@ -777,25 +826,43 @@ def _reference_case_matches(spec, inst):
         ]
         if any(x is None or y is None for x, y, _ in pairs):
             continue
-        if any(x == y and not eq for x, y, eq in pairs):
-            continue
-        if any(x != y and eq and distinct(x, y) for x, y, eq in pairs):
-            continue
-        out.append((case, all(distinct(x, y) for x, y, _ in pairs if x != y)))
+        mixed = [isinstance(x, MetaAtom) != isinstance(y, MetaAtom) for x, y, _ in pairs]
+        holds = [
+            all((image(x, asg) == image(y, asg)) == eq for (x, y, eq), m in zip(pairs, mixed) if not m)
+            for asg in valid
+        ]
+        if any(holds):
+            out.append((case, all(holds) and not any(mixed)))
     return out
 
 
-_RANDOM_PAIR_SIGNATURE = """
-atomsort ch ;
-basesort pr ac ;
-statesort pr ;
-residualsort ac * pr ;
-func null : 1 -> pr ;
+_RANDOM_PAIR_SIGNATURE = (
+    _EMIT_HEADER
+    + """
 func emit : ch * ch * ch * ch * pr -> pr ;
 func boutA : ch * ch -> ac ;
-var x : pr ;
 bn boutA = { 2 } ;
 """
+)
+
+
+def test_identification_every_partition_makes_is_guaranteed():
+    # a # [c]a holds only when a = c, so every consistent partition
+    # identifies a and c, and the case, which needs them equal, is
+    # guaranteed to match.
+    spec = parse_spec(
+        _RANDOM_PAIR_SIGNATURE
+        + """
+rule R forall a b c :
+  fresh a # [c]a ;
+  conclusion emit(a, b, c, b, x) -> (boutA(b, a), x) ;
+order emit(p, q, p, q, x) @ boutA(q, p) = 0 ;
+"""
+    )
+    assert check_stratification(spec).checks == (RuleCheck("R", "pass"),)
+    [d] = enumerate_transitions(spec, parse_term_str(spec, "emit(a, b, a, b, null)")).derivations
+    assert transition_str(d.transition) == "emit(a, b, a, b, null) -> (boutA(b, a), null)"
+    assert not enumerate_transitions(spec, parse_term_str(spec, "emit(a, b, c, b, null)")).derivations
 
 
 def _random_pair_spec(rng):
@@ -835,7 +902,7 @@ def _random_pair_spec(rng):
 def test_pair_decision_agrees_with_partition_oracle():
     # On every label instance of the corpus, the pinned edits, R and seeded
     # one-rule specs, the cases `case_matches` finds and their guarantees
-    # are those of the pair rule decided over every consistent map.
+    # are those of all pairs decided jointly over every consistent map.
     rng = random.Random(5)
     texts = [*_pinned_texts(), _PAIR_TRAP] + [_random_pair_spec(rng) for _ in range(50)]
     flags = Counter()
@@ -896,3 +963,24 @@ def test_stratification_promise_holds_on_derived_trees(pi_spec, pi_broken_spec):
                     assert child_value < value, tree_text(tree)
                 trees.append(child)
         assert binding >= 50
+
+
+def test_stratification_promise_holds_on_seeded_specs():
+    # On 50 seeded one-rule specs that pass stratification, the order is
+    # defined on every transition whose label binds a name, over every emit
+    # state of a, b and c.
+    rng = random.Random(5)
+    passing = binding = 0
+    while passing < 50:
+        spec = parse_spec(_random_pair_spec(rng))
+        if not check_stratification(spec).passed:
+            continue
+        passing += 1
+        for args in itertools.product("abc", repeat=4):
+            state = parse_term_str(spec, f"emit({', '.join(args)}, null)")
+            for d in enumerate_transitions(spec, state).derivations:
+                label, _ = spec.split_residual(d.transition.residual)
+                if bn_eval(spec, label):
+                    binding += 1
+                    assert strat_eval(spec, d.transition.state, label) is not None, transition_str(d.transition)
+    assert binding >= 300
