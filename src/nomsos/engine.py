@@ -21,10 +21,12 @@ instantiations are drawn from the free atoms of the state plus a bounded
 number of fresh representatives per sort; by equivariance of the rule set,
 the fresh representatives stand for their whole orbit.
 
-Each rule's plan is worked out once per spec. A subgoal is matched only
-against the rules whose conclusion source has its head constructor or is
-not an application, in rule order (first-argument indexing), so it finds
-the same matches in the same order. Matching binds every schematic atom it
+Each rule's plan is worked out once per spec, with one rule index: a map
+from each head constructor of a conclusion source to the plans whose source
+has that head or is not an application, in rule order. Its `None` bucket
+holds the latter alone, for a subgoal of any other head. A subgoal is
+matched only against its bucket (first-argument indexing), so it finds the
+same matches in the same order. Matching binds every schematic atom it
 meets, so by the time a rule's conclusion is reached the atoms of its
 conclusion source and of each premise's source and target are fixed, and so
 is every variable. Per match, each freshness term built from these alone is
@@ -33,10 +35,13 @@ is decided then, and a failure rejects the match before any pending atom is
 bound. Only a term that mentions a pending atom is normalised per
 candidate; every other assertion is a set membership test.
 
-The table is keyed by orbit. A subgoal's candidate atoms, per sort the
-sorted free and extra atoms and then the fresh ones, are renamed in order
-to atoms 0, 1, 2, ...; the search solves that representative once and
-carries its residuals back to each subgoal of the orbit with the inverse
+The table is keyed by orbit, in one map from each subgoal reached to its
+record. A subgoal's candidate atoms, per sort the sorted free and extra
+atoms and then the fresh ones, are renamed in order to atoms 0, 1, 2, ...;
+a subgoal that this renaming leaves in place is a representative, whose
+record holds a new entry and views its residuals as they are. Any other
+subgoal's record shares the entry of its representative's record, which
+the search solves once, and carries its residuals back with the inverse
 permutation. Trees are carried back lazily, as a subtree and the permutation
 still to apply, and moved only when a derivation or a proof leaves the
 engine. When a rule has a concrete atom the relation need not be
@@ -194,25 +199,18 @@ class _RulePlan:
         )
 
 
-def _head(plan: _RulePlan) -> Optional[str]:
-    source = plan.rule.conclusion.source
-    return source.func if isinstance(source, App) else None
+def _head(term: RawTerm) -> Optional[str]:
+    return term.func if isinstance(term, App) else None
 
 
-def _head_index(
-    plans: tuple[_RulePlan, ...]
-) -> tuple[dict[str, tuple[_RulePlan, ...]], tuple[_RulePlan, ...]]:
+def _head_index(plans: tuple[_RulePlan, ...]) -> dict[Optional[str], tuple[_RulePlan, ...]]:
     """For each head constructor of a conclusion source, the plans whose
     conclusion source has that head or is not an application, in rule
-    order; and the latter alone, for a state of any other head. Only these
-    can match a state, so matching against them alone finds the same
-    matches in the same order (first-argument indexing)."""
-    by_head = {
-        f: tuple(p for p in plans if _head(p) in (None, f))
-        for f in map(_head, plans)
-        if f is not None
-    }
-    return by_head, tuple(p for p in plans if _head(p) is None)
+    order; under None, the latter alone, for a state of any other head.
+    Only these can match a state, so matching against them alone finds the
+    same matches in the same order (first-argument indexing)."""
+    heads = [_head(p.rule.conclusion.source) for p in plans]
+    return {f: tuple(p for p, g in zip(plans, heads) if g in (None, f)) for f in (None, *heads)}
 
 
 class _Plans(NamedTuple):
@@ -222,8 +220,7 @@ class _Plans(NamedTuple):
     equivariance: every key is then its own representative."""
 
     rules: tuple[Rule, ...]
-    by_head: dict[str, tuple[_RulePlan, ...]]
-    unheaded: tuple[_RulePlan, ...]
+    by_head: dict[Optional[str], tuple[_RulePlan, ...]]
     equivariant: bool
 
 
@@ -240,7 +237,7 @@ def _plans(spec: Spec) -> _Plans:
             raise ValueError("ill-formed spec: " + "; ".join(report))
         kept = spec.search_plans = _Plans(
             spec.rules,
-            *_head_index(tuple(map(_RulePlan.of, spec.rules))),
+            _head_index(tuple(map(_RulePlan.of, spec.rules))),
             not any(rule.atoms() for rule in spec.rules),
         )
     return kept
@@ -302,8 +299,7 @@ class _Record:
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
         self.budget = budget
-        _, self.by_head, self.unheaded, self.equivariant = _plans(spec)
-        self.table: dict[tuple, _Entry] = {}
+        _, self.by_head, self.equivariant = _plans(spec)
         self.records: dict[tuple, _Record] = {}
         self.truncated = False
         self.changed = False
@@ -323,44 +319,37 @@ class _Search:
         self.truncated = True
         return entry
 
-    def _canonical(self, atoms: frozenset[Atom]) -> Permutation:
-        """The permutation that maps, per sort, the pool's candidates for a
-        key with these free and extra atoms, in order, onto atoms 0, 1,
-        2, ...; the atoms it maps onto are sent back to the candidates it
-        frees, in order. The identity when a rule has a concrete atom."""
+    def _canonical(self, pool: AtomPool) -> dict[Atom, Atom]:
+        """The renaming that maps, per sort, the pool's candidates in order
+        onto atoms 0, 1, 2, ...; the atoms it maps onto are sent back to
+        the candidates it frees, in order, so it is a bijection. Empty when
+        a rule has a concrete atom."""
         moved = {}
         if self.equivariant:
-            pool = AtomPool(tuple(sorted(atoms)), self.budget.fresh)
-            for sort in {a.sort for a in atoms}:
+            for sort in {a.sort for a in pool.atoms}:
                 for i, c in enumerate(pool.candidates(sort)):
                     if c.index != i:
                         moved[c] = Atom(sort, i)
             images = set(moved.values())
             moved.update(zip(sorted(images - moved.keys()), sorted(moved.keys() - images)))
-        return Permutation.of(moved)
+        return moved
 
     def _record(self, state: RawTerm, extra: frozenset[Atom]) -> _Record:
-        """The record of a key, made when the key is first reached: the key
-        moved by `_canonical` is its representative, whose entry is made
-        then unless another key of the orbit made it."""
+        """The record of a key, made when the key is first reached. A key
+        that `_canonical` leaves in place is its own representative and
+        gets a new entry; any other key shares the entry of its
+        representative's record, carried back by the inverse renaming."""
         key = (state, extra)
         record = self.records.get(key)
-        if record is not None:
-            return record
-        atoms = _free_atoms(state) | extra
-        perm = self._canonical(atoms)
-        inverse = None
-        if not perm.is_identity:
-            image = perm.image
-            state = _rename(image, state)
-            extra = frozenset(image.get(a, a) for a in extra)
-            atoms = frozenset(image.get(a, a) for a in atoms)
-            inverse = perm.inverse()
-        entry = self.table.get((state, extra))
-        if entry is None:
-            pool = AtomPool(tuple(sorted(atoms)), self.budget.fresh)
-            entry = self.table[(state, extra)] = _Entry(state, extra, pool)
-        record = self.records[key] = _Record(entry, inverse)
+        if record is None:
+            pool = AtomPool(tuple(sorted(_free_atoms(state) | extra)), self.budget.fresh)
+            moved = self._canonical(pool)
+            if moved:
+                rep = self._record(_rename(moved, state), frozenset(moved.get(a, a) for a in extra))
+                record = _Record(rep.entry, Permutation({b: a for a, b in moved.items()}))
+            else:
+                record = _Record(_Entry(state, extra, pool), None)
+            self.records[key] = record
         return record
 
     def _solve(self, record: _Record, depth: int) -> dict[RawTerm, ProofTree | _Carried]:
@@ -375,13 +364,9 @@ class _Search:
             entry.reached = self.passes
             entry.settled = False
             joined, entry.joined = entry.joined, {}
-            state = entry.state
-            plans = self.unheaded
-            if isinstance(state, App):
-                plans = self.by_head.get(state.func, plans)
-            for plan in plans:
+            for plan in self.by_head.get(_head(entry.state), self.by_head[None]):
                 source = plan.rule.conclusion.source
-                for st in match_term(source, state, MatchState(), entry.pool):
+                for st in match_term(source, entry.state, MatchState(), entry.pool):
                     self._premises(plan, 0, st, (), entry, depth, joined)
             entry.settled = True
         return record.carried()

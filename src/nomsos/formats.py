@@ -174,7 +174,8 @@ def _premise_parts(inst: Rule) -> Optional[list[tuple[RawTerm, RawTerm, RawTerm]
 def _fresh_label_term(decl: FuncDecl, taken: set[str]) -> tuple[RawTerm, list[MetaAtom]]:
     """A most general pattern for one action constructor: fresh schematic
     atoms at atom positions, fresh variables elsewhere. Names `_b<i>` and
-    `_v<i>` share one counter and skip the names in `taken`."""
+    `_v<i>` share one counter and skip the names in `taken`: the rule's
+    schematic atoms and variables, so no variable of the rule is captured."""
     items: list[RawTerm] = []
     new_metas: list[MetaAtom] = []
     numbers = count(1)
@@ -203,7 +204,7 @@ def label_instances(spec: Spec, rule: Rule) -> list[Rule]:
     if not isinstance(label, Var) or not isinstance(action, BaseSort):
         return []
     excluded = rule.excluded_for(label.var)
-    taken = {m.name for m in rule.metas}
+    taken = {m.name for m in rule.metas} | {v.name for t in rule.terms() for v in term_vars(t)}
     out = []
     for decl in spec.signature.constructors_of(action.name):
         if decl.name in excluded:
@@ -441,48 +442,59 @@ def _check_decrease(inst: Rule, matches: list[CaseMatch]) -> Optional[str]:
 # --- residual alpha-conversion constraints --------------------------------------
 
 
-def _smallest_closed(sig: Signature, sort: NominalSort, avoid: set[Atom]) -> Optional[RawTerm]:
-    """Smallest ground term of a sort. Per atom sort, its free atoms are the
-    least atom not in `avoid` and its binders the next one, so the term is
-    fresh for everything a check puts in `avoid`."""
-    atoms = {alpha: fresh_atoms(alpha, avoid, 2) for alpha in sig.atom_sorts}
-    best: dict[str, tuple[int, RawTerm]] = {}
-    for _ in range(len(sig.functions) + 1):
-        changed = False
-        for f in sig.functions:
-            r = _closed(f.arg, atoms, best)
-            if r is None:
-                continue
-            size, term = 1 + r[0], App(f.name, r[1])
-            cur = best.get(f.result)
-            if cur is None or size < cur[0]:
-                best[f.result] = (size, term)
-                changed = True
-        if not changed:
-            break
-    r = _closed(sort, atoms, best)
-    return r[1] if r is not None else None
+class _ClosedTerms:
+    """The smallest ground term of each sort of a signature, worked out once
+    per check up to its atoms: a stored term has a schematic atom
+    (`_placeholder`) for the free atoms of each atom sort and another for
+    its binders."""
+
+    def __init__(self, sig: Signature):
+        self.atom_sorts = sig.atom_sorts
+        self.best: dict[str, tuple[int, RawTerm]] = {}
+        for _ in range(len(sig.functions) + 1):
+            changed = False
+            for f in sig.functions:
+                r = _closed(f.arg, self.best)
+                if r is not None and (f.result not in self.best or 1 + r[0] < self.best[f.result][0]):
+                    self.best[f.result] = (1 + r[0], App(f.name, r[1]))
+                    changed = True
+            if not changed:
+                break
+
+    def smallest(self, sort: NominalSort, avoid: set[Atom]) -> Optional[RawTerm]:
+        """Smallest ground term of a sort. Per atom sort, its free atoms are
+        the least atom not in `avoid` and its binders the next one, so the
+        term is fresh for everything a check puts in `avoid`."""
+        r = _closed(sort, self.best)
+        moved = {
+            _placeholder(alpha, i).name: a
+            for alpha in self.atom_sorts
+            for i, a in enumerate(fresh_atoms(alpha, avoid, 2))
+        }
+        return None if r is None else instantiate(r[1], moved)
 
 
-def _closed(
-    s: NominalSort,
-    atoms: dict[AtomSort, list[Atom]],
-    best: dict[str, tuple[int, RawTerm]],
-) -> Optional[tuple[int, RawTerm]]:
+def _placeholder(alpha: AtomSort, i: int) -> MetaAtom:
+    """The schematic atom a stored closed term has for its free atoms of
+    `alpha` (i = 0) or for its binders of `alpha` (i = 1)."""
+    return MetaAtom(f"{('free', 'bound')[i]} {alpha.name}", alpha)
+
+
+def _closed(s: NominalSort, best: dict[str, tuple[int, RawTerm]]) -> Optional[tuple[int, RawTerm]]:
     """Size and term of the smallest ground term of sort `s` built from the
     smallest term found so far for each base sort."""
     match s:
         case AtomSortRef(alpha):
-            return 1, Atm(atoms[alpha][0])
+            return 1, Atm(_placeholder(alpha, 0))
         case AbsSort(alpha, body):
-            b = _closed(body, atoms, best)
+            b = _closed(body, best)
             if b is None:
                 return None
-            return 1 + b[0], Abs(atoms[alpha][1], b[1])
+            return 1 + b[0], Abs(_placeholder(alpha, 1), b[1])
         case ProdSort(parts):
             total, items = 1, []
             for p in parts:
-                r = _closed(p, atoms, best)
+                r = _closed(p, best)
                 if r is None:
                     return None
                 total += r[0]
@@ -497,6 +509,7 @@ def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
     """Constraints (i)-(iii) on each label instance of `defined`, the
     instances on which `check_stratification(spec)` defines the order."""
     checks = []
+    closed = _ClosedTerms(spec.signature)
     for rule in spec.rules:
         instances = [inst for inst in defined if inst.name == rule.name]
         if not instances:
@@ -504,12 +517,12 @@ def check_acr(spec: Spec, defined: tuple[Rule, ...]) -> CheckReport:
                 RuleCheck(rule.name, "skipped", "", "no defined-order instance")
             )
             continue
-        failures = (_check_acr_instance(spec, inst) for inst in instances)
+        failures = (_check_acr_instance(spec, inst, closed) for inst in instances)
         checks.append(next(filter(None, failures), RuleCheck(rule.name, "pass")))
     return CheckReport("residual alpha-conversion format", tuple(checks))
 
 
-def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
+def _check_acr_instance(spec: Spec, inst: Rule, closed: _ClosedTerms) -> Optional[RuleCheck]:
     """Constraints (i)-(iii) on one label instance, for each partition of its
     schematic atoms whose env, reduced once, is consistent; on the others every
     left side holds the env, so (i)-(iii) hold. Each assertion about a candidate
@@ -533,7 +546,7 @@ def _check_acr_instance(spec: Spec, inst: Rule) -> Optional[RuleCheck]:
 
     gamma: dict[Variable, RawTerm] = {}
     for v in sorted(d_vars, key=lambda v: v.name):
-        t = _smallest_closed(spec.signature, v.sort, taken)
+        t = closed.smallest(v.sort, taken)
         if t is None:
             return RuleCheck(
                 inst.name,

@@ -20,11 +20,21 @@ from nomsos import (
     parse_spec,
     parse_term_str,
     strat_eval,
+    term_str,
     transition_str,
     tree_text,
     validate_spec,
 )
-from nomsos.atoms import Atom, AtomSort, BaseSort, fresh_atoms
+from nomsos.atoms import (
+    AbsSort,
+    Atom,
+    AtomSort,
+    AtomSortRef,
+    BaseSort,
+    ProdSort,
+    fresh_atoms,
+    prod_parts,
+)
 from nomsos.formats import (
     RuleCheck,
     _Bind,
@@ -177,6 +187,35 @@ def test_label_constraints_on_one_variable_add_up():
     assert [describe(i) for i in instances] == ["ParL@tauA", "ParL@outA"]
     state = parse_term_str(spec, "par(in(a, [c]null), null)")
     assert enumerate_transitions(spec, state).derivations == ()
+
+
+def test_label_instances_capture_no_rule_variable():
+    # The rule writes a variable named as the label's first fresh variable
+    # would be: the instance's label skips that name too, so the premise
+    # target (l, _v2) keeps its two variables apart.
+    spec = parse_spec(
+        """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+func null : 1 -> pr ;
+func wrap : pr -> pr ;
+func sendP : ch * pr -> ac ;
+var x : pr ;
+var l : ac ;
+var _v2 : pr ;
+rule Wrap :
+  premise x -> (l, _v2) ;
+  conclusion wrap(x) -> (l, wrap(_v2)) ;
+"""
+    )
+    rule = spec.rule("Wrap")
+    rule_names = {v.name for t in rule.terms() for v in term_vars(t)}
+    [inst] = label_instances(spec, rule)
+    label, _ = spec.split_residual(inst.conclusion.target)
+    assert term_str(label) == "sendP(_b1, _v3)"
+    assert rule_names.isdisjoint(v.name for v in term_vars(label))
 
 
 def test_acr_verdict_does_not_depend_on_literal_names():
@@ -560,6 +599,41 @@ def _pinned_texts():
         yield text
 
 
+def _reference_smallest_closed(sig, sort, avoid):
+    """The smallest ground term of a sort as the checker first built it: a
+    fixpoint over the whole signature per call, the least atom of each atom
+    sort outside `avoid` free and the next one bound."""
+    atoms = {alpha: fresh_atoms(alpha, avoid, 2) for alpha in sig.atom_sorts}
+
+    def closed(s, best):
+        match s:
+            case AtomSortRef(alpha):
+                return 1, Atm(atoms[alpha][0])
+            case AbsSort(alpha, body):
+                b = closed(body, best)
+                return None if b is None else (1 + b[0], Abs(atoms[alpha][1], b[1]))
+            case ProdSort(parts):
+                rs = [closed(p, best) for p in parts]
+                if any(r is None for r in rs):
+                    return None
+                return 1 + sum(r[0] for r in rs), Tup(tuple(r[1] for r in rs))
+            case BaseSort(name):
+                return best.get(name)
+
+    best = {}
+    for _ in range(len(sig.functions) + 1):
+        changed = False
+        for f in sig.functions:
+            r = closed(f.arg, best)
+            if r is not None and (f.result not in best or 1 + r[0] < best[f.result][0]):
+                best[f.result] = (1 + r[0], App(f.name, r[1]))
+                changed = True
+        if not changed:
+            break
+    r = closed(sort, best)
+    return None if r is None else r[1]
+
+
 def _reference_acr_instance(spec, inst):
     """Constraints (i)-(iii) decided as the checker first did: one `entails`
     call on unreduced environments per obligation and candidate atom, on
@@ -577,7 +651,7 @@ def _reference_acr_instance(spec, inst):
         taken |= set(fresh_atoms(sort, literals, len(inst.metas)))
     gamma = {}
     for v in sorted(d_vars, key=lambda v: v.name):
-        t = formats._smallest_closed(spec.signature, v.sort, taken)
+        t = _reference_smallest_closed(spec.signature, v.sort, taken)
         if t is None:
             witness = f"{describe(inst)}: no closed term inhabits the sort of {v.name}"
             return RuleCheck(inst.name, "fail", "(ii)", witness)
@@ -666,10 +740,22 @@ def test_acr_decision_agrees_with_entailment_oracle():
     verdicts = Counter()
     for spec in specs:
         for inst in check_stratification(spec).defined:
-            got = _check_acr_instance(spec, inst)
+            got = _check_acr_instance(spec, inst, formats._ClosedTerms(spec.signature))
             assert got == _reference_acr_instance(spec, inst), describe(inst)
             verdicts[(got.status, got.constraint) if got else "pass"] += 1
     assert verdicts.keys() == {"pass", ("fail", "(i)"), ("fail", "(ii)"), ("fail", "(iii)")}
+
+    # The closed terms stored once per check, moved to the least atoms
+    # outside `avoid`, are those of a fixpoint per call, for every sort.
+    ch = AtomSort("ch")
+    for spec in specs:
+        sig = spec.signature
+        closed = formats._ClosedTerms(sig)
+        sorts = {BaseSort(b) for b in sig.base_sorts}
+        sorts |= {p for f in sig.functions for p in (f.arg, *prod_parts(f.arg))}
+        for sort in sorts:
+            for avoid in [set(), {Atom(ch, 0)}, {Atom(ch, 1)}, {Atom(ch, 0), Atom(ch, 2)}]:
+                assert closed.smallest(sort, avoid) == _reference_smallest_closed(sig, sort, avoid)
 
     # R's partition {a,b} {c} is skipped, and the partitions after it are
     # still decided
@@ -678,7 +764,8 @@ def test_acr_decision_agrees_with_entailment_oracle():
     a, b, c = sorted(inst.metas)
     identified = inst.instance(formats._assignment([[a, b], [c]], inst.atoms()))
     assert not nf(identified.env).is_consistent
-    assert _check_acr_instance(spec, inst).witness.startswith("R@outA with atoms {b} {a,c}, ")
+    closed = formats._ClosedTerms(spec.signature)
+    assert _check_acr_instance(spec, inst, closed).witness.startswith("R@outA with atoms {b} {a,c}, ")
 
 
 def test_premise_residual_that_is_not_a_pair_is_unknown():
