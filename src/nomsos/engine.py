@@ -33,7 +33,13 @@ is every variable. Per match, each freshness term built from these alone is
 normalised once, with its free atoms; an assertion whose atom is fixed too
 is decided then, and a failure rejects the match before any pending atom is
 bound. Only a term that mentions a pending atom is normalised per
-candidate; every other assertion is a set membership test.
+candidate; every other assertion is a set membership test. A rule without
+premises may also have unobserved binders (`_unobserved_binders`): a
+schematic binder `c` of its source that it reads only through `[c]x` and
+through concretions `((c e))*x` at an `e # [c]x`. Both are invariant under
+alpha-renaming, so every candidate for `c` gives the same discharged terms
+and residuals, and matching binds `c` to the subject's binder alone, the
+option it tries first anyway: the same residuals with the same first trees.
 
 The table is keyed by orbit, in one map from each subgoal reached to its
 record. A subgoal's candidate atoms, per sort the sorted free and extra
@@ -73,11 +79,15 @@ from .matching import AtomPool, MatchState, bind_metas, match_term
 from .printer import atom_str, term_str
 from .spec import Formula, Rule, Spec, validate_spec
 from .terms import (
+    Abs,
     App,
     AtomLike,
     MetaAtom,
     RawTerm,
+    Susp,
+    Var,
     Variable,
+    _walk,
     is_ground,
     meta_atoms,
     resolve,
@@ -163,19 +173,52 @@ class _FreshnessPlan:
     atom_fixed: bool
 
 
+def _unobserved_binders(rule: Rule) -> frozenset[MetaAtom]:
+    """The schematic binders of an axiom that the rule reads only up to
+    alpha-equivalence: each `c` that the conclusion source has once, as the
+    binder of `[c]x` for a variable `x` found nowhere else in the source,
+    that is the atom of no freshness assertion, and such that elsewhere `c`
+    and `x` occur only inside `[c]x` or, in the target, inside a concretion
+    `((c e))*x` with `fresh e # [c]x` in the env. Any other binder for `c`
+    gives an alpha-equivalent instance: the same discharged terms and
+    residuals. A rule with premises has none, since a premise subgoal
+    takes every bound atom as an extra atom, so each binder reaches
+    another key."""
+    if rule.premises:
+        return frozenset()
+    source, target = rule.conclusion.source, rule.conclusion.target
+    walked = list(_walk(source))
+    out = set()
+    for c in meta_atoms(source) - {ra.atom for ra in rule.env}:
+        if walked.count(c) != 1:
+            continue
+        for x in term_vars(source):
+            bound = Abs(c, Var(x))
+            fresh = [ra.atom for ra in rule.env if ra.term == bound]
+            concretions = [Susp(((c, e),), Var(x)) for e in fresh]
+            concretions += [Susp(((e, c),), Var(x)) for e in fresh]
+            places = [(source, [bound]), (target, [bound, *concretions])]
+            places += [(ra.term, [bound]) for ra in rule.env]
+            if not any({c, x} & set(_walk(t, hidden)) for t, hidden in places):
+                out.add(c)
+    return frozenset(out)
+
+
 @dataclass(frozen=True)
 class _RulePlan:
     """What the search needs of a rule beyond the rule itself, worked out
     once: the schematic atoms each premise source and the conclusion still
-    have to bind, sorted by name, and the split of its freshness
-    assertions. Matching binds every schematic atom it meets, so those of
-    the conclusion source and of each premise's source and target are fixed
-    by the time the conclusion is reached."""
+    have to bind, sorted by name, the split of its freshness assertions,
+    and the binders its source match takes at the subject's binder alone
+    (see `_unobserved_binders`). Matching binds every schematic atom it
+    meets, so those of the conclusion source and of each premise's source
+    and target are fixed by the time the conclusion is reached."""
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
     env: tuple[_FreshnessPlan, ...]
     pending: tuple[MetaAtom, ...]
+    unobserved: frozenset[MetaAtom]
 
     @staticmethod
     def of(rule: Rule) -> "_RulePlan":
@@ -196,6 +239,7 @@ class _RulePlan:
             premises=tuple(_PremisePlan(p, _by_name(meta_atoms(p.source))) for p in rule.premises),
             env=tuple(env),
             pending=_by_name(pending),
+            unobserved=_unobserved_binders(rule),
         )
 
 
@@ -366,7 +410,10 @@ class _Search:
             joined, entry.joined = entry.joined, {}
             for plan in self.by_head.get(_head(entry.state), self.by_head[None]):
                 source = plan.rule.conclusion.source
-                for st in match_term(source, entry.state, MatchState(), entry.pool):
+                matches = match_term(
+                    source, entry.state, MatchState(), entry.pool, plan.unobserved
+                )
+                for st in matches:
                     self._premises(plan, 0, st, (), entry, depth, joined)
             entry.settled = True
         return record.carried()

@@ -74,11 +74,15 @@ def match_term(
     subject: RawTerm,
     state: MatchState,
     pool: AtomPool,
+    unobserved: frozenset[MetaAtom] = frozenset(),
 ) -> list[MatchState]:
     """All extensions of `state` under which the instantiated pattern is
     alpha-equivalent to the (canonical, ground) subject. Completeness is
     relative to the pool, which supplies the candidates for schematic atoms
-    the subject does not determine.
+    the subject does not determine, except for a schematic binder in
+    `unobserved`: it takes the subject's own binder alone. A caller puts a
+    binder there only when every other candidate would give an
+    alpha-equivalent instance that it cannot tell apart.
 
     Each solution binds exactly the pattern's variables and schematic atoms
     that `state` leaves unbound, and two solutions differ in the atom of some
@@ -102,7 +106,7 @@ def match_term(
             for st in bind_metas(chain.from_iterable(swaps), state, pool):
                 # The reversed swap list denotes the inverse permutation.
                 flipped = _rename(perm_of(reversed(swaps), st.metas).image, subject)
-                out.extend(match_term(inner, flipped, st, pool))
+                out.extend(match_term(inner, flipped, st, pool, unobserved))
             return out
         case Abs(binder, body):
             if not isinstance(subject, Abs):
@@ -112,24 +116,27 @@ def match_term(
             binder = resolve(binder, state.metas)
             if binder.sort != d.sort:
                 return []
-            free_q = _free_atoms(q)
-            options: list[tuple[Atom, MatchState]] = [(binder, state)]
+            if binder == d:
+                return match_term(body, q, state, pool, unobserved)
             if isinstance(binder, MetaAtom):
-                others = [
-                    c
+                # The subject's own binder first; a binder in `unobserved`
+                # takes it alone.
+                out = match_term(body, q, state.with_meta(binder.name, d), pool, unobserved)
+                if binder in unobserved:
+                    return out
+                options = [
+                    (c, state.with_meta(binder.name, c))
                     for c in pool.candidates(binder.sort)
-                    if c != d and c not in free_q
+                    if c != d
                 ]
-                options = [(a, state.with_meta(binder.name, a)) for a in [d, *others]]
-            out = []
+            else:
+                out, options = [], [(binder, state)]
+            # Any other binder must not be free in the body, which the swap
+            # with the subject's binder then moves.
+            free_q = _free_atoms(q)
             for a, st in options:
-                if a == d:
-                    body_subject = q
-                elif a not in free_q:
-                    body_subject = _rename({a: d, d: a}, q)
-                else:
-                    continue
-                out.extend(match_term(body, body_subject, st, pool))
+                if a not in free_q:
+                    out.extend(match_term(body, _rename({a: d, d: a}, q), st, pool, unobserved))
             return out
         case Tup(items):
             if not isinstance(subject, Tup) or len(subject.items) != len(items):
@@ -137,7 +144,9 @@ def match_term(
             states = [state]
             for pat, sub in zip(items, subject.items):
                 states = [
-                    st2 for st in states for st2 in match_term(pat, sub, st, pool)
+                    st2
+                    for st in states
+                    for st2 in match_term(pat, sub, st, pool, unobserved)
                 ]
                 if not states:
                     return []
@@ -145,6 +154,6 @@ def match_term(
         case App(f, arg):
             if not isinstance(subject, App) or subject.func != f:
                 return []
-            return match_term(arg, subject.arg, state, pool)
+            return match_term(arg, subject.arg, state, pool, unobserved)
     raise TypeError(f"not a pattern: {pattern!r}")
 

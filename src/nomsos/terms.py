@@ -17,7 +17,7 @@ points normalise first, in Python, and raise `RecursionError` long before."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .atoms import (
     AbsSort,
@@ -150,14 +150,20 @@ def act(perm: Permutation, t: RawTerm) -> RawTerm:
     return _map(t, perm, _same)  # type: ignore[arg-type]
 
 
-def _walk(t: RawTerm) -> Iterator[Union[Variable, AtomLike]]:
-    """Every variable and every atom or schematic atom occurring in `t`:
-    binders and both atoms of each transposition of a delayed permutation.
-    The collectors are built on it, as the rebuilds are on `_map`.
-    Iterative, so a deep term cannot exhaust the stack."""
+def _walk(
+    t: RawTerm, hidden: Collection[RawTerm] = ()
+) -> Iterator[Union[Variable, AtomLike]]:
+    """Every variable and every atom or schematic atom occurring in `t`
+    outside the subterms in `hidden`: binders and both atoms of each
+    transposition of a delayed permutation. The collectors are built on it,
+    as the rebuilds are on `_map`. Iterative, so a deep term cannot exhaust
+    the stack."""
     stack = [t]
     while stack:
-        match stack.pop():
+        node = stack.pop()
+        if hidden and node in hidden:
+            continue
+        match node:
             case Var(v):
                 yield v
             case Atm(a):

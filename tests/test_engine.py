@@ -301,8 +301,8 @@ def _source_matches(monkeypatch, spec, state):
     calls, found = Counter(), Counter()
     match = engine.match_term
 
-    def counted(pattern, subject, st, pool):
-        out = match(pattern, subject, st, pool)
+    def counted(pattern, subject, st, pool, unobserved=frozenset()):
+        out = match(pattern, subject, st, pool, unobserved)
         name = sources.get(id(pattern))
         if name is not None:
             calls[term_str(subject)] += 1
@@ -323,7 +323,8 @@ def test_a_subgoal_is_matched_only_against_rules_of_its_head(pi_spec, monkeypatc
 
 def test_a_fixed_freshness_term_is_normalised_once_per_match(pi_spec, monkeypatch):
     # In's `fresh b # [c]x`: its term is fixed by the source, so it is
-    # normalised once per source match, not once per candidate for b.
+    # normalised once per source match, not once per candidate for b. In
+    # never observes c, so its source matches once, at the state's binder.
     (in_rule,) = [rule for rule in pi_spec.rules if rule.name == "In"]
     (assertion,) = in_rule.env
     normalised = Counter()
@@ -336,7 +337,7 @@ def test_a_fixed_freshness_term_is_normalised_once_per_match(pi_spec, monkeypatc
     monkeypatch.setattr(engine, "normalize", counted)
     _, found = _source_matches(monkeypatch, pi_spec, "in(a,[c]out(c,a,null))")
     candidates = 3  # the state's free atom a and two fresh atoms
-    assert found["In"] == 2
+    assert found["In"] == 1
     assert normalised[True] == found["In"] < found["In"] * candidates
 
 
@@ -790,9 +791,10 @@ def _reference_and_indexed(monkeypatch, call):
     return reference, call()
 
 
-def test_head_index_and_fixed_freshness_agree_with_the_oracle(pi_spec, monkeypatch):
-    # The head index and the freshness split change no derivation, tree,
-    # discharged pair or truncation: results are equal, binders included.
+def _oracle_searches(pi_spec):
+    """The oracle tests' searches: the 60 `_random_par` states, the 18
+    prove claims under two renamings and the two `pi-rep.spec` cyclic
+    states at depth 20, as one call."""
     rng = random.Random(2026)
     states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
     claims = [
@@ -813,10 +815,219 @@ def test_head_index_and_fixed_freshness_agree_with_the_oracle(pi_spec, monkeypat
             [enumerate_transitions(rep, s, Budget(depth=20)) for s in cyclic],
         )
 
-    reference, indexed = _reference_and_indexed(monkeypatch, run)
+    return run
+
+
+def test_head_index_and_fixed_freshness_agree_with_the_oracle(pi_spec, monkeypatch):
+    # The head index and the freshness split change no derivation, tree,
+    # discharged pair or truncation: results are equal, binders included.
+    reference, indexed = _reference_and_indexed(monkeypatch, _oracle_searches(pi_spec))
     for ref, new in zip(reference, indexed):
         assert new == ref
     assert sum(o.tree is not None for o in indexed[1]) == 24
+
+
+def _marked(spec) -> dict[str, list[str]]:
+    """The binders each rule's plan marks unobserved, for the rules that
+    have one."""
+    plans = {p.rule.name: p for bucket in engine._plans(spec).by_head.values() for p in bucket}
+    return {n: sorted(m.name for m in p.unobserved) for n, p in plans.items() if p.unobserved}
+
+
+def test_unobserved_binders_agree_with_the_oracle(pi_spec, monkeypatch):
+    # A binder matched at the subject's binder alone changes no derivation,
+    # tree, discharged pair or truncation: results are equal to those of
+    # plans that mark no binder, which try every candidate.
+    plans = engine._plans
+
+    def unmarked(spec):
+        kept = plans(spec)
+        return kept._replace(
+            by_head={
+                head: tuple(replace(p, unobserved=frozenset()) for p in bucket)
+                for head, bucket in kept.by_head.items()
+            }
+        )
+
+    run = _oracle_searches(pi_spec)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_plans", unmarked)
+        reference = run()
+    marked = run()
+    for ref, new in zip(reference, marked):
+        assert new == ref
+    inputs = sum("[In]" in tree_text(d.tree) for e in marked[0] for d in e.derivations)
+    assert inputs > 0
+
+
+def test_an_unobserved_binder_adds_a_residual_per_target_normalisation(pi_spec, monkeypatch):
+    # In matches each `in` subgoal once, at its own binder, and each
+    # candidate for b gives another residual: none is built twice. Trying
+    # every candidate for c built most of them again.
+    (in_rule,) = [rule for rule in pi_spec.rules if rule.name == "In"]
+    counts = Counter()
+    normalize_ = engine.normalize
+    conclude = engine._Search._conclude
+
+    def counted_normalize(t, *args):
+        counts["normalised"] += t is in_rule.conclusion.target
+        return normalize_(t, *args)
+
+    def counted_conclude(self, plan, st, children, entry):
+        before = len(entry.residuals)
+        conclude(self, plan, st, children, entry)
+        if plan.rule is in_rule:
+            counts["added"] += len(entry.residuals) - before
+
+    monkeypatch.setattr(engine, "normalize", counted_normalize)
+    monkeypatch.setattr(engine._Search, "_conclude", counted_conclude)
+    rng = random.Random(2026)
+    for _ in range(60):
+        enumerate_transitions(pi_spec, _random_par(rng, pi_spec, rng.randint(2, 5)))
+    assert counts["normalised"] == counts["added"] > 0
+
+
+def test_only_the_input_binder_is_unobserved_in_the_corpus():
+    # In reads c through [c]x and ((c b))*x at a b fresh for [c]x; Res and
+    # Open observe their binders, and every other rule has none.
+    for name in ("pi.spec", "pi-rep.spec", "pi-broken.spec"):
+        assert _marked(nomsos.load_corpus(name)) == {"In": ["c"]}, name
+
+
+_OBSERVED_SPEC = """
+atomsort ch ;
+basesort pr ac ;
+statesort pr ;
+residualsort ac * pr ;
+
+func null : 1 -> pr ;
+func out : ch * pr -> pr ;
+func new : [ch]pr -> pr ;
+func conc : [ch]pr -> pr ;
+func away : ch * [ch]pr -> pr ;
+func bare : [ch]pr -> pr ;
+func lift : pr * [ch]pr -> pr ;
+func peek : [ch]pr -> pr ;
+func twice : [ch]pr * [ch]pr -> pr ;
+func alpha : [ch]pr -> pr ;
+func tick : 1 -> ac ;
+func bind : ch -> ac ;
+
+var x : pr ;
+var y : pr ;
+var z : pr ;
+var l : ac ;
+
+// The label shows c.
+rule Show forall c :
+  conclusion new([c]x) -> (bind(c), new([c]x)) ;
+
+// A concretion at e with no fresh e # [c]x.
+rule Conc forall c e :
+  conclusion conc([c]x) -> (tick, ((c e))*x) ;
+
+// c is the atom of a freshness assertion.
+rule Away forall a c :
+  fresh c # a ;
+  conclusion away(a, [c]x) -> (tick, new([c]x)) ;
+
+// x bare in the target.
+rule Bare forall c :
+  conclusion bare([c]x) -> (tick, x) ;
+
+// A premise, whose subgoal takes c's atom as an extra atom.
+rule Lift forall c :
+  premise y -> (l, z) ;
+  conclusion lift(y, [c]x) -> (l, new([c]x)) ;
+
+// x bare in a freshness term.
+rule Peek forall a c :
+  fresh a # x ;
+  conclusion peek([c]x) -> (bind(a), new([c]x)) ;
+
+// [c]x twice in the source.
+rule Twice forall c :
+  conclusion twice([c]x, [c]x) -> (tick, new([c]x)) ;
+
+// Every condition holds: the one marked binder.
+rule Alpha forall c e :
+  fresh e # [c]x ;
+  conclusion alpha([c]x) -> (tick, ((e c))*x) ;
+"""
+
+
+def test_unobserved_binder_needs_every_condition(monkeypatch):
+    # Each rule but Alpha breaks one condition. All but Twice show the
+    # binder options they keep in their rows; Twice is kept out on the
+    # letter of the conditions.
+    expected = {
+        "new([a]out(a, null))": [
+            "(bind(a), new([a]out(a, null))) [Show] c=a",
+            "(bind(b), new([a]out(a, null))) [Show] c=b",
+        ],
+        "conc([a]out(b, null))": [
+            "(tick, out(a, null)) [Conc] c=a",
+            "(tick, out(b, null)) [Conc] c=a",
+            "(tick, out(c, null)) [Conc] c=c",
+        ],
+        "away(a, [a]null)": ["(tick, new([a]null)) [Away] c=b"],
+        "bare([a]out(a, null))": [
+            "(tick, out(a, null)) [Bare] c=a",
+            "(tick, out(b, null)) [Bare] c=b",
+        ],
+        "lift(new([a]null), [a]out(b, out(c, null)))": [
+            "(bind(a), new([a]out(b, out(c, null)))) [Lift] c=a",
+            "(bind(b), new([a]out(b, out(c, null)))) [Lift] c=a",
+            "(bind(c), new([a]out(b, out(c, null)))) [Lift] c=a",
+            "(bind(d), new([a]out(b, out(c, null)))) [Lift] c=d",
+        ],
+        "peek([a]out(a, null))": [
+            "(bind(a), new([a]out(a, null))) [Peek] c=b",
+            "(bind(b), new([a]out(a, null))) [Peek] c=a",
+        ],
+        "twice([a]out(a, null), [a]out(a, null))": [
+            "(tick, new([a]out(a, null))) [Twice] c=a",
+        ],
+        "alpha([a]out(a, out(b, null)))": [
+            "(tick, out(a, out(b, null))) [Alpha] c=a",
+            "(tick, out(c, out(b, null))) [Alpha] c=a",
+        ],
+    }
+    # The row that marking the rule's c anyway would lose, per state.
+    lost = {
+        "new([a]out(a, null))": ("Show", 1),
+        "conc([a]out(b, null))": ("Conc", 2),
+        "away(a, [a]null)": ("Away", 0),
+        "bare([a]out(a, null))": ("Bare", 1),
+        "lift(new([a]null), [a]out(b, out(c, null)))": ("Lift", 3),
+        "peek([a]out(a, null))": ("Peek", 0),
+    }
+
+    def rows(spec, state):
+        enum = enumerate_transitions(spec, _t(spec, state))
+        assert not enum.truncated
+        out = []
+        for d in enum.derivations:
+            assert replay(spec, d.tree) == []
+            tree = tree_dict(d.tree)
+            out.append(f"{tree['residual']} [{tree['rule']}] c={tree['atoms']['c']}")
+        return out
+
+    spec = parse_spec(_OBSERVED_SPEC)
+    assert _marked(spec) == {"Alpha": ["c"]}
+    for state, want in expected.items():
+        assert rows(spec, state) == want, state
+    for state, (name, row) in lost.items():
+        with monkeypatch.context() as m:
+            m.setattr(
+                engine,
+                "_unobserved_binders",
+                lambda rule: frozenset(a for a in rule.metas if (rule.name, a.name) == (name, "c")),
+            )
+            forced = parse_spec(_OBSERVED_SPEC)
+            assert _marked(forced) == {name: ["c"]}
+            want = expected[state]
+            assert rows(forced, state) == want[:row] + want[row + 1 :], state
 
 
 def _table_size(spec, state: str) -> tuple[int, int]:
