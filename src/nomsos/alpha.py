@@ -10,9 +10,11 @@ being the least atom not free in `t` and on `t` being canonical. So every
 subterm of a canonical term is canonical, and a tuple or application of
 canonical terms is canonical. `normalize` is therefore one bottom-up pass:
 it closes each canonical body under its canonical binder, and discharges a
-delayed permutation over a canonical term by moving it. The same pass
-instantiates a rule pattern, given the images of its schematic atoms and
-canonical terms for its variables.
+delayed permutation over a canonical term by moving it. `builder` compiles
+a rule pattern into closures that run the same pass on an instance: given
+the images of its schematic atoms and canonical terms for its variables,
+they return the canonical form of the instance without building the raw
+instance first.
 
 The kernel (`_rename` and `_close`) moves a term by `Permutation.image`, the
 dict that maps each atom a permutation moves to its image, and closing a
@@ -22,10 +24,23 @@ kernel reads its `image`."""
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .atoms import Atom
-from .terms import Abs, App, Atm, RawTerm, Susp, Tup, Var, Variable, perm_of, resolve
+from .terms import (
+    Abs,
+    App,
+    Atm,
+    RawTerm,
+    Susp,
+    Tup,
+    Var,
+    Variable,
+    is_ground,
+    meta_atoms,
+    perm_of,
+    resolve,
+)
 
 
 class NotGroundError(ValueError):
@@ -91,35 +106,66 @@ def _rename(image: dict[Atom, Atom], t: RawTerm) -> RawTerm:
     raise TypeError(f"unexpected node in canonical term: {t!r}")
 
 
-def normalize(
-    t: RawTerm,
-    metas: Mapping[str, Atom] = {},
-    subst: Mapping[Variable, RawTerm] = {},
-) -> RawTerm:
+def normalize(t: RawTerm) -> RawTerm:
     """Canonical form of a ground raw term: susp-free, binders canonically
-    renamed. normalize(p) == normalize(q) iff p and q are alpha-equivalent.
-
-    Given an assignment of schematic atoms and a substitution of canonical
-    terms, the canonical form of that instance of a pattern:
-    normalize(p, metas, subst) == normalize(subst_apply(subst,
-    instantiate(p, metas))). A variable's term is used as it is."""
+    renamed. normalize(p) == normalize(q) iff p and q are alpha-equivalent."""
     match t:
         case Var(v):
-            bound = subst.get(v)
-            if bound is None:
-                raise NotGroundError(f"term is not ground: variable {v.name}")
-            return bound
-        case Atm(a):
-            return Atm(resolve(a, metas))
+            raise NotGroundError(f"term is not ground: variable {v.name}")
+        case Atm(_):
+            return t
         case Susp(p, s):
-            return _rename(perm_of(p, metas).image, normalize(s, metas, subst))
+            return _rename(perm_of(p).image, normalize(s))
         case Abs(a, s):
-            return _close({}, resolve(a, metas), normalize(s, metas, subst))
+            return _close({}, a, normalize(s))
         case Tup(items):
-            return Tup(tuple(normalize(s, metas, subst) for s in items))
+            return Tup(tuple(normalize(s) for s in items))
         case App(f, s):
-            return App(f, normalize(s, metas, subst))
+            return App(f, normalize(s))
     raise TypeError(f"not a raw term: {t!r}")
+
+
+Builder = Callable[[Mapping[str, Atom], Mapping[Variable, RawTerm]], RawTerm]
+
+
+def builder(pattern: RawTerm) -> Builder:
+    """The builder of a rule pattern: a function that takes images for its
+    schematic atoms and canonical terms for its variables and returns the
+    canonical form of that instance, using each variable's term as it is:
+    builder(p)(metas, subst) == normalize(subst_apply(subst,
+    instantiate(p, metas))).
+
+    The pattern is read once, here, into closures that run the same kernel
+    as `normalize`; a subpattern without variables or schematic atoms is
+    normalised here, once."""
+    if is_ground(pattern) and not meta_atoms(pattern):
+        canon = normalize(pattern)
+        return lambda metas, subst: canon
+    match pattern:
+        case Var(v):
+
+            def build_var(metas, subst):
+                bound = subst.get(v)
+                if bound is None:
+                    raise NotGroundError(f"term is not ground: variable {v.name}")
+                return bound
+
+            return build_var
+        case Atm(a):
+            return lambda metas, subst: Atm(resolve(a, metas))
+        case Susp(p, s):
+            body = builder(s)
+            return lambda metas, subst: _rename(perm_of(p, metas).image, body(metas, subst))
+        case Abs(a, s):
+            body = builder(s)
+            return lambda metas, subst: _close({}, resolve(a, metas), body(metas, subst))
+        case Tup(items):
+            parts = tuple(map(builder, items))
+            return lambda metas, subst: Tup(tuple([part(metas, subst) for part in parts]))
+        case App(f, s):
+            body = builder(s)
+            return lambda metas, subst: App(f, body(metas, subst))
+    raise TypeError(f"not a raw term: {pattern!r}")
 
 
 def alpha_eq(p: RawTerm, q: RawTerm) -> bool:

@@ -29,11 +29,11 @@ matched only against its bucket (first-argument indexing), so it finds the
 same matches in the same order. Matching binds every schematic atom it
 meets, so by the time a rule's conclusion is reached the atoms of its
 conclusion source and of each premise's source and target are fixed, and so
-is every variable. Per match, each freshness term built from these alone is
-normalised once, with its free atoms; an assertion whose atom is fixed too
-is decided then, and a failure rejects the match before any pending atom is
-bound. Only a term that mentions a pending atom is normalised per
-candidate; every other assertion is a set membership test. A rule without
+is every variable. Per match, each freshness term that these alone fix is
+built once, with its free atoms; an assertion whose atom is fixed too is
+decided then, and a failure rejects the match before any pending atom is
+bound. Only a term that mentions a pending atom is built per candidate;
+every other assertion is a set membership test. A rule without
 premises may also have unobserved binders (`_unobserved_binders`): a
 schematic binder `c` of its source that it reads only through `[c]x` and
 through concretions `((c e))*x` at an `e # [c]x`. Both are invariant under
@@ -58,12 +58,17 @@ not free in it, first. So a tree carried back may name such a binder
 differently from the first tree of a search keyed by the literal subgoal;
 it replays all the same.
 
-Every term in the search is canonical by construction: the entry points
-normalise the state (and `prove` its target) once, matching binds variables
-only to canonical terms, and `normalize(p, st.metas, st.subst)` builds
-premise sources, freshness terms and residuals in canonical form, using each
-bound term as it is.  Matching itself moves a subject only where it flips it
-under an abstraction or a delayed permutation.  `replay` does not rely on
+The plan also holds each rule's patterns compiled into closures, built
+once per spec: a matcher (`matching.matcher`) for the conclusion source and
+for each premise target, and a builder (`alpha.builder`) for each premise
+source, each freshness term and the conclusion target. The search calls
+only these, and walks no pattern tree. Every term in the search is
+canonical by construction: the entry points normalise the state (and
+`prove` its target) once, matching binds variables only to canonical terms,
+and the builders build premise sources, freshness terms and residuals in
+canonical form, using each bound term as it is.  Matching itself moves a
+subject only where it flips it under an abstraction or a delayed
+permutation.  `replay` does not rely on
 this: it checks the raw instance `Rule.instance` against the tree, with
 `alpha_eq`."""
 
@@ -73,11 +78,11 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
-from .alpha import _free_atoms, _rename, alpha_eq, normalize, nt_fresh
+from .alpha import Builder, _free_atoms, _rename, alpha_eq, builder, normalize, nt_fresh
 from .atoms import Atom, Permutation
-from .matching import AtomPool, MatchState, bind_metas, match_term
+from .matching import AtomPool, Matcher, MatchState, bind_metas, matcher
 from .printer import atom_str, term_str
-from .spec import Formula, Rule, Spec, validate_spec
+from .spec import Rule, Spec, validate_spec
 from .terms import (
     Abs,
     App,
@@ -158,19 +163,24 @@ def _by_name(metas: Iterable[MetaAtom]) -> tuple[MetaAtom, ...]:
 
 @dataclass(frozen=True)
 class _PremisePlan:
-    premise: Formula
+    """A premise: the schematic atoms its source still has to bind, the
+    builder of its source and the matcher of its target."""
+
     metas: tuple[MetaAtom, ...]
+    source: Builder
+    target: Matcher
 
 
 @dataclass(frozen=True)
 class _FreshnessPlan:
-    """A freshness assertion of a rule, and whether its term and its atom
-    are fixed when the search reaches the conclusion."""
+    """A freshness assertion of a rule: its atom, whether its term and its
+    atom are fixed when the search reaches the conclusion, and the builder
+    of its term."""
 
     atom: AtomLike
-    term: RawTerm
     term_fixed: bool
     atom_fixed: bool
+    build: Builder
 
 
 def _unobserved_binders(rule: Rule) -> frozenset[MetaAtom]:
@@ -212,20 +222,32 @@ class _RulePlan:
     and the binders its source match takes at the subject's binder alone
     (see `_unobserved_binders`). Matching binds every schematic atom it
     meets, so those of the conclusion source and of each premise's source
-    and target are fixed by the time the conclusion is reached."""
+    and target are fixed by the time the conclusion is reached.
+
+    Each pattern the search reads is compiled here, once: the matcher of the
+    conclusion source (with the unobserved binders fixed in it), the
+    matcher of each premise target, and the builder of each premise source,
+    each freshness term and the conclusion target. A conclusion binds every
+    schematic atom of `names` and every variable of `variables`, each sorted
+    by name, which is the order of a proof tree's atoms and substitution."""
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
     env: tuple[_FreshnessPlan, ...]
     pending: tuple[MetaAtom, ...]
     unobserved: frozenset[MetaAtom]
+    source: Matcher
+    target: Builder
+    names: tuple[str, ...]
+    variables: tuple[Variable, ...]
 
     @staticmethod
     def of(rule: Rule) -> "_RulePlan":
-        fixed = meta_atoms(rule.conclusion.source).union(
+        source, target = rule.conclusion.source, rule.conclusion.target
+        fixed = meta_atoms(source).union(
             *(meta_atoms(p.source) | meta_atoms(p.target) for p in rule.premises)
         )
-        pending = meta_atoms(rule.conclusion.target) - fixed
+        pending = meta_atoms(target) - fixed
         env = []
         for ra in rule.env:
             term_metas = meta_atoms(ra.term)
@@ -233,13 +255,22 @@ class _RulePlan:
             pending |= term_metas - fixed
             if not atom_fixed:
                 pending |= {ra.atom}
-            env.append(_FreshnessPlan(ra.atom, ra.term, term_metas <= fixed, atom_fixed))
+            env.append(_FreshnessPlan(ra.atom, term_metas <= fixed, atom_fixed, builder(ra.term)))
+        unobserved = _unobserved_binders(rule)
+        bound_vars = term_vars(source).union(*(term_vars(p.target) for p in rule.premises))
         return _RulePlan(
             rule=rule,
-            premises=tuple(_PremisePlan(p, _by_name(meta_atoms(p.source))) for p in rule.premises),
+            premises=tuple(
+                _PremisePlan(_by_name(meta_atoms(p.source)), builder(p.source), matcher(p.target))
+                for p in rule.premises
+            ),
             env=tuple(env),
             pending=_by_name(pending),
-            unobserved=_unobserved_binders(rule),
+            unobserved=unobserved,
+            source=matcher(source, unobserved),
+            target=builder(target),
+            names=tuple(m.name for m in _by_name(fixed | pending)),
+            variables=tuple(sorted(bound_vars, key=lambda v: v.name)),
         )
 
 
@@ -409,11 +440,7 @@ class _Search:
             entry.settled = False
             joined, entry.joined = entry.joined, {}
             for plan in self.by_head.get(_head(entry.state), self.by_head[None]):
-                source = plan.rule.conclusion.source
-                matches = match_term(
-                    source, entry.state, MatchState(), entry.pool, plan.unobserved
-                )
-                for st in matches:
+                for st in plan.source(entry.state, MatchState(), entry.pool):
                     self._premises(plan, 0, st, (), entry, depth, joined)
             entry.settled = True
         return record.carried()
@@ -436,7 +463,7 @@ class _Search:
         pp = plan.premises[i]
         pool = entry.pool
         for st1 in bind_metas(pp.metas, st, pool):
-            src = normalize(pp.premise.source, st1.metas, st1.subst)
+            src = pp.source(st1.metas, st1.subst)
             record = self._record(src, entry.extra.union(st1.metas.values()))
             items = list(self._solve(record, depth - 1).items())
             entry.joined.setdefault(record, len(items))
@@ -445,7 +472,7 @@ class _Search:
             for k in range(old if i + 1 == len(plan.premises) else 0, len(items)):
                 residual, subtree = items[k]
                 below = joined if k < old else None
-                for st2 in match_term(pp.premise.target, residual, st1, pool):
+                for st2 in pp.target(residual, st1, pool):
                     self._premises(plan, i + 1, st2, children + (subtree,), entry, depth, below)
 
     def _conclude(
@@ -458,26 +485,27 @@ class _Search:
         rule = plan.rule
         if rule.excluded_label(st.subst) is not None:
             return
-        # Each fixed term, normalised once per match with its free atoms; an
+        # Each fixed term, built once per match with its free atoms; an
         # assertion whose atom is fixed too is decided here.
         known: list[Optional[tuple[RawTerm, frozenset[Atom]]]] = []
         for fp in plan.env:
             if not fp.term_fixed:
                 known.append(None)
                 continue
-            t = normalize(fp.term, st.metas, st.subst)
+            t = fp.build(st.metas, st.subst)
             free = _free_atoms(t)
             if fp.atom_fixed and resolve(fp.atom, st.metas) in free:
                 return
             known.append((t, free))
         residuals = entry.residuals
         for st1 in bind_metas(plan.pending, st, entry.pool):
+            metas, subst = st1.metas, st1.subst
             discharged = []
             ok = True
             for fp, fixed in zip(plan.env, known):
-                atom = resolve(fp.atom, st1.metas)
+                atom = resolve(fp.atom, metas)
                 if fixed is None:
-                    t = normalize(fp.term, st1.metas, st1.subst)
+                    t = fp.build(metas, subst)
                     free = _free_atoms(t)
                 else:
                     t, free = fixed
@@ -487,13 +515,13 @@ class _Search:
                 discharged.append((atom, t))
             if not ok:
                 continue
-            residual = normalize(rule.conclusion.target, st1.metas, st1.subst)
+            residual = plan.target(metas, subst)
             if residual in residuals:
                 continue
             residuals[residual] = ProofTree(
                 rule_name=rule.name,
-                atoms=tuple(sorted(st1.metas.items())),
-                subst=tuple(sorted(st1.subst.items(), key=lambda kv: kv[0].name)),
+                atoms=tuple([(n, metas[n]) for n in plan.names]),
+                subst=tuple([(v, subst[v]) for v in plan.variables]),
                 transition=Transition(entry.state, residual),
                 children=children,
                 discharged=tuple(discharged),

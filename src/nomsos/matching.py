@@ -1,14 +1,16 @@
 """Matching of rule patterns (with variables and schematic atoms) against
-canonical ground subjects, modulo alpha-equivalence."""
+canonical ground subjects, modulo alpha-equivalence. `matcher` compiles a
+pattern once into closures that match it; `match_term` compiles a pattern
+and matches it once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .atoms import Atom, AtomSort, fresh_atoms
-from .alpha import _free_atoms, _rename
+from .alpha import _free_atoms, _rename, normalize
 from .terms import (
     Abs,
     App,
@@ -20,6 +22,8 @@ from .terms import (
     Tup,
     Var,
     Variable,
+    is_ground,
+    meta_atoms,
     perm_of,
     resolve,
 )
@@ -69,6 +73,129 @@ def bind_metas(
     return states
 
 
+Matcher = Callable[[RawTerm, MatchState, AtomPool], list[MatchState]]
+
+
+def matcher(pattern: RawTerm, unobserved: frozenset[MetaAtom] = frozenset()) -> Matcher:
+    """The matcher of a pattern: a function of a (canonical, ground) subject,
+    a state and a pool that returns all extensions of the state under which
+    the instantiated pattern is alpha-equivalent to the subject.
+    Completeness is relative to the pool, which supplies the candidates for
+    schematic atoms the subject does not determine, except for a schematic
+    binder in `unobserved`: it takes the subject's own binder alone. A
+    caller puts a binder there only when every other candidate would give
+    an alpha-equivalent instance that it cannot tell apart.
+
+    Each solution binds exactly the pattern's variables and schematic atoms
+    that the state leaves unbound, and two solutions differ in the atom of
+    some schematic atom, so the solutions are pairwise distinct.
+
+    The pattern is read once, here: each node becomes a closure over the
+    closures of its children, with what the node fixes (its constructor,
+    arity, binder, swap list and whether its binder is unobserved) worked
+    out in advance. A subpattern without variables or schematic atoms is
+    normalised once and compared with the subject."""
+    if is_ground(pattern) and not meta_atoms(pattern):
+        canon = normalize(pattern)
+        return lambda subject, state, pool: [state] if subject == canon else []
+    match pattern:
+        case Var(v):
+
+            def match_var(subject, state, pool):
+                bound = state.subst.get(v)
+                if bound is None:
+                    return [state.with_var(v, subject)]
+                return [state] if bound == subject else []
+
+            return match_var
+        case Atm(MetaAtom(name, sort)):
+
+            def match_atom(subject, state, pool):
+                if not isinstance(subject, Atm):
+                    return []
+                sa = subject.atom
+                a = state.metas.get(name)
+                if a is None:
+                    return [state.with_meta(name, sa)] if sort == sa.sort else []
+                return [state] if a == sa else []
+
+            return match_atom
+        case Susp(swaps, inner):
+            body = matcher(inner, unobserved)
+            metas = [m for m in dict.fromkeys(chain.from_iterable(swaps)) if isinstance(m, MetaAtom)]
+            # The reversed swap list denotes the inverse permutation.
+            undo = tuple(reversed(swaps))
+
+            def match_susp(subject, state, pool):
+                out: list[MatchState] = []
+                for st in bind_metas(metas, state, pool):
+                    out.extend(body(_rename(perm_of(undo, st.metas).image, subject), st, pool))
+                return out
+
+            return match_susp
+        case Abs(binder, inner):
+            body = matcher(inner, unobserved)
+            alone = binder in unobserved
+
+            def match_abs(subject, state, pool):
+                if not isinstance(subject, Abs):
+                    return []
+                d, q = subject
+                b = resolve(binder, state.metas)
+                if b.sort != d.sort:
+                    return []
+                if b == d:
+                    return body(q, state, pool)
+                if isinstance(b, MetaAtom):
+                    # The subject's own binder first; an unobserved binder
+                    # takes it alone.
+                    out = body(q, state.with_meta(b.name, d), pool)
+                    if alone:
+                        return out
+                    options = [
+                        (c, state.with_meta(b.name, c)) for c in pool.candidates(b.sort) if c != d
+                    ]
+                else:
+                    out, options = [], [(b, state)]
+                # Any other binder must not be free in the body, which the
+                # swap with the subject's binder then moves.
+                free_q = _free_atoms(q)
+                for a, st in options:
+                    if a not in free_q:
+                        out.extend(body(_rename({a: d, d: a}, q), st, pool))
+                return out
+
+            return match_abs
+        case Tup(items):
+            parts = tuple(matcher(item, unobserved) for item in items)
+            arity = len(parts)
+
+            def match_tup(subject, state, pool):
+                if not isinstance(subject, Tup) or len(subject.items) != arity:
+                    return []
+                states = [state]
+                for part, sub in zip(parts, subject.items):
+                    if len(states) == 1:
+                        states = part(sub, states[0], pool)
+                    else:
+                        states = [st2 for st in states for st2 in part(sub, st, pool)]
+                    if not states:
+                        return []
+                return states
+
+            return match_tup
+        case App(f, arg):
+            body = matcher(arg, unobserved)
+
+            def match_app(subject, state, pool):
+                if not isinstance(subject, App) or subject.func != f:
+                    return []
+                return body(subject.arg, state, pool)
+
+            return match_app
+    raise TypeError(f"not a pattern: {pattern!r}")
+
+
 def match_term(
     pattern: RawTerm,
     subject: RawTerm,
@@ -76,84 +203,7 @@ def match_term(
     pool: AtomPool,
     unobserved: frozenset[MetaAtom] = frozenset(),
 ) -> list[MatchState]:
-    """All extensions of `state` under which the instantiated pattern is
-    alpha-equivalent to the (canonical, ground) subject. Completeness is
-    relative to the pool, which supplies the candidates for schematic atoms
-    the subject does not determine, except for a schematic binder in
-    `unobserved`: it takes the subject's own binder alone. A caller puts a
-    binder there only when every other candidate would give an
-    alpha-equivalent instance that it cannot tell apart.
-
-    Each solution binds exactly the pattern's variables and schematic atoms
-    that `state` leaves unbound, and two solutions differ in the atom of some
-    schematic atom, so the solutions are pairwise distinct."""
-    match pattern:
-        case Var(v):
-            bound = state.subst.get(v)
-            if bound is None:
-                return [state.with_var(v, subject)]
-            return [state] if bound == subject else []
-        case Atm(a):
-            if not isinstance(subject, Atm):
-                return []
-            sa = subject.atom
-            a = resolve(a, state.metas)
-            if isinstance(a, MetaAtom):
-                return [state.with_meta(a.name, sa)] if a.sort == sa.sort else []
-            return [state] if a == sa else []
-        case Susp(swaps, inner):
-            out: list[MatchState] = []
-            for st in bind_metas(chain.from_iterable(swaps), state, pool):
-                # The reversed swap list denotes the inverse permutation.
-                flipped = _rename(perm_of(reversed(swaps), st.metas).image, subject)
-                out.extend(match_term(inner, flipped, st, pool, unobserved))
-            return out
-        case Abs(binder, body):
-            if not isinstance(subject, Abs):
-                return []
-            d = subject.binder
-            q = subject.body
-            binder = resolve(binder, state.metas)
-            if binder.sort != d.sort:
-                return []
-            if binder == d:
-                return match_term(body, q, state, pool, unobserved)
-            if isinstance(binder, MetaAtom):
-                # The subject's own binder first; a binder in `unobserved`
-                # takes it alone.
-                out = match_term(body, q, state.with_meta(binder.name, d), pool, unobserved)
-                if binder in unobserved:
-                    return out
-                options = [
-                    (c, state.with_meta(binder.name, c))
-                    for c in pool.candidates(binder.sort)
-                    if c != d
-                ]
-            else:
-                out, options = [], [(binder, state)]
-            # Any other binder must not be free in the body, which the swap
-            # with the subject's binder then moves.
-            free_q = _free_atoms(q)
-            for a, st in options:
-                if a not in free_q:
-                    out.extend(match_term(body, _rename({a: d, d: a}, q), st, pool, unobserved))
-            return out
-        case Tup(items):
-            if not isinstance(subject, Tup) or len(subject.items) != len(items):
-                return []
-            states = [state]
-            for pat, sub in zip(items, subject.items):
-                states = [
-                    st2
-                    for st in states
-                    for st2 in match_term(pat, sub, st, pool, unobserved)
-                ]
-                if not states:
-                    return []
-            return states
-        case App(f, arg):
-            if not isinstance(subject, App) or subject.func != f:
-                return []
-            return match_term(arg, subject.arg, state, pool, unobserved)
-    raise TypeError(f"not a pattern: {pattern!r}")
-
+    """The solutions of one match: `matcher(pattern, unobserved)` applied to
+    the subject, the state and the pool. A caller that matches one pattern
+    many times keeps its matcher instead."""
+    return matcher(pattern, unobserved)(subject, state, pool)

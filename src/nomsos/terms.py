@@ -106,9 +106,9 @@ def perm_of(
 ) -> Permutation:
     """The permutation a swap list denotes, its schematic atoms given their
     images under `metas`; every atom must then be concrete. This is the one
-    way from a pattern's swap list to a permutation: `normalize` discharges
-    a delayed permutation by its `image`, and matching undoes one by the
-    reversed list, which denotes the inverse."""
+    way from a pattern's swap list to a permutation: `normalize` and the
+    builders discharge a delayed permutation by its `image`, and matching
+    undoes one by the reversed list, which denotes the inverse."""
     return Permutation.from_swaps(
         (resolve(a, metas), resolve(b, metas)) for a, b in swaps  # type: ignore[misc]
     )

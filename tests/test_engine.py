@@ -35,7 +35,8 @@ from nomsos import (
     tree_text,
 )
 from nomsos import engine
-from nomsos.matching import AtomPool, MatchState, bind_metas, match_term
+from nomsos.alpha import builder
+from nomsos.matching import AtomPool, MatchState, bind_metas, match_term, matcher
 from nomsos.terms import (
     MetaAtom,
     Var,
@@ -46,6 +47,7 @@ from nomsos.terms import (
     term_vars,
 )
 
+import interpreted
 from conftest import atoms, random_state, random_term
 
 
@@ -261,6 +263,7 @@ def test_solving_again_joins_only_new_residuals(monkeypatch):
 def test_rule_plans_are_built_once_per_spec(monkeypatch):
     spec = nomsos.load_corpus("pi.spec")
     built = Counter()
+    compiled = Counter()
     of = engine._RulePlan.of
     head_index = engine._head_index
 
@@ -272,11 +275,29 @@ def test_rule_plans_are_built_once_per_spec(monkeypatch):
         built["head index"] += 1
         return head_index(plans)
 
+    def compiling(kind, compile_):
+        def counted_compile(pattern, *args):
+            compiled[kind] += 1
+            return compile_(pattern, *args)
+
+        return counted_compile
+
     monkeypatch.setattr(engine._RulePlan, "of", staticmethod(counted))
     monkeypatch.setattr(engine, "_head_index", counted_index)
+    monkeypatch.setattr(engine, "matcher", compiling("matcher", engine.matcher))
+    monkeypatch.setattr(engine, "builder", compiling("builder", engine.builder))
     state = _t(spec, "par(out(a,b,null), in(a,[c]null))")
     enumerate_transitions(spec, state)
+    # Each rule's conclusion source and premise targets get a matcher, and
+    # its premise sources, freshness terms and conclusion target a builder.
+    patterns = Counter(
+        matcher=sum(1 + len(rule.premises) for rule in spec.rules),
+        builder=sum(len(rule.premises) + len(rule.env) + 1 for rule in spec.rules),
+    )
+    assert compiled == patterns
+    # A second search compiles nothing.
     assert prove(spec, state, _t(spec, "(outA(a,b), par(null, in(a,[c]null)))")).tree
+    assert compiled == patterns
     once = Counter(rule.name for rule in spec.rules) + Counter(["head index"])
     assert built == once
     # The plans hold each rule's split of its freshness assertions: In's
@@ -293,32 +314,51 @@ def test_rule_plans_are_built_once_per_spec(monkeypatch):
     assert built == once + once + fewer
 
 
-def _source_matches(monkeypatch, spec, state):
-    """The calls of `match_term` on a rule's conclusion source, per subject,
-    and the matches each rule's source found, during a search from the
-    state."""
-    sources = {id(rule.conclusion.source): rule.name for rule in spec.rules}
-    calls, found = Counter(), Counter()
-    match = engine.match_term
+class _Closures:
+    """Counts of the calls of the plans' closures during the searches on a
+    spec: the subjects its conclusion-source matchers are called on, the
+    matches each rule's source finds, and the calls of each rule's builders
+    of its freshness terms and conclusion target, by (rule name, term)."""
 
-    def counted(pattern, subject, st, pool, unobserved=frozenset()):
-        out = match(pattern, subject, st, pool, unobserved)
-        name = sources.get(id(pattern))
-        if name is not None:
-            calls[term_str(subject)] += 1
-            found[name] += len(out)
-        return out
+    def __init__(self, monkeypatch, spec):
+        self.subjects, self.found, self.built = Counter(), Counter(), Counter()
+        of = engine._RulePlan.of
 
-    monkeypatch.setattr(engine, "match_term", counted)
-    enumerate_transitions(spec, _t(spec, state))
-    return calls, found
+        def counted(rule):
+            plan = of(rule)
+            env = tuple(
+                replace(fp, build=self._build(rule, ra.term, fp.build))
+                for fp, ra in zip(plan.env, rule.env)
+            )
+            target = self._build(rule, rule.conclusion.target, plan.target)
+            return replace(plan, source=self._match(rule, plan.source), target=target, env=env)
+
+        monkeypatch.setattr(engine._RulePlan, "of", staticmethod(counted))
+        monkeypatch.setattr(spec, "search_plans", None)
+
+    def _match(self, rule, match):
+        def source(subject, st, pool):
+            out = match(subject, st, pool)
+            self.subjects[term_str(subject)] += 1
+            self.found[rule.name] += len(out)
+            return out
+
+        return source
+
+    def _build(self, rule, term, build):
+        def counted(metas, subst):
+            self.built[rule.name, term] += 1
+            return build(metas, subst)
+
+        return counted
 
 
 def test_a_subgoal_is_matched_only_against_rules_of_its_head(pi_spec, monkeypatch):
     # Six of the thirteen rules have a par source; null heads none.
-    calls, _ = _source_matches(monkeypatch, pi_spec, "par(null, null)")
+    closures = _Closures(monkeypatch, pi_spec)
+    enumerate_transitions(pi_spec, _t(pi_spec, "par(null, null)"))
     assert len(pi_spec.rules) == 13
-    assert calls == Counter({"par(null, null)": 6})
+    assert closures.subjects == Counter({"par(null, null)": 6})
 
 
 def test_a_fixed_freshness_term_is_normalised_once_per_match(pi_spec, monkeypatch):
@@ -327,18 +367,12 @@ def test_a_fixed_freshness_term_is_normalised_once_per_match(pi_spec, monkeypatc
     # never observes c, so its source matches once, at the state's binder.
     (in_rule,) = [rule for rule in pi_spec.rules if rule.name == "In"]
     (assertion,) = in_rule.env
-    normalised = Counter()
-    normalize_ = engine.normalize
-
-    def counted(t, *args):
-        normalised[t is assertion.term] += 1
-        return normalize_(t, *args)
-
-    monkeypatch.setattr(engine, "normalize", counted)
-    _, found = _source_matches(monkeypatch, pi_spec, "in(a,[c]out(c,a,null))")
+    closures = _Closures(monkeypatch, pi_spec)
+    enumerate_transitions(pi_spec, _t(pi_spec, "in(a,[c]out(c,a,null))"))
+    found = closures.found
     candidates = 3  # the state's free atom a and two fresh atoms
     assert found["In"] == 1
-    assert normalised[True] == found["In"] < found["In"] * candidates
+    assert closures.built["In", assertion.term] == found["In"] < found["In"] * candidates
 
 
 _EDGE_SPEC = """
@@ -467,7 +501,7 @@ def test_instantiate_canon_is_full_normalisation(pi_spec):
                     for p in patterns:
                         raw = subst_apply(st1.subst, instantiate(p, st1.metas))
                         full = normalize(raw)
-                        assert normalize(p, st1.metas, st1.subst) == full, rule.name
+                        assert builder(p)(st1.metas, st1.subst) == full, rule.name
                         checked[rule.name] += 1
                         moved[rule.name] += raw != full
     # binder-free, a binder that is not yet least, a delayed permutation
@@ -756,12 +790,12 @@ def _reference_conclude(self, plan, st, children, entry):
         discharged = []
         for ra in rule.env:
             atom = resolve(ra.atom, st1.metas)
-            t = normalize(ra.term, st1.metas, st1.subst)
+            t = interpreted.instance(ra.term, st1.metas, st1.subst)
             if not nt_fresh(atom, t):
                 break
             discharged.append((atom, t))
         else:
-            residual = normalize(rule.conclusion.target, st1.metas, st1.subst)
+            residual = interpreted.instance(rule.conclusion.target, st1.metas, st1.subst)
             if residual not in entry.residuals:
                 entry.residuals[residual] = engine.ProofTree(
                     rule_name=rule.name,
@@ -837,14 +871,17 @@ def _marked(spec) -> dict[str, list[str]]:
 def test_unobserved_binders_agree_with_the_oracle(pi_spec, monkeypatch):
     # A binder matched at the subject's binder alone changes no derivation,
     # tree, discharged pair or truncation: results are equal to those of
-    # plans that mark no binder, which try every candidate.
+    # plans that mark no binder, whose source matchers try every candidate.
     plans = engine._plans
 
     def unmarked(spec):
         kept = plans(spec)
         return kept._replace(
             by_head={
-                head: tuple(replace(p, unobserved=frozenset()) for p in bucket)
+                head: tuple(
+                    replace(p, unobserved=frozenset(), source=matcher(p.rule.conclusion.source))
+                    for p in bucket
+                )
                 for head, bucket in kept.by_head.items()
             }
         )
@@ -865,26 +902,22 @@ def test_an_unobserved_binder_adds_a_residual_per_target_normalisation(pi_spec, 
     # candidate for b gives another residual: none is built twice. Trying
     # every candidate for c built most of them again.
     (in_rule,) = [rule for rule in pi_spec.rules if rule.name == "In"]
-    counts = Counter()
-    normalize_ = engine.normalize
+    added = 0
     conclude = engine._Search._conclude
 
-    def counted_normalize(t, *args):
-        counts["normalised"] += t is in_rule.conclusion.target
-        return normalize_(t, *args)
-
     def counted_conclude(self, plan, st, children, entry):
+        nonlocal added
         before = len(entry.residuals)
         conclude(self, plan, st, children, entry)
         if plan.rule is in_rule:
-            counts["added"] += len(entry.residuals) - before
+            added += len(entry.residuals) - before
 
-    monkeypatch.setattr(engine, "normalize", counted_normalize)
+    closures = _Closures(monkeypatch, pi_spec)
     monkeypatch.setattr(engine._Search, "_conclude", counted_conclude)
     rng = random.Random(2026)
     for _ in range(60):
         enumerate_transitions(pi_spec, _random_par(rng, pi_spec, rng.randint(2, 5)))
-    assert counts["normalised"] == counts["added"] > 0
+    assert closures.built["In", in_rule.conclusion.target] == added > 0
 
 
 def test_only_the_input_binder_is_unobserved_in_the_corpus():

@@ -1,13 +1,17 @@
 """Pattern matching modulo alpha: every solution instantiates the pattern to
-the subject, and no solution is returned twice."""
+the subject, and no solution is returned twice. The compiled matchers and
+builders agree with the interpreted references."""
 
 import random
 
+import pytest
+
 from nomsos import Abs, App, Atm, Susp, Tup, Var, Variable, normalize
-from nomsos.alpha import _free_atoms
-from nomsos.matching import AtomPool, MatchState, match_term
+from nomsos.alpha import NotGroundError, _free_atoms, builder
+from nomsos.matching import AtomPool, MatchState, match_term, matcher
 from nomsos.terms import MetaAtom, meta_atoms, term_vars
 
+import interpreted
 from conftest import CH, PR, atoms
 
 METAS = [MetaAtom(f"m{i}", CH) for i in range(3)]
@@ -53,17 +57,58 @@ def test_match_suspension_patterns():
         p = _pattern(rng, 4)
         metas = {m.name: rng.choice(atoms(4)) for m in METAS}
         subst = {v: normalize(_ground(rng, 2)) for v in VARS}
-        subject = normalize(p, metas, subst)
+        subject = interpreted.instance(p, metas, subst)
         pool = AtomPool(
             tuple(sorted(_free_atoms(subject) | set(metas.values()))), 1
         )
         states = match_term(p, subject, MatchState(), pool)
         assert states, p  # the instance the subject was built from
         for st in states:
-            assert normalize(p, st.metas, st.subst) == subject, (p, st)
+            assert interpreted.instance(p, st.metas, st.subst) == subject, (p, st)
             assert st.metas.keys() == {m.name for m in meta_atoms(p)}
             assert st.subst.keys() == term_vars(p)
         for i, st in enumerate(states):
             assert st not in states[i + 1 :], (p, st)
         several += len(states) > 1
     assert several > 40
+
+
+def test_compiled_closures_agree_with_the_interpreted_references():
+    # The matcher returns the interpreted matcher's solutions in the same
+    # order, with and without an unobserved binder, on the subject the
+    # pattern was instantiated to and on an unrelated one. The builder
+    # gives the normalised instance, and raises on an unbound variable.
+    rng = random.Random(23)
+    solutions = unobserved_solutions = 0
+    for _ in range(400):
+        p = _pattern(rng, 4)
+        metas = {m.name: rng.choice(atoms(4)) for m in METAS}
+        subst = {v: normalize(_ground(rng, 2)) for v in VARS}
+        build = builder(p)
+        subject = build(metas, subst)
+        assert subject == interpreted.instance(p, metas, subst), p
+        if term_vars(p):
+            with pytest.raises(NotGroundError):
+                build(metas, {})
+        other = normalize(_ground(rng, 3))
+        pool = AtomPool(tuple(sorted(_free_atoms(subject) | set(metas.values()))), 1)
+        binders = {t.binder for t in _subterms(p) if isinstance(t, Abs)}
+        for unobserved in (frozenset(), frozenset(binders)):
+            match = matcher(p, unobserved)
+            for s in (subject, other):
+                want = interpreted.match_term(p, s, MatchState(), pool, unobserved)
+                assert match(s, MatchState(), pool) == want, (p, s, unobserved)
+                assert match_term(p, s, MatchState(), pool, unobserved) == want
+                solutions += len(want)
+                unobserved_solutions += len(want) * bool(unobserved)
+    assert solutions > 6000 and unobserved_solutions > 1000
+
+
+def _subterms(t):
+    yield t
+    match t:
+        case Susp(_, s) | Abs(_, s) | App(_, s):
+            yield from _subterms(s)
+        case Tup(items):
+            for s in items:
+                yield from _subterms(s)
