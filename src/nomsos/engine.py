@@ -555,15 +555,26 @@ def _force(
     )
 
 
+_SEARCH_TOO_DEEP = (
+    "the proof search nests too deeply for the recursion limit: "
+    "lower the depth budget (--depth, Budget.depth)"
+)
+
+
 def enumerate_transitions(spec: Spec, state: RawTerm, budget: Budget = Budget()) -> Enumeration:
+    """The transitions of `state`, each with its first proof tree. A state
+    nested too deeply to normalise raises `RecursionError`; a search whose
+    subgoals or trees nest too deeply raises `ValueError`."""
     s = normalize(state)
     base = _free_atoms(s)
     search = _Search(spec, budget)
-    table = search.run(s, frozenset())
     derivations = []
-    for residual, tree in table.items():
-        fresh = tuple(sorted(_free_atoms(residual) - base))
-        derivations.append(Derivation(Transition(s, residual), _force(tree), fresh))
+    try:
+        for residual, tree in search.run(s, frozenset()).items():
+            fresh = tuple(sorted(_free_atoms(residual) - base))
+            derivations.append(Derivation(Transition(s, residual), _force(tree), fresh))
+    except RecursionError:
+        raise ValueError(_SEARCH_TOO_DEEP) from None
     derivations.sort(key=lambda d: term_str(d.transition.residual))
     return Enumeration(tuple(derivations), search.truncated, s)
 
@@ -571,12 +582,18 @@ def enumerate_transitions(spec: Spec, state: RawTerm, budget: Budget = Budget())
 def prove(
     spec: Spec, source: RawTerm, target: RawTerm, budget: Budget = Budget()
 ) -> ProveOutcome:
+    """The first proof tree of `source -> target`; raises as
+    `enumerate_transitions` does."""
     r = normalize(target)
+    s = normalize(source)
     search = _Search(spec, budget)
-    tree = search.run(normalize(source), _free_atoms(r)).get(r)
-    if tree is None:
-        return ProveOutcome(None, search.truncated)
-    return ProveOutcome(_force(tree), False)
+    try:
+        tree = search.run(s, _free_atoms(r)).get(r)
+        if tree is None:
+            return ProveOutcome(None, search.truncated)
+        return ProveOutcome(_force(tree), False)
+    except RecursionError:
+        raise ValueError(_SEARCH_TOO_DEEP) from None
 
 
 def replay(spec: Spec, tree: ProofTree) -> list[str]:

@@ -1,13 +1,12 @@
 """Matching of rule patterns (with variables and schematic atoms) against
 canonical ground subjects, modulo alpha-equivalence. `matcher` compiles a
-pattern once into closures that match it; `match_term` compiles a pattern
-and matches it once."""
+pattern once into closures that match it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .atoms import Atom, AtomSort, fresh_atoms
 from .alpha import _free_atoms, _rename, normalize
@@ -29,14 +28,14 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class MatchState:
+class MatchState(NamedTuple):
     """A partial solution: schematic atoms to atoms, variables to canonical
     ground terms. Instantiating the pattern with both yields a term
-    alpha-equivalent to the subject."""
+    alpha-equivalent to the subject. The default maps are shared: a state
+    is never changed, each binding copies its map."""
 
-    metas: dict[str, Atom] = field(default_factory=dict)
-    subst: dict[Variable, RawTerm] = field(default_factory=dict)
+    metas: dict[str, Atom] = {}
+    subst: dict[Variable, RawTerm] = {}
 
     def with_meta(self, name: str, atom: Atom) -> "MatchState":
         return MatchState({**self.metas, name: atom}, self.subst)
@@ -194,16 +193,3 @@ def matcher(pattern: RawTerm, unobserved: frozenset[MetaAtom] = frozenset()) -> 
 
             return match_app
     raise TypeError(f"not a pattern: {pattern!r}")
-
-
-def match_term(
-    pattern: RawTerm,
-    subject: RawTerm,
-    state: MatchState,
-    pool: AtomPool,
-    unobserved: frozenset[MetaAtom] = frozenset(),
-) -> list[MatchState]:
-    """The solutions of one match: `matcher(pattern, unobserved)` applied to
-    the subject, the state and the pool. A caller that matches one pattern
-    many times keeps its matcher instead."""
-    return matcher(pattern, unobserved)(subject, state, pool)

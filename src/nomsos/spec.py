@@ -18,7 +18,7 @@ from .atoms import (
     wellformed_sort,
 )
 from .freshness import Assertion
-from .matching import AtomPool, MatchState, match_term
+from .matching import AtomPool, MatchState, matcher
 from .printer import formula_str, term_str
 from .terms import (
     App,
@@ -233,8 +233,8 @@ def strat_eval(spec: Spec, p: RawTerm, label: RawTerm) -> Optional[int]:
         found = next(
             (
                 st2
-                for st in match_term(case.label, label, MatchState(), pool)
-                for st2 in match_term(case.head, p, st, pool)
+                for st in matcher(case.label)(label, MatchState(), pool)
+                for st2 in matcher(case.head)(p, st, pool)
                 if check_constraints(case.constraints, st2.metas)
             ),
             None,

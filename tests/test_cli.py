@@ -3,17 +3,45 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from nomsos import corpus_path
 from nomsos.cli import main
 
 PI = str(corpus_path("pi.spec"))
 PI_BROKEN = str(corpus_path("pi-broken.spec"))
+# Each case: argv, run from the corpus directory; its exit code; and its
+# stdout and stderr, or for a `--json` run that prints, the one document it
+# prints (a warning may go to stderr in either mode).
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_golden_output(case, monkeypatch, capsys):
+    # Text runs match byte for byte; a JSON run prints exactly one document,
+    # equal to the pinned one with its keys in the same order.
+    monkeypatch.chdir(Path(PI).parent)
+    assert main(case["argv"]) == case["exit"]
+    captured = capsys.readouterr()
+    if "document" in case:
+        assert json.dumps(json.loads(captured.out)) == json.dumps(case["document"])
+    else:
+        assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+
+
+def test_json_is_one_indented_document_with_the_command_first(monkeypatch, capsys):
+    monkeypatch.chdir(Path(PI).parent)
+    for case in GOLDEN:
+        if "document" in case:
+            main(case["argv"])
+            assert capsys.readouterr().out == json.dumps(case["document"], indent=2) + "\n"
+            assert next(iter(case["document"])) == "command" and case["document"]["command"] == case["argv"][0]
 
 
 def test_check_corpus(capsys):
@@ -199,6 +227,18 @@ def test_deep_term_exits_2(capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: term nests too deeply\n"
+
+
+def test_a_search_past_the_recursion_limit_exits_2(capsys):
+    # The state is two levels deep; at the default depth its proof trees
+    # are not.
+    assert main(["derive", str(corpus_path("pi-rep.spec")), "rep(out(a,b,null))"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the proof search nests too deeply for the recursion limit: "
+        "lower the depth budget (--depth, Budget.depth)\n"
+    )
 
 
 def test_ill_formed_spec_is_refused(capsys, tmp_path):

@@ -36,7 +36,7 @@ from nomsos import (
 )
 from nomsos import engine
 from nomsos.alpha import builder
-from nomsos.matching import AtomPool, MatchState, bind_metas, match_term, matcher
+from nomsos.matching import AtomPool, MatchState, bind_metas, matcher
 from nomsos.terms import (
     MetaAtom,
     Var,
@@ -211,6 +211,25 @@ def test_cyclic_rule_ends_within_its_depth_budget():
     enum = enumerate_transitions(spec, _t(spec, "rep(out(a,b,null))"), Budget(depth=50))
     assert enum.truncated
     assert 0 < len(enum.derivations) <= 50
+
+
+def test_a_search_past_the_recursion_limit_names_the_search_and_its_depth():
+    # At the default depth the trees of rep(out(a,b,null)) outgrow the
+    # recursion limit where they are carried back (`_force`), and the
+    # subgoals of rep(in(b,[c]null)) where they are solved; either way the
+    # inputs are shallow, so the error names the search, not the term.
+    spec = nomsos.load_corpus("pi-rep.spec")
+    calls = [
+        lambda: enumerate_transitions(spec, _t(spec, "rep(out(a,b,null))")),
+        lambda: prove(
+            spec,
+            _t(spec, "rep(in(b,[c]null))"),
+            _t(spec, "(inA(b,a), par(null, rep(in(b,[c]null))))"),
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"proof search .*\(--depth, Budget\.depth\)"):
+            call()
 
 
 # Recorded when every pass solved again every subgoal it reached: for each
@@ -493,7 +512,7 @@ def test_instantiate_canon_is_full_normalisation(pi_spec):
         state = normalize(random_state(rng, pi_spec, depth=3))
         pool = AtomPool(tuple(sorted(nt_support(state))), 2)
         for rule in pi_spec.rules:
-            for st in match_term(rule.conclusion.source, state, MatchState(), pool):
+            for st in matcher(rule.conclusion.source)(state, MatchState(), pool):
                 for st1 in _complete(rng, pi_spec, rule, st, pool):
                     patterns = [rule.conclusion.target]
                     patterns += [p.source for p in rule.premises]
