@@ -20,7 +20,7 @@ from .alpha import alpha_eq, nt_support
 from .atoms import NominalSort, sort_str
 from .engine import Budget, enumerate_transitions, prove, transition_str, tree_dict, tree_text
 from .formats import check_all
-from .freshness import entails, nf
+from .freshness import entails, is_consistent_reduced, nf
 from .parser import (
     parse_entailment_str,
     parse_env_str,
@@ -107,11 +107,10 @@ def _cmd_entail(spec: Spec, args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_nf(spec: Spec, args) -> tuple[int, dict, list[str]]:
-    env = parse_env_str(spec, args.env)
-    reduced = nf(env)
-    doc = {"consistent": reduced.is_consistent, "normal_form": env_str(reduced.all)}
-    tag = "" if reduced.is_consistent else "   (inconsistent)"
-    return 0, doc, [f"{env_str(reduced.all)}{tag}"]
+    reduced = nf(parse_env_str(spec, args.env))
+    consistent = is_consistent_reduced(reduced)
+    doc = {"consistent": consistent, "normal_form": env_str(reduced)}
+    return 0, doc, [env_str(reduced) + ("" if consistent else "   (inconsistent)")]
 
 
 def _cmd_alpha(spec: Spec, args) -> tuple[int, dict, list[str]]:
@@ -123,7 +122,7 @@ def _cmd_alpha(spec: Spec, args) -> tuple[int, dict, list[str]]:
 
 def _cmd_supp(spec: Spec, args) -> tuple[int, dict, list[str]]:
     t = parse_term_str(spec, args.term)
-    support = atoms_str(tuple(sorted(nt_support(t))))
+    support = atoms_str(nt_support(t))
     return 0, {"support": support}, [support]
 
 

@@ -81,7 +81,7 @@ from typing import Iterable, NamedTuple, Optional
 from .alpha import Builder, _free_atoms, _rename, alpha_eq, builder, normalize, nt_fresh
 from .atoms import Atom, Permutation
 from .matching import AtomPool, Matcher, MatchState, bind_metas, matcher
-from .printer import atom_str, term_str
+from .printer import assertion_str, atom_str, formula_str, term_str
 from .spec import Rule, Spec, validate_spec
 from .terms import (
     Abs,
@@ -154,7 +154,7 @@ class ProveOutcome:
 
 
 def transition_str(tr: Transition) -> str:
-    return f"{term_str(tr.state)} -> {term_str(tr.residual)}"
+    return formula_str(tr.state, tr.residual)
 
 
 def _by_name(metas: Iterable[MetaAtom]) -> tuple[MetaAtom, ...]:
@@ -632,7 +632,7 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
             errors.extend(replay(spec, child))
     for ra in r.env:
         if not nt_fresh(ra.atom, ra.term):
-            errors.append(f"{where}: freshness {atom_str(ra.atom)} # {term_str(ra.term)} fails")
+            errors.append(f"{where}: freshness {ra} fails")
     head = rule.excluded_label(subst)
     if head is not None:
         errors.append(f"{where}: label {head} is excluded")
@@ -646,9 +646,7 @@ def tree_dict(tree: ProofTree) -> dict:
         "subst": {v.name: term_str(t) for v, t in tree.subst},
         "state": term_str(tree.transition.state),
         "residual": term_str(tree.transition.residual),
-        "freshness": [
-            f"{atom_str(a)} # {term_str(t)}" for a, t in tree.discharged
-        ],
+        "freshness": [assertion_str(a, t) for a, t in tree.discharged],
         "children": [tree_dict(c) for c in tree.children],
     }
 
@@ -657,7 +655,7 @@ def tree_text(tree: ProofTree, indent: int = 0) -> str:
     pad = "  " * indent
     lines = [f"{pad}{transition_str(tree.transition)}   [{tree.rule_name}]"]
     for a, t in tree.discharged:
-        lines.append(f"{pad}  with {atom_str(a)} # {term_str(t)}")
+        lines.append(f"{pad}  with {assertion_str(a, t)}")
     for child in tree.children:
         lines.append(tree_text(child, indent + 1))
     return "\n".join(lines)

@@ -44,8 +44,8 @@ from .atoms import (
     fresh_atoms,
     prod_parts,
 )
-from .freshness import Assertion, entails_reduced, is_consistent_reduced, reduce, reduce_all
-from .printer import _atomlike_str, atom_str, env_str, term_str
+from .freshness import Assertion, entails_reduced, is_consistent_reduced, nf, reduce
+from .printer import atom_str, env_str, term_str
 from .spec import Rule, Spec, StratCase, bn_eval, validate_spec
 from .terms import (
     Abs,
@@ -291,19 +291,18 @@ def _assignment(
     return asg
 
 
-def _partitions(metas: list[MetaAtom]) -> list[list[list[MetaAtom]]]:
+def _partitions(metas: list[MetaAtom]) -> Iterator[list[list[MetaAtom]]]:
     """All partitions whose blocks are sort-homogeneous (schematic atoms can
-    only be identified within a sort)."""
+    only be identified within a sort), yielded one at a time."""
     if not metas:
-        return [[]]
+        yield []
+        return
     first, rest = metas[0], metas[1:]
-    out = []
     for part in _partitions(rest):
-        out.append([[first]] + part)
+        yield [[first]] + part
         for i, block in enumerate(part):
             if block[0].sort == first.sort:
-                out.append(part[:i] + [[first] + block] + part[i + 1 :])
-    return out
+                yield part[:i] + [[first] + block] + part[i + 1 :]
 
 
 def _consistent_partitions(
@@ -316,7 +315,7 @@ def _consistent_partitions(
     literals = inst.atoms()
     for partition in _partitions(sorted(set(inst.metas), key=lambda m: m.name)):
         asg = _assignment(partition, literals)
-        env = reduce_all(Assertion(resolve(a.atom, asg), instantiate(a.term, asg)) for a in inst.env)
+        env = nf(Assertion(resolve(a.atom, asg), instantiate(a.term, asg)) for a in inst.env)
         if is_consistent_reduced(env):
             yield partition, asg, env
 
@@ -402,7 +401,7 @@ def _strat_failure(spec: Spec, inst: Rule, matches: list[CaseMatch]) -> Optional
             "fail",
             "coverage",
             f"{describe(inst)}: the conclusion label binds "
-            f"{', '.join(sorted(_atomlike_str(b) for b in binding))} "
+            f"{', '.join(sorted(atom_str(b) for b in binding))} "
             "but no stratification case is guaranteed to match",
         )
     problem = _check_decrease(inst, matches)

@@ -4,11 +4,11 @@ consistency, and entailment between environments.
 `reduce(a, t)` is the unit: it simplifies one assertion exhaustively, to a
 set of assertions a # x on variables (consistent) and a # a (inconsistent).
 The rewrite rules never mix assertions, so the normal form of an
-environment is the union of the reductions of its assertions (`reduce_all`).
-`nf` is that union, split by consistency, and `entails` compares two such
-unions with `entails_reduced`. A caller that decides many entailments over
-the same assertions reduces each of them once, unions the sets itself and
-decides on them with `entails_reduced` and `is_consistent_reduced`."""
+environment, `nf`, is the frozenset union of the reductions of its
+assertions. `is_consistent_reduced` and `entails_reduced` decide on such
+sets; `is_consistent` and `entails` reduce their arguments first. A caller
+that decides many entailments over the same assertions reduces each of them
+once and unions the sets itself."""
 
 from __future__ import annotations
 
@@ -39,27 +39,7 @@ class Assertion:
     term: RawTerm
 
     def __str__(self) -> str:
-        return assertion_str(self)
-
-
-FreshnessEnv = frozenset[Assertion]
-
-
-@dataclass(frozen=True)
-class ReducedEnv:
-    """The normal form of an environment, split into the inconsistent
-    assertions (a # a) and the consistent ones (a # x)."""
-
-    inconsistent: FreshnessEnv
-    consistent: FreshnessEnv
-
-    @property
-    def all(self) -> FreshnessEnv:
-        return self.inconsistent | self.consistent
-
-    @property
-    def is_consistent(self) -> bool:
-        return not self.inconsistent
+        return assertion_str(self.atom, self.term)
 
 
 def reduce(a: Atom, t: RawTerm) -> frozenset[Assertion]:
@@ -71,7 +51,8 @@ def reduce(a: Atom, t: RawTerm) -> frozenset[Assertion]:
         case Var(_):
             return frozenset({Assertion(a, t)})
         case Susp(p, s):
-            return reduce(perm_of(p).inverse()(a), s)
+            # The reversed swap list denotes the inverse permutation.
+            return reduce(perm_of(reversed(p))(a), s)
         case Abs(b, s):
             assert isinstance(b, Atom)
             if b == a:
@@ -87,26 +68,20 @@ def reduce(a: Atom, t: RawTerm) -> frozenset[Assertion]:
     raise TypeError(f"not a raw term: {t!r}")
 
 
-def reduce_all(nabla: Iterable[Assertion]) -> frozenset[Assertion]:
-    """The union of the reductions of the assertions of an environment."""
+def nf(nabla: Iterable[Assertion]) -> frozenset[Assertion]:
+    """Unique normal form of a freshness environment: the union of the
+    reductions of its assertions."""
     return frozenset().union(*(reduce(x.atom, x.term) for x in nabla))
 
 
-def nf(nabla: Iterable[Assertion]) -> ReducedEnv:
-    """Unique normal form of a freshness environment."""
-    reduced = reduce_all(nabla)
-    bad = frozenset(r for r in reduced if isinstance(r.term, Atm))
-    return ReducedEnv(inconsistent=bad, consistent=reduced - bad)
-
-
 def is_consistent(nabla: Iterable[Assertion]) -> bool:
-    return nf(nabla).is_consistent
+    return is_consistent_reduced(nf(nabla))
 
 
 def entails(nabla: Iterable[Assertion], nabla2: Iterable[Assertion]) -> bool:
     """nabla |- nabla2: nabla is inconsistent, or nf(nabla2) is included in
     nf(nabla)."""
-    return entails_reduced(reduce_all(nabla), reduce_all(nabla2))
+    return entails_reduced(nf(nabla), nf(nabla2))
 
 
 def is_consistent_reduced(reduced: frozenset[Assertion]) -> bool:

@@ -189,10 +189,10 @@ class _Scope:
 
 
 def _take_atom(cur: _Cursor, scope: _Scope) -> AtomLike:
-    name = cur.take("name").text
-    atom = scope.resolve(name, cur, _ATOM)
+    tok = cur.take("name")
+    atom = scope.resolve(tok.text, cur, _ATOM)
     if atom is None:
-        cur.error(f"{name!r} is not an atom here")
+        raise ParseError(f"{tok.text!r} is not an atom here", tok.line, tok.col)
     return atom  # type: ignore[return-value]
 
 

@@ -2,7 +2,9 @@
 environments, and the reading of an atom's name, which the parser uses. In a
 spec with one atom sort, the printed form parses back to the same object.
 With several atom sorts it does not: atoms print by index alone, as `a`,
-`b`, ..., so the sort is lost and the letters do not parse."""
+`b`, ..., so the sort is lost and the letters do not parse. A schematic
+atom prints by its name, and an environment, such as the frozenset that
+`freshness.nf` returns, by its assertions in sorted order."""
 
 from __future__ import annotations
 
@@ -10,13 +12,15 @@ import re
 from typing import Iterable, Optional
 
 from .atoms import Atom, Signature
-from .terms import Abs, App, Atm, MetaAtom, RawTerm, Susp, Tup, Var, app_args
+from .terms import Abs, App, Atm, AtomLike, MetaAtom, RawTerm, Susp, Tup, Var, app_args
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _SORT_INDEX = re.compile(r"([A-Za-z_][A-Za-z0-9_]*?)(\d+)")
 
 
-def atom_str(a: Atom) -> str:
+def atom_str(a: AtomLike) -> str:
+    if isinstance(a, MetaAtom):
+        return a.name
     if a.index < len(_ALPHABET):
         return _ALPHABET[a.index]
     return f"{a.sort.name}{a.index}"
@@ -33,18 +37,12 @@ def atom_named(sig: Signature, name: str) -> Optional[Atom]:
     return None if sort is None else Atom(sort, int(m.group(2)))
 
 
-def _atomlike_str(a) -> str:
-    if isinstance(a, MetaAtom):
-        return a.name
-    return atom_str(a)
-
-
 def _swaplist_str(pairs) -> str:
     """A delayed permutation as written: its transpositions joined by `o`,
     or `id` for none."""
     if not pairs:
         return "id"
-    return "o".join(f"({_atomlike_str(a)} {_atomlike_str(b)})" for a, b in pairs)
+    return "o".join(f"({atom_str(a)} {atom_str(b)})" for a, b in pairs)
 
 
 def term_str(t: RawTerm) -> str:
@@ -52,11 +50,11 @@ def term_str(t: RawTerm) -> str:
         case Var(v):
             return v.name
         case Atm(a):
-            return _atomlike_str(a)
+            return atom_str(a)
         case Susp(p, s):
             return f"({_swaplist_str(p)})*{term_str(s)}"
         case Abs(a, s):
-            return f"[{_atomlike_str(a)}]{term_str(s)}"
+            return f"[{atom_str(a)}]{term_str(s)}"
         case Tup(items):
             return "(" + ", ".join(term_str(s) for s in items) + ")"
         case App(f, _):
@@ -71,12 +69,12 @@ def formula_str(source: RawTerm, target: RawTerm) -> str:
     return f"{term_str(source)} -> {term_str(target)}"
 
 
-def assertion_str(assertion) -> str:
-    return f"{_atomlike_str(assertion.atom)} # {term_str(assertion.term)}"
+def assertion_str(atom: AtomLike, term: RawTerm) -> str:
+    return f"{atom_str(atom)} # {term_str(term)}"
 
 
 def env_str(assertions: Iterable) -> str:
-    parts = sorted(assertion_str(a) for a in assertions)
+    parts = sorted(assertion_str(a.atom, a.term) for a in assertions)
     return "{" + ", ".join(parts) + "}"
 
 

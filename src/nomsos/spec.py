@@ -3,6 +3,7 @@ and stratification declarations, and whole-specification validation."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -193,7 +194,7 @@ def bn_eval(spec: Spec, label: RawTerm) -> frozenset[AtomLike]:
     """Binding names of an action: the atoms (or schematic atoms) at the
     declared binding positions of the label's head constructor."""
     if not isinstance(label, App):
-        raise ValueError(f"not a constructor-headed action: {label}")
+        raise ValueError(f"not a constructor-headed action: {term_str(label)}")
     positions = spec.bn.get(label.func, ())
     if not positions:
         return frozenset()
@@ -224,35 +225,40 @@ def strat_eval(spec: Spec, p: RawTerm, label: RawTerm) -> Optional[int]:
     A clause's schematic atoms range over the free atoms of the normalised
     state and action plus one fresh atom per schematic atom of the clause,
     so every way the clause can match is tried up to renaming, and the
-    order does not change when one permutation renames state and action."""
-    p = normalize(p)
-    label = normalize(label)
-    free = tuple(sorted(_free_atoms(p) | _free_atoms(label)))
-    for case in spec.strat:
-        pool = AtomPool(free, len(meta_atoms(case.head) | meta_atoms(case.label)))
-        found = next(
-            (
-                st2
-                for st in matcher(case.label)(label, MatchState(), pool)
-                for st2 in matcher(case.head)(p, st, pool)
-                if check_constraints(case.constraints, st2.metas)
-            ),
-            None,
-        )
-        if found is None:
-            continue
-        if case.base is not None:
-            return case.base
-        best = 0
-        for var, labpat in case.recursion:
-            sub = found.subst.get(var)
-            if sub is None:
-                continue  # recursion position not bound by this pattern
-            sub_label = instantiate(labpat, found.metas)
-            r = strat_eval(spec, sub, sub_label)
-            best = max(best, r if r is not None else 0)
-        return 1 + best
-    return None
+    order does not change when one permutation renames state and action.
+    A pattern is compiled when the search first reaches it, once per call."""
+    match = functools.cache(matcher)
+
+    def order(p: RawTerm, label: RawTerm) -> Optional[int]:
+        p = normalize(p)
+        label = normalize(label)
+        free = tuple(sorted(_free_atoms(p) | _free_atoms(label)))
+        for case in spec.strat:
+            pool = AtomPool(free, len(meta_atoms(case.head) | meta_atoms(case.label)))
+            found = next(
+                (
+                    st2
+                    for st in match(case.label)(label, MatchState(), pool)
+                    for st2 in match(case.head)(p, st, pool)
+                    if check_constraints(case.constraints, st2.metas)
+                ),
+                None,
+            )
+            if found is None:
+                continue
+            if case.base is not None:
+                return case.base
+            best = 0
+            for var, labpat in case.recursion:
+                sub = found.subst.get(var)
+                if sub is None:
+                    continue  # recursion position not bound by this pattern
+                r = order(sub, instantiate(labpat, found.metas))
+                best = max(best, r if r is not None else 0)
+            return 1 + best
+        return None
+
+    return order(p, label)
 
 
 # --- validation ---------------------------------------------------------------

@@ -44,7 +44,7 @@ from nomsos.formats import (
     describe,
     label_instances,
 )
-from nomsos.freshness import Assertion, entails, nf
+from nomsos.freshness import Assertion, entails, is_consistent, nf
 from nomsos.printer import atom_str, env_str
 from nomsos.spec import bn_eval
 from nomsos.terms import (
@@ -344,6 +344,19 @@ order foo(x) @ outA(a,b) = 1 + max(S(x, outA(a,b))) ;
         report = check_acr(spec, check_stratification(spec).defined)
         verdicts = [(c.rule, c.status, c.constraint) for c in report.checks]
         assert verdicts == [("R", "fail", "(i)")], env
+
+
+def test_partitions_are_yielded_lazily():
+    # 20 schematic atoms of one sort have Bell(20), about 5e13, partitions;
+    # the first three come at once, in the order of the full enumeration.
+    m = [MetaAtom(f"m{i:02}", AtomSort("ch")) for i in range(20)]
+    first = list(itertools.islice(formats._partitions(m), 3))
+    singletons = [[x] for x in m[2:]]
+    assert first == [
+        [[m[0]], [m[1]]] + singletons,
+        [[m[0], m[1]]] + singletons,
+        [[m[1]], [m[0], m[2]]] + singletons[1:],
+    ]
 
 
 def test_check_all_matches_each_label_instance_once(pi_spec, monkeypatch):
@@ -679,7 +692,7 @@ def _reference_acr_instance(spec, inst):
         rule_atoms = set(asg.values()).union(
             support(source), support(target_pair), *(support(s) | support(t) for s, _, t in prem)
         )
-        excluded = {c for c in support(source) if not nf([Assertion(c, source)]).all}
+        excluded = {c for c in support(source) if not nf([Assertion(c, source)])}
         candidates = sorted(rule_atoms - excluded)
         for sort in sorted(spec.signature.atom_sorts, key=lambda s: s.name):
             candidates += fresh_atoms(sort, taken, 1)
@@ -763,7 +776,7 @@ def test_acr_decision_agrees_with_entailment_oracle():
     inst = next(i for i in check_stratification(spec).defined if i.name == "R")
     a, b, c = sorted(inst.metas)
     identified = inst.instance(formats._assignment([[a, b], [c]], inst.atoms()))
-    assert not nf(identified.env).is_consistent
+    assert not is_consistent(identified.env)
     closed = formats._ClosedTerms(spec.signature)
     assert _check_acr_instance(spec, inst, closed).witness.startswith("R@outA with atoms {b} {a,c}, ")
 
@@ -896,7 +909,7 @@ def _reference_case_matches(spec, inst):
     names = [m.name for m in metas]
     pools = [fresh_atoms(m.sort, inst.atoms(), len(metas)) for m in metas]
     maps = (dict(zip(names, images)) for images in itertools.product(*pools))
-    valid = [asg for asg in maps if nf(inst.instance(asg).env).is_consistent]
+    valid = [asg for asg in maps if is_consistent(inst.instance(asg).env)]
     valid = valid or [dict(zip(names, (pool[i] for i, pool in enumerate(pools))))]
 
     def image(x, asg):

@@ -22,8 +22,8 @@ from nomsos import (
     tautology,
 )
 from nomsos.alpha import nt_fresh
-from nomsos.freshness import entails_reduced, reduce, reduce_all
-from nomsos.terms import subst_apply
+from nomsos.freshness import entails_reduced, is_consistent_reduced, reduce
+from nomsos.terms import perm_of, subst_apply
 
 from conftest import PR, atoms, random_term
 
@@ -34,34 +34,46 @@ A, B, C = atoms(3)
 
 def test_rule_atom_same():
     r = nf([Assertion(A, Atm(A))])
-    assert not r.is_consistent and r.all == {Assertion(A, Atm(A))}
+    assert not is_consistent_reduced(r) and r == {Assertion(A, Atm(A))}
 
 
 def test_rule_atom_other():
-    assert nf([Assertion(A, Atm(B))]).all == frozenset()
+    assert nf([Assertion(A, Atm(B))]) == frozenset()
 
 
 def test_rule_variable_is_reduced():
     r = nf([Assertion(A, Var(X))])
-    assert r.is_consistent and r.all == {Assertion(A, Var(X))}
+    assert is_consistent_reduced(r) and r == {Assertion(A, Var(X))}
 
 
 def test_rule_suspension_moves_atom():
-    assert nf([Assertion(A, Susp(((A, B),), Var(X)))]).all == {Assertion(B, Var(X))}
+    assert nf([Assertion(A, Susp(((A, B),), Var(X)))]) == {Assertion(B, Var(X))}
+
+
+def test_reduce_undoes_a_suspension_by_the_inverse_permutation():
+    # Swap lists that repeat atoms, identity swaps (a a) included, against
+    # the inverse of the permutation the list denotes.
+    rng = random.Random(47)
+    inner = Tup((Var(X), Abs(C, Var(Y))))
+    for _ in range(300):
+        swaps = tuple((rng.choice((A, B, C)), rng.choice((A, B, C))) for _ in range(rng.randrange(6)))
+        for a in atoms(4):
+            expected = reduce(perm_of(swaps).inverse()(a), inner)
+            assert reduce(a, Susp(swaps, inner)) == expected, (a, swaps)
 
 
 def test_rule_abstraction_same_binder_vanishes():
-    assert nf([Assertion(A, Abs(A, Var(X)))]).all == frozenset()
+    assert nf([Assertion(A, Abs(A, Var(X)))]) == frozenset()
 
 
 def test_rule_abstraction_other_binder_descends():
-    assert nf([Assertion(A, Abs(B, Var(X)))]).all == {Assertion(A, Var(X))}
+    assert nf([Assertion(A, Abs(B, Var(X)))]) == {Assertion(A, Var(X))}
 
 
 def test_rule_tuple_and_constructor():
     t = app("out", Atm(A), Atm(B), Var(X))
-    assert nf([Assertion(C, t)]).all == {Assertion(C, Var(X))}
-    assert nf([Assertion(A, t)]).all == {
+    assert nf([Assertion(C, t)]) == {Assertion(C, Var(X))}
+    assert nf([Assertion(A, t)]) == {
         Assertion(A, Atm(A)),
         Assertion(A, Var(X)),
     }
@@ -117,7 +129,7 @@ def test_confluence_and_termination(pi_spec):
             )
             for _ in range(rng.randrange(1, 4))
         ]
-        expected = nf(env).all
+        expected = nf(env)
         for _ in range(10):
             assert slow_nf([(e.atom, e.term) for e in env], rng) == expected
 
@@ -154,7 +166,7 @@ def test_nf_sound_and_complete_under_ground_valuations(pi_spec):
         phi = random_term(rng, pi_spec, depth=4, susp=True, variables=[X, Y])
         val = {v: random_term(rng, pi_spec, depth=3, susp=True) for v in (X, Y)}
         for a in atoms(4):
-            reduced = nf([Assertion(a, phi)]).all
+            reduced = nf([Assertion(a, phi)])
             expected = all(nt_fresh(r.atom, subst_apply(val, r.term)) for r in reduced)
             assert nt_fresh(a, subst_apply(val, phi)) == expected, (a, phi, val)
             open_checks += any(isinstance(r.term, Var) for r in reduced)
@@ -187,8 +199,8 @@ def test_nf_is_the_union_of_reduce_and_entails_compares_unions(pi_spec, rng):
     left = _random_env(rng, pi_spec)
     right = _random_env(rng, pi_spec) if rng.random() < 0.5 else rng.sample(left, len(left) // 2)
     left_set, right_set = _reduced(left), _reduced(right)
-    assert nf(left).all == left_set == reduce_all(left) and nf(right).all == right_set
+    assert nf(left) == left_set and nf(right) == right_set
     inconsistent = any(isinstance(r.term, Atm) for r in left_set)
-    assert nf(left).is_consistent is not inconsistent
+    assert is_consistent(left) is not inconsistent
     decision = inconsistent or right_set <= left_set
     assert entails(left, right) == decision == entails_reduced(left_set, right_set)

@@ -7,6 +7,7 @@ from nomsos import (
     App,
     Atm,
     Atom,
+    MetaAtom,
     ParseError,
     Susp,
     Tup,
@@ -213,15 +214,15 @@ def _pi_edit(old: str, new: str) -> str:
 
 
 def test_names_that_are_not_atoms(pi_spec):
-    # The error points at the token after the name.
+    # The error points at the name, as for an unknown variable.
     term = lambda text: parse_term_str(pi_spec, text)  # noqa: E731
     env = lambda text: parse_env_str(pi_spec, text)  # noqa: E731
-    assert _error(term, "new([x1]null)") == (1, 8, "1:8: 'x1' is not an atom here")
-    assert _error(term, "new([null]null)") == (1, 10, "1:10: 'null' is not an atom here")
-    assert _error(env, "{x1 # null}") == (1, 5, "1:5: 'x1' is not an atom here")
+    assert _error(term, "new([x1]null)") == (1, 6, "1:6: 'x1' is not an atom here")
+    assert _error(term, "new([null]null)") == (1, 6, "1:6: 'null' is not an atom here")
+    assert _error(env, "{x1 # null}") == (1, 2, "1:2: 'x1' is not an atom here")
     # in an order clause a declared variable is not an atom either
     text = _pi_edit("order new([c]x) @ outA(a,b)", "order new([x]x) @ outA(a,b)")
-    assert _error(parse_spec, text) == (101, 13, "101:13: 'x' is not an atom here")
+    assert _error(parse_spec, text) == (101, 12, "101:12: 'x' is not an atom here")
 
 
 def test_unknown_sorts():
@@ -316,6 +317,14 @@ def test_each_position_takes_its_kind_of_name(pi_spec):
     rule = parse_spec(text).rule("ParL")
     assert rule.label_excluded[0][0] == pi_spec.variables["l"]
     assert [m.name for m in rule.metas] == ["l"]
+
+
+def test_a_schematic_atom_prints_by_its_name():
+    from nomsos.printer import atom_str
+
+    m = MetaAtom("b1", CH)
+    assert atom_str(m) == "b1"
+    assert term_str(Abs(m, Susp(((m, Atom(CH, 0)),), Atm(m)))) == "[b1]((b1 a))*b1"
 
 
 def test_atom_names_read_back():

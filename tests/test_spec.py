@@ -15,9 +15,11 @@ from nomsos import (
     subst_apply,
     validate_spec,
 )
+from nomsos import spec as spec_module
 from nomsos.atoms import Atom, BaseSort
+from nomsos.matching import matcher
 from nomsos.spec import check_constraints
-from nomsos.terms import resolve, term_vars
+from nomsos.terms import Var, resolve, term_vars
 
 from conftest import atoms, random_perm, random_state, random_term
 
@@ -53,6 +55,35 @@ def test_order_base_cases(pi_spec):
     assert strat_eval(pi_spec, inn, _t(pi_spec, "inA(a, b)")) is None
     assert strat_eval(pi_spec, out, _t(pi_spec, "tauA")) is None
     assert strat_eval(pi_spec, out, _t(pi_spec, "boutA(a, b)")) is None
+
+
+def test_order_compiles_each_clause_pattern_once_per_call(pi_spec, monkeypatch):
+    # A clause's label pattern is compiled when the search reaches the
+    # clause, its head pattern when the label matches, and neither again
+    # within the call, however often the recursion or another clause meets
+    # an equal pattern.
+    compiled = []
+
+    def counted(pat):
+        compiled.append(pat)
+        return matcher(pat)
+
+    monkeypatch.setattr(spec_module, "matcher", counted)
+    labels = [case.label for case in pi_spec.strat]
+    patterns = labels + [case.head for case in pi_spec.strat]
+    assert strat_eval(pi_spec, _t(pi_spec, "par(null, null)"), _t(pi_spec, "tauA")) is None
+    assert compiled == list(dict.fromkeys(labels))
+    state = _t(pi_spec, "par(sum(new([c]out(a, b, null)), null), par(rep(out(a, b, null)), null))")
+    for _ in range(2):
+        compiled.clear()
+        assert strat_eval(pi_spec, state, _t(pi_spec, "outA(a, b)")) == 3
+        assert compiled == list(dict.fromkeys(compiled)) and all(pat in patterns for pat in compiled)
+
+
+def test_bn_eval_prints_a_label_that_is_not_constructor_headed(pi_spec):
+    with pytest.raises(ValueError) as e:
+        bn_eval(pi_spec, Var(pi_spec.variables["l"]))
+    assert str(e.value) == "not a constructor-headed action: l"
 
 
 def test_order_scope_opening(pi_spec):
