@@ -58,6 +58,17 @@ not free in it, first. So a tree carried back may name such a binder
 differently from the first tree of a search keyed by the literal subgoal;
 it replays all the same.
 
+Keys of one state whose extra atoms differ only in atoms that the entry of
+the first one absorbs share its record (`_Search._shared`). An absorbed
+atom is free in the state, so the pool holds it either way, and each
+record the entry's solve joined absorbs it too or has it among the
+premise's own atoms (`_absorbed`). So every node below sees the same pool,
+makes the same matches in the same order and builds the same residuals
+with the same first trees: the answers cannot change. This needs every
+entry complete once settled, so the search shares only where no subgoal
+recurs below itself and no depth cut falls: every rule is `_decreasing`,
+and the depth budget exceeds the applications in the state.
+
 The plan also holds each rule's patterns compiled into closures, built
 once per spec: a matcher (`matching.matcher`) for the conclusion source and
 for each premise target, and a builder (`alpha.builder`) for each premise
@@ -90,6 +101,7 @@ from .terms import (
     MetaAtom,
     RawTerm,
     Susp,
+    Tup,
     Var,
     Variable,
     _walk,
@@ -288,15 +300,43 @@ def _head_index(plans: tuple[_RulePlan, ...]) -> dict[Optional[str], tuple[_Rule
     return {f: tuple(p for p, g in zip(plans, heads) if g in (None, f)) for f in (None, *heads)}
 
 
+def _decreasing(rule: Rule) -> bool:
+    """Whether each premise source of the rule is a variable of its
+    conclusion source, an application: then a premise subgoal has fewer
+    applications than the subgoal it is a premise of."""
+    source = rule.conclusion.source
+    return all(
+        isinstance(p.source, Var) and isinstance(source, App) and p.source.var in term_vars(source)
+        for p in rule.premises
+    )
+
+
+def _applications(t: RawTerm) -> int:
+    """The constructor applications in a term."""
+    count, stack = 0, [t]
+    while stack:
+        match stack.pop():
+            case App(_, arg):
+                count += 1
+                stack.append(arg)
+            case Abs(_, body) | Susp(_, body):
+                stack.append(body)
+            case Tup(items):
+                stack.extend(items)
+    return count
+
+
 class _Plans(NamedTuple):
     """What the search works out once per spec: the plans of the rules
-    indexed by the head of their conclusion source (see `_head_index`), and
-    whether the rule set is equivariant. A rule with a concrete atom breaks
-    equivariance: every key is then its own representative."""
+    indexed by the head of their conclusion source (see `_head_index`),
+    whether the rule set is equivariant, and whether every rule is
+    `_decreasing`. A rule with a concrete atom breaks equivariance: every
+    key is then its own representative."""
 
     rules: tuple[Rule, ...]
     by_head: dict[Optional[str], tuple[_RulePlan, ...]]
     equivariant: bool
+    decreasing: bool
 
 
 def _plans(spec: Spec) -> _Plans:
@@ -314,6 +354,7 @@ def _plans(spec: Spec) -> _Plans:
             spec.rules,
             _head_index(tuple(map(_RulePlan.of, spec.rules))),
             not any(rule.atoms() for rule in spec.rules),
+            all(map(_decreasing, spec.rules)),
         )
     return kept
 
@@ -333,9 +374,10 @@ class _Entry:
     last reached it (`settled` once that pass solved it). `joined` is None
     until the entry is first solved; then it maps each record its last
     solve read to the length of the record's view at the first such read.
-    Every combination of residuals below those lengths was joined then."""
+    Every combination of residuals below those lengths was joined then.
+    `absorbed` caches `_absorbed` once a lookup asks for it."""
 
-    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled", "joined")
+    __slots__ = ("state", "extra", "pool", "residuals", "reached", "settled", "joined", "absorbed")
 
     def __init__(self, state: RawTerm, extra: frozenset[Atom], pool: AtomPool):
         self.state = state
@@ -345,6 +387,7 @@ class _Entry:
         self.reached = 0
         self.settled = False
         self.joined: Optional[dict[_Record, int]] = None
+        self.absorbed: Optional[frozenset[Atom]] = None
 
 
 class _Record:
@@ -370,12 +413,35 @@ class _Record:
                 self.view[_rename(inverse.image, residual)] = _Carried(tree, inverse)
         return self.view
 
+    def moved(self, atoms: frozenset[Atom]) -> frozenset[Atom]:
+        """Atoms of the entry, carried back to this record's key."""
+        if self.inverse is None:
+            return atoms
+        image = self.inverse.image
+        return frozenset([image.get(a, a) for a in atoms])
+
+
+def _absorbed(entry: _Entry) -> frozenset[Atom]:
+    """The free atoms of a settled entry's state whose presence among its
+    extra atoms no subgoal below can see: each record its solve joined
+    absorbs such an atom too, or has it among the premise's own atoms."""
+    if entry.absorbed is None:
+        atoms = _free_atoms(entry.state)
+        for record in entry.joined:
+            absorbed = record.moved(_absorbed(record.entry))
+            atoms &= absorbed | (record.moved(record.entry.extra) - entry.extra)
+        entry.absorbed = atoms
+    return entry.absorbed
+
 
 class _Search:
     def __init__(self, spec: Spec, budget: Budget):
         self.budget = budget
-        _, self.by_head, self.equivariant = _plans(spec)
+        _, self.by_head, self.equivariant, self.decreasing = _plans(spec)
         self.records: dict[tuple, _Record] = {}
+        # The records made while sharing, by state and the extra atoms not free in it.
+        self.by_state: dict[tuple, list[tuple[frozenset[Atom], _Record]]] = {}
+        self.sharing = False
         self.truncated = False
         self.changed = False
         self.stale = False
@@ -384,6 +450,9 @@ class _Search:
     def run(
         self, state: RawTerm, extra: frozenset[Atom]
     ) -> dict[RawTerm, ProofTree | _Carried]:
+        # Under decreasing rules every chain of subgoals is shorter than the
+        # applications in the state: no cycle, no cut, no stale read.
+        self.sharing = self.decreasing and self.budget.depth > _applications(state)
         for _ in range(max(self.budget.depth, 1)):
             self.passes += 1
             self.changed = False
@@ -411,21 +480,39 @@ class _Search:
 
     def _record(self, state: RawTerm, extra: frozenset[Atom]) -> _Record:
         """The record of a key, made when the key is first reached. A key
-        that `_canonical` leaves in place is its own representative and
-        gets a new entry; any other key shares the entry of its
-        representative's record, carried back by the inverse renaming."""
+        that `_shared` matches takes that record. Otherwise a key that
+        `_canonical` leaves in place is its own representative and gets a
+        new entry; any other key shares the entry of its representative's
+        record, carried back by the inverse renaming."""
         key = (state, extra)
         record = self.records.get(key)
         if record is None:
-            pool = AtomPool(tuple(sorted(_free_atoms(state) | extra)), self.budget.fresh)
-            moved = self._canonical(pool)
-            if moved:
-                rep = self._record(_rename(moved, state), frozenset(moved.get(a, a) for a in extra))
-                record = _Record(rep.entry, Permutation({b: a for a, b in moved.items()}))
-            else:
-                record = _Record(_Entry(state, extra, pool), None)
+            free = _free_atoms(state)
+            same = self.by_state.setdefault((state, extra - free), []) if self.sharing else []
+            record = self._shared(same, extra)
+            if record is None:
+                pool = AtomPool(tuple(sorted(free | extra)), self.budget.fresh)
+                moved = self._canonical(pool)
+                if moved:
+                    rep_extra = frozenset(moved.get(a, a) for a in extra)
+                    rep = self._record(_rename(moved, state), rep_extra)
+                    record = _Record(rep.entry, Permutation({b: a for a, b in moved.items()}))
+                else:
+                    record = _Record(_Entry(state, extra, pool), None)
+                same.append((extra, record))
             self.records[key] = record
         return record
+
+    def _shared(
+        self, same: list[tuple[frozenset[Atom], _Record]], extra: frozenset[Atom]
+    ) -> Optional[_Record]:
+        """Of the records made for keys of one state whose extra atoms differ
+        from `extra` only in atoms free in the state, one whose entry absorbs
+        them all (`_absorbed`)."""
+        for other, record in same:
+            if extra ^ other <= record.moved(_absorbed(record.entry)):
+                return record
+        return None
 
     def _solve(self, record: _Record, depth: int) -> dict[RawTerm, ProofTree | _Carried]:
         entry = record.entry

@@ -23,7 +23,9 @@ the case matches when some partition that `_consistent_partitions` yields
 (the ones the ACR check decides; with none, the schematic atoms as
 written) satisfies every pair, and is guaranteed to when all do. A pair of
 a schematic and a concrete atom, which no partition identifies, is open:
-it can match but is never guaranteed."""
+it can match but is never guaranteed. Neither check decides more than
+`PARTITION_CAP` partitions of an instance: past the cap, a case that needs
+them and the instance's ACR check are unknown, with the cap as reason."""
 
 from __future__ import annotations
 
@@ -305,15 +307,31 @@ def _partitions(metas: list[MetaAtom]) -> Iterator[list[list[MetaAtom]]]:
                 yield part[:i] + [[first] + block] + part[i + 1 :]
 
 
+# The most partitions of a label instance's schematic atoms that a check
+# decides, above the 877 of seven atoms; past it the check reports unknown.
+PARTITION_CAP = 1000
+
+
+class _TooManyPartitions(Exception):
+    """A label instance has more than `PARTITION_CAP` partitions."""
+
+
+def _capped(inst: Rule) -> str:
+    return f"{describe(inst)}: more than {PARTITION_CAP} partitions of its schematic atoms"
+
+
 def _consistent_partitions(
     inst: Rule,
 ) -> Iterator[tuple[list[list[MetaAtom]], dict[str, Atom], frozenset[Assertion]]]:
     """In `_partitions` order, each partition of a label instance's schematic
     atoms whose freshness environment, under its `_assignment`, is consistent,
     with that assignment and environment reduced. Each is judged on its own
-    env: one identifying a pair may be inconsistent while a coarser one is not."""
+    env: one identifying a pair may be inconsistent while a coarser one is not.
+    Raises `_TooManyPartitions` on reaching a partition past the cap."""
     literals = inst.atoms()
-    for partition in _partitions(sorted(set(inst.metas), key=lambda m: m.name)):
+    for i, partition in enumerate(_partitions(sorted(set(inst.metas), key=lambda m: m.name))):
+        if i == PARTITION_CAP:
+            raise _TooManyPartitions
         asg = _assignment(partition, literals)
         env = nf(Assertion(resolve(a.atom, asg), instantiate(a.term, asg)) for a in inst.env)
         if is_consistent_reduced(env):
@@ -327,34 +345,45 @@ class CaseMatch:
     bind: _Bind
 
 
-def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
+def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], Optional[str]]:
     """Stratification cases that can match some valid instance of the rule's
-    conclusion. The flag reports whether any case shape fell outside the
-    sufficient matching conditions (status unknown). The atom pairs are the
-    identifications, which must be equal, then the `when` constraints."""
+    conclusion, and why a case could not be decided (status unknown), if
+    one could not: its shape fell outside the sufficient matching
+    conditions, or it needs the partitions of an instance past the cap. The
+    atom pairs are the identifications, which must be equal, then the
+    `when` constraints."""
     out = []
-    saw_unknown = False
+    unknown: Optional[str] = None
     label = _residual(inst.conclusion.target)[0]
     asgs: Optional[list[dict[str, Atom]]] = None  # of `_consistent_partitions`, once
+    capped = False
     for case in spec.strat:
         bind = _Bind()
         res = _sym_match(case.label, label, bind)
         if res is True:
             res = _sym_match(case.head, inst.conclusion.source, bind)
         if res is not True:
-            saw_unknown = saw_unknown or res is None
+            if res is None:
+                unknown = unknown or _OUTSIDE
             continue
         pairs = [(x, y, True) for x, y in bind.identifications] + [
             (bind.metas.get(m1), bind.metas.get(m2), eq) for m1, m2, eq in case.constraints
         ]
         if any(x is None or y is None for x, y, _ in pairs):
-            saw_unknown = True
+            unknown = unknown or _OUTSIDE
             continue
         # a schematic atom against a concrete one stays open: no partition
         # identifies the two, though an instance may
         decided = [p for p in pairs if isinstance(p[0], MetaAtom) == isinstance(p[1], MetaAtom)]
-        if asgs is None and any(isinstance(x, MetaAtom) and x != y for x, y, _ in decided):
-            asgs = [asg for _, asg, _ in _consistent_partitions(inst)]
+        if any(isinstance(x, MetaAtom) and x != y for x, y, _ in decided):
+            if asgs is None and not capped:
+                try:
+                    asgs = [asg for _, asg, _ in _consistent_partitions(inst)]
+                except _TooManyPartitions:
+                    capped = True
+            if capped:
+                unknown = unknown or _capped(inst)
+                continue
         # with no consistent partition, the schematic atoms as written
         holds = [
             all((resolve(x, asg) == resolve(y, asg)) == eq for x, y, eq in decided)
@@ -362,7 +391,7 @@ def case_matches(spec: Spec, inst: Rule) -> tuple[list[CaseMatch], bool]:
         ]
         if any(holds):
             out.append(CaseMatch(case, all(holds) and len(decided) == len(pairs), bind))
-    return out, saw_unknown
+    return out, unknown
 
 
 # --- stratification ------------------------------------------------------------
@@ -377,16 +406,16 @@ def check_stratification(spec: Spec) -> CheckReport:
     defined: list[Rule] = []
     for rule in spec.rules:
         failure: Optional[RuleCheck] = None
-        unknown = False
+        unknown: Optional[str] = None
         for inst in label_instances(spec, rule):
-            matches, saw_unknown = case_matches(spec, inst)
-            unknown = unknown or saw_unknown or _premise_parts(inst) is None
+            matches, why = case_matches(spec, inst)
+            unknown = unknown or why or (_OUTSIDE if _premise_parts(inst) is None else None)
             if matches:
                 defined.append(inst)
             if failure is None:
                 failure = _strat_failure(spec, inst, matches)
         if failure is None and unknown:
-            failure = RuleCheck(rule.name, "unknown", "decrease", _OUTSIDE)
+            failure = RuleCheck(rule.name, "unknown", "decrease", unknown)
         checks.append(failure or RuleCheck(rule.name, "pass"))
     notes = ("defined order: " + (", ".join(map(describe, defined)) or "none"),)
     return CheckReport("stratification", tuple(checks), notes, tuple(defined))
@@ -570,33 +599,36 @@ def _check_acr_instance(spec: Spec, inst: Rule, closed: _ClosedTerms) -> Optiona
         for a in fresh_atoms(s, taken, 1)
     ]
 
-    for partition, asg, env in _consistent_partitions(inst):
-        r = inst.instance(asg)
-        parts = _premise_parts(r)
-        assert parts is not None  # as for inst: instantiating keeps each pair
-        source, target_pair = r.conclusion.source, r.conclusion.target
-        gamma_source = subst_apply(gamma, source)
-        sources = [s for s, _, _ in parts]
-        targets = [t for _, _, t in parts]
+    try:
+        for partition, asg, env in _consistent_partitions(inst):
+            r = inst.instance(asg)
+            parts = _premise_parts(r)
+            assert parts is not None  # as for inst: instantiating keeps each pair
+            source, target_pair = r.conclusion.source, r.conclusion.target
+            gamma_source = subst_apply(gamma, source)
+            sources = [s for s, _, _ in parts]
+            targets = [t for _, _, t in parts]
 
-        source_support = (resolve(c, asg) for c in source_atoms)
-        excluded = {c for c in source_support if isinstance(c, Atom) and not reduce(c, source)}
-        candidates = sorted((set(asg.values()) | fixed) - excluded) + fresh
+            source_support = (resolve(c, asg) for c in source_atoms)
+            excluded = {c for c in source_support if isinstance(c, Atom) and not reduce(c, source)}
+            candidates = sorted((set(asg.values()) | fixed) - excluded) + fresh
 
-        for a in candidates:
-            lhs1 = env | reduce(a, target_pair)
-            if not entails_reduced(lhs1, _reduce_each(a, targets)):
-                return _acr_fail(inst, "(i)", partition, a, r.env, [target_pair], targets)
-            lhs2 = lhs1 | _reduce_each(a, sources)
-            if not entails_reduced(lhs2, reduce(a, gamma_source)):
-                lhs = [target_pair, *sources]
-                return _acr_fail(inst, "(ii)", partition, a, r.env, lhs, [gamma_source])
-        for b in bn_eval(spec, _residual(target_pair)[0]):
-            assert isinstance(b, Atom)
-            # the sources of the premises whose label, in r, binds b
-            bound = [s for s, l, _ in parts if b in bn_eval(spec, l)]
-            if not entails_reduced(env | _reduce_each(b, bound), reduce(b, gamma_source)):
-                return _acr_fail(inst, "(iii)", partition, b, r.env, bound, [gamma_source])
+            for a in candidates:
+                lhs1 = env | reduce(a, target_pair)
+                if not entails_reduced(lhs1, _reduce_each(a, targets)):
+                    return _acr_fail(inst, "(i)", partition, a, r.env, [target_pair], targets)
+                lhs2 = lhs1 | _reduce_each(a, sources)
+                if not entails_reduced(lhs2, reduce(a, gamma_source)):
+                    lhs = [target_pair, *sources]
+                    return _acr_fail(inst, "(ii)", partition, a, r.env, lhs, [gamma_source])
+            for b in bn_eval(spec, _residual(target_pair)[0]):
+                assert isinstance(b, Atom)
+                # the sources of the premises whose label, in r, binds b
+                bound = [s for s, l, _ in parts if b in bn_eval(spec, l)]
+                if not entails_reduced(env | _reduce_each(b, bound), reduce(b, gamma_source)):
+                    return _acr_fail(inst, "(iii)", partition, b, r.env, bound, [gamma_source])
+    except _TooManyPartitions:
+        return RuleCheck(inst.name, "unknown", "", _capped(inst))
     return None
 
 

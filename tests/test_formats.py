@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 from nomsos import (
@@ -36,6 +37,8 @@ from nomsos.atoms import (
     prod_parts,
 )
 from nomsos.formats import (
+    _OUTSIDE,
+    PARTITION_CAP,
     RuleCheck,
     _Bind,
     _check_acr_instance,
@@ -601,7 +604,7 @@ def test_constraint_on_an_unbound_case_atom_is_unknown(pi_spec):
     # the matcher, called directly, reports it as unknown.
     case = dataclasses.replace(pi_spec.strat[0], constraints=(("a", "zz", True),))
     spec = dataclasses.replace(pi_spec, strat=(case,))
-    assert case_matches(spec, spec.rule("Out")) == ([], True)
+    assert case_matches(spec, spec.rule("Out")) == ([], _OUTSIDE)
 
 
 def _pinned_texts():
@@ -1084,3 +1087,52 @@ def test_stratification_promise_holds_on_seeded_specs():
                     binding += 1
                     assert strat_eval(spec, d.transition.state, label) is not None, transition_str(d.transition)
     assert binding >= 300
+
+
+def _outn_spec(n: int) -> str:
+    """pi.spec with a polyadic output of n objects: a constructor `outn`,
+    an action `outnA` with n + 1 channels, an axiom `OutN` and order clauses
+    for `outnA` like those of `outA`."""
+    names = ["a", *(f"b{i}" for i in range(1, n + 1))]
+    chans, ch = ", ".join(names), " * ".join(["ch"] * (n + 1))
+    label = f"outnA({chans})"
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    text = text.replace(
+        "func tauA", f"func outn : {ch} * pr -> pr ;\nfunc outnA : {ch} -> ac ;\nfunc tauA", 1
+    )
+    unequal = ", ".join(f"c != {v}" for v in names)
+    return text + "".join(
+        [
+            f"\nrule OutN forall {' '.join(names)} :\n",
+            f"  conclusion outn({chans}, x) -> ({label}, x) ;\n",
+            f"order outn({chans}, x) @ {label} = 0 ;\n",
+            f"order new([c]x) @ {label} when {unequal} = 1 + max(S(x, {label})) ;\n",
+            *(
+                f"order {f}(x1,x2) @ {label} = 1 + max(S(x1, {label}), S(x2, {label})) ;\n"
+                for f in ("par", "sum")
+            ),
+            f"order rep(x) @ {label} = 1 + max(S(x, {label})) ;\n",
+        ]
+    )
+
+
+def test_a_label_instance_past_the_partition_cap_is_unknown():
+    # Res's instance at outnA has n + 2 schematic atoms: 877 partitions at
+    # n = 5, under the cap, and 115 975 at n = 8, past it. Past the cap a
+    # check reports unknown and says why, instead of running on.
+    assert 877 < PARTITION_CAP < 115_975
+    assert all(report.passed for report in check_all(parse_spec(_outn_spec(5))))
+    start = time.perf_counter()
+    reports = check_all(parse_spec(_outn_spec(8)))
+    assert time.perf_counter() - start < 10
+    unknown = {
+        (r.name, c.rule): c.witness for r in reports for c in r.checks if c.status == "unknown"
+    }
+    acr = "residual alpha-conversion format"
+    capped = [(acr, rule) for rule in ("OutN", "ParL", "ParR", "Rep", "SumL", "SumR")]
+    assert sorted(unknown) == capped + [("stratification", "Res")]
+    assert unknown["stratification", "Res"] == (
+        f"Res@outnA: more than {PARTITION_CAP} partitions of its schematic atoms"
+    )
+    assert all(f"more than {PARTITION_CAP} partitions" in w for w in unknown.values())
+    assert {c.status for r in reports for c in r.checks} == {"pass", "skipped", "unknown"}
