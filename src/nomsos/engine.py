@@ -41,9 +41,11 @@ alpha-renaming, so every candidate for `c` gives the same discharged terms
 and residuals, and matching binds `c` to the subject's binder alone, the
 option it tries first anyway: the same residuals with the same first trees.
 
-The table is keyed by orbit, in one map from each subgoal reached to its
-record. A subgoal's candidate atoms, per sort the sorted free and extra
-atoms and then the fresh ones, are renamed in order to atoms 0, 1, 2, ...;
+The table is keyed by orbit: one map takes each subgoal reached to its
+record, and while the search shares records (below) another files each
+record made under its state and its extra atoms not free there. A
+subgoal's candidate atoms, per sort the sorted free and extra atoms and
+then the fresh ones, are renamed in order to atoms 0, 1, 2, ...;
 a subgoal that this renaming leaves in place is a representative, whose
 record holds a new entry and views its residuals as they are. Any other
 subgoal's record shares the entry of its representative's record, which
@@ -81,7 +83,8 @@ canonical form, using each bound term as it is.  Matching itself moves a
 subject only where it flips it under an abstraction or a delayed
 permutation.  `replay` does not rely on
 this: it checks the raw instance `Rule.instance` against the tree, with
-`alpha_eq`."""
+`alpha_eq`, and normalises each freshness term of the instance to decide it
+and to compare it with the tree's discharged term."""
 
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
-from .alpha import Builder, _free_atoms, _rename, alpha_eq, builder, normalize, nt_fresh
+from .alpha import Builder, _free_atoms, _rename, alpha_eq, builder, normalize
 from .atoms import Atom, Permutation
 from .matching import AtomPool, Matcher, MatchState, bind_metas, matcher
 from .printer import assertion_str, atom_str, formula_str, term_str
@@ -230,24 +233,23 @@ def _unobserved_binders(rule: Rule) -> frozenset[MetaAtom]:
 class _RulePlan:
     """What the search needs of a rule beyond the rule itself, worked out
     once: the schematic atoms each premise source and the conclusion still
-    have to bind, sorted by name, the split of its freshness assertions,
-    and the binders its source match takes at the subject's binder alone
-    (see `_unobserved_binders`). Matching binds every schematic atom it
-    meets, so those of the conclusion source and of each premise's source
-    and target are fixed by the time the conclusion is reached.
+    have to bind, sorted by name, and the split of its freshness
+    assertions. Matching binds every schematic atom it meets, so those of
+    the conclusion source and of each premise's source and target are fixed
+    by the time the conclusion is reached.
 
     Each pattern the search reads is compiled here, once: the matcher of the
-    conclusion source (with the unobserved binders fixed in it), the
-    matcher of each premise target, and the builder of each premise source,
-    each freshness term and the conclusion target. A conclusion binds every
-    schematic atom of `names` and every variable of `variables`, each sorted
-    by name, which is the order of a proof tree's atoms and substitution."""
+    conclusion source (which takes each binder of `_unobserved_binders` at
+    the subject's binder alone), the matcher of each premise target, and the
+    builder of each premise source, each freshness term and the conclusion
+    target. A conclusion binds every schematic atom of `names` and every
+    variable of `variables`, each sorted by name, which is the order of a
+    proof tree's atoms and substitution."""
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
     env: tuple[_FreshnessPlan, ...]
     pending: tuple[MetaAtom, ...]
-    unobserved: frozenset[MetaAtom]
     source: Matcher
     target: Builder
     names: tuple[str, ...]
@@ -268,7 +270,6 @@ class _RulePlan:
             if not atom_fixed:
                 pending |= {ra.atom}
             env.append(_FreshnessPlan(ra.atom, term_metas <= fixed, atom_fixed, builder(ra.term)))
-        unobserved = _unobserved_binders(rule)
         bound_vars = term_vars(source).union(*(term_vars(p.target) for p in rule.premises))
         return _RulePlan(
             rule=rule,
@@ -278,8 +279,7 @@ class _RulePlan:
             ),
             env=tuple(env),
             pending=_by_name(pending),
-            unobserved=unobserved,
-            source=matcher(source, unobserved),
+            source=matcher(source, _unobserved_binders(rule)),
             target=builder(target),
             names=tuple(m.name for m in _by_name(fixed | pending)),
             variables=tuple(sorted(bound_vars, key=lambda v: v.name)),
@@ -685,7 +685,12 @@ def prove(
 
 def replay(spec: Spec, tree: ProofTree) -> list[str]:
     """Re-check every node of a proof tree against its rule; returns the
-    list of violations (empty when the tree is valid)."""
+    list of violations (empty when the tree is valid). A node must bind
+    every schematic atom and variable its rule uses, and no name the rule
+    lacks; its transition and premises must be alpha-equivalent to the
+    rule instance's; and its discharged conditions must be the instance's
+    freshness assertions in rule order, each with its term in canonical
+    form, and hold."""
 
     errors: list[str] = []
     rule = spec.rule(tree.rule_name)
@@ -694,14 +699,20 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
     asg = dict(tree.atoms)
     subst = dict(tree.subst)
     where = f"node {tree.rule_name}"
-    unbound = [m.name for m in rule.metas if m.name not in asg] + sorted(
-        v.name for v in set().union(*map(term_vars, rule.terms())) if v not in subst
-    )
+    # A schematic atom that no term or freshness atom of the rule uses
+    # needs no binding.
+    used = {ra.atom for ra in rule.env}.union(*map(meta_atoms, rule.terms()))
+    variables = set().union(*map(term_vars, rule.terms()))
+    unbound = [m.name for m in rule.metas if m in used and m.name not in asg]
+    unbound += sorted(v.name for v in variables if v not in subst)
     if unbound:
         return [f"{where}: no binding for {', '.join(unbound)}"]
     loose = sorted(v.name for v, t in subst.items() if not is_ground(t))
     if loose:
         return [f"{where}: {name} is bound to a term that is not ground" for name in loose]
+    names = {m.name for m in rule.metas}
+    errors += [f"{where}: the rule has no atom {n}" for n in asg if n not in names]
+    errors += [f"{where}: the rule has no variable {v.name}" for v in subst if v not in variables]
 
     r = rule.instance(asg, subst)
     if not alpha_eq(r.conclusion.source, tree.transition.state):
@@ -717,9 +728,15 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
             if not alpha_eq(premise.target, child.transition.residual):
                 errors.append(f"{where}: premise target mismatch")
             errors.extend(replay(spec, child))
+    discharged = []
     for ra in r.env:
-        if not nt_fresh(ra.atom, ra.term):
+        t = normalize(ra.term)
+        if ra.atom in _free_atoms(t):
             errors.append(f"{where}: freshness {ra} fails")
+        discharged.append((ra.atom, t))
+    if tuple(discharged) != tree.discharged:
+        want = "; ".join(assertion_str(a, t) for a, t in discharged) or "none"
+        errors.append(f"{where}: discharged conditions are not {want}")
     head = rule.excluded_label(subst)
     if head is not None:
         errors.append(f"{where}: label {head} is excluded")

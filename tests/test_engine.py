@@ -23,7 +23,6 @@ from nomsos import (
     corpus_path,
     enumerate_transitions,
     normalize,
-    nt_fresh,
     nt_support,
     parse_spec,
     parse_term_str,
@@ -33,21 +32,20 @@ from nomsos import (
     transition_str,
     tree_dict,
     tree_text,
+    validate_spec,
 )
 from nomsos import engine
 from nomsos.alpha import builder
-from nomsos.matching import AtomPool, MatchState, bind_metas, matcher
+from nomsos.matching import AtomPool, MatchState, matcher
 from nomsos.terms import (
     MetaAtom,
     Var,
     instantiate,
-    meta_atoms,
-    resolve,
     subst_apply,
     term_vars,
 )
 
-import interpreted
+import reference
 from conftest import atoms, random_state, random_term
 
 
@@ -132,12 +130,16 @@ def test_no_transitions_from_null(pi_spec):
 
 
 def test_replay_accepts_all_enumerated_trees(pi_spec):
+    # Also where Out's forall names z, which no term or assertion uses.
+    text = corpus_path("pi.spec").read_text(encoding="utf-8")
+    unused = parse_spec(text.replace("rule Out forall a b :", "rule Out forall a b z :"))
+    assert validate_spec(unused) == [] and "z" in [m.name for m in unused.rule("Out").metas]
     rng = random.Random(11)
     for _ in range(60):
         p = random_state(rng, pi_spec, depth=3)
-        enum = enumerate_transitions(pi_spec, p)
-        for d in enum.derivations:
-            assert replay(pi_spec, d.tree) == [], tree_text(d.tree)
+        for spec in (pi_spec, unused):
+            for d in enumerate_transitions(spec, p).derivations:
+                assert replay(spec, d.tree) == [], tree_text(d.tree)
 
 
 def test_prove_agrees_with_enumeration(pi_spec):
@@ -425,32 +427,34 @@ rule Echo forall a b :
 """
 
 
+_EDGE_ROWS = {
+    # No rule has head null: only the bare variable fires.
+    "null": [
+        "(idle(a), null) [Idle] a # null",
+        "(idle(b), null) [Idle] b # null",
+    ],
+    "out(a, null)": [
+        "(echo(a), null) [Echo] a # null",
+        "(echo(b), null) [Echo] a # null",
+        "(echo(c), null) [Echo] a # null",
+        "(idle(b), out(a, null)) [Idle] b # out(a, null)",
+        "(idle(c), out(a, null)) [Idle] c # out(a, null)",
+        "(send(b), null) [Send] a # out(b, null)",
+        "(send(c), null) [Send] a # out(c, null)",
+    ],
+    # Echo's a # out(a, null) fails for every b: Echo adds nothing.
+    "out(a, out(a, null))": [
+        "(idle(b), out(a, out(a, null))) [Idle] b # out(a, out(a, null))",
+        "(idle(c), out(a, out(a, null))) [Idle] c # out(a, out(a, null))",
+        "(send(b), out(a, null)) [Send] a # out(b, null)",
+        "(send(c), out(a, null)) [Send] a # out(c, null)",
+    ],
+}
+
+
 def test_head_index_and_freshness_split_on_edge_cases():
     spec = parse_spec(_EDGE_SPEC)
-    expected = {
-        # No rule has head null: only the bare variable fires.
-        "null": [
-            "(idle(a), null) [Idle] a # null",
-            "(idle(b), null) [Idle] b # null",
-        ],
-        "out(a, null)": [
-            "(echo(a), null) [Echo] a # null",
-            "(echo(b), null) [Echo] a # null",
-            "(echo(c), null) [Echo] a # null",
-            "(idle(b), out(a, null)) [Idle] b # out(a, null)",
-            "(idle(c), out(a, null)) [Idle] c # out(a, null)",
-            "(send(b), null) [Send] a # out(b, null)",
-            "(send(c), null) [Send] a # out(c, null)",
-        ],
-        # Echo's a # out(a, null) fails for every b: Echo adds nothing.
-        "out(a, out(a, null))": [
-            "(idle(b), out(a, out(a, null))) [Idle] b # out(a, out(a, null))",
-            "(idle(c), out(a, out(a, null))) [Idle] c # out(a, out(a, null))",
-            "(send(b), out(a, null)) [Send] a # out(b, null)",
-            "(send(c), out(a, null)) [Send] a # out(c, null)",
-        ],
-    }
-    for state, rows in expected.items():
+    for state, rows in _EDGE_ROWS.items():
         enum = enumerate_transitions(spec, _t(spec, state))
         assert not enum.truncated
         got = []
@@ -595,7 +599,8 @@ def test_replay_reports_malformed_trees(pi_spec):
     assert tree is not None and replay(pi_spec, tree) == []
     (child,) = tree.children
     (a,) = atoms(1)
-    x, y = pi_spec.variables["x"], pi_spec.variables["y"]
+    x, y, x1 = (pi_spec.variables[v] for v in ("x", "y", "x1"))
+    ((b, _),) = tree.discharged
     broken = {
         # In binds c and Res binds c and l, which the tree leaves unbound
         "child as In": replace(tree, children=(replace(child, rule_name="In"),)),
@@ -607,6 +612,10 @@ def test_replay_reports_malformed_trees(pi_spec):
         "x not ground": replace(
             tree, children=(replace(child, subst=((x, Var(y)),)),)
         ),
+        "nothing discharged": replace(tree, discharged=()),
+        "other term discharged": replace(tree, discharged=((b, _t(pi_spec, "out(a,b,null)")),)),
+        "atom zz": replace(tree, atoms=tree.atoms + (("zz", a),)),
+        "variable x1": replace(tree, subst=tree.subst + ((x1, child.transition.state),)),
     }
     expected = {
         "child as In": "node In: no binding for c",
@@ -616,14 +625,18 @@ def test_replay_reports_malformed_trees(pi_spec):
         "missing premise": "node Open: expected 1 premises",
         "b # a fails": "node Open: freshness a # a fails",
         "x not ground": "node Out: x is bound to a term that is not ground",
+        "nothing discharged": "node Open: discharged conditions are not b # a",
+        "other term discharged": "node Open: discharged conditions are not b # a",
+        "atom zz": "node Open: the rule has no atom zz",
+        "variable x1": "node Open: the rule has no variable x1",
     }
     for what, t in broken.items():
         assert expected[what] in replay(pi_spec, t), what
 
 
 def test_replay_reports_an_excluded_label(pi_spec):
-    # A ParResL tree relabelled ParL matches ParL's premise and conclusion,
-    # but ParL excludes the bound-output label the tree carries.
+    # A ParResL tree relabelled ParL, less the atoms and freshness ParL
+    # lacks, matches ParL's premise and conclusion, but not its label.
     tree = prove(
         pi_spec,
         _t(pi_spec, "par(new([b]out(a, b, null)), null)"),
@@ -635,7 +648,9 @@ def test_replay_reports_an_excluded_label(pi_spec):
     relabelled = replace(
         tree,
         rule_name="ParL",
+        atoms=(),
         subst=tree.subst + ((label, _t(pi_spec, "boutA(a, b)")),),
+        discharged=(),
     )
     assert replay(pi_spec, relabelled) == ["node ParL: label boutA is excluded"]
 
@@ -680,15 +695,6 @@ def test_prove_trees_are_pinned(pi_spec):
             lines.append(f"{name}:\n{tree_text(out.tree)}\nreplay errors={errors}")
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     assert digest == "a8e3b0fa4c867a75c6611ae3b978267d8d60c094837c8efdb5e9e7f85d36344c"
-
-
-def _literal_and_orbit(monkeypatch, call):
-    """The results of `call` with the table keyed by the literal key (the
-    canonical renaming patched to the empty map) and by orbit."""
-    with monkeypatch.context() as m:
-        m.setattr(engine._Search, "_canonical", lambda self, pool: {})
-        literal = call()
-    return literal, call()
 
 
 def _binder_scopes(t, out: dict) -> dict:
@@ -736,184 +742,87 @@ def _same_but_binder_names(spec, lit, orb) -> None:
         _same_but_binder_names(spec, c, d)
 
 
-def _assert_enumerations_agree(spec, literal, orbit) -> None:
-    assert orbit.truncated == literal.truncated
-    assert orbit.state == literal.state
-    assert [(d.transition, d.fresh_atoms) for d in orbit.derivations] == [
-        (d.transition, d.fresh_atoms) for d in literal.derivations
-    ]
-    for lit, orb in zip(literal.derivations, orbit.derivations):
-        _same_but_binder_names(spec, lit.tree, orb.tree)
-        assert replay(spec, orb.tree) == []
-
-
-def test_orbit_keys_agree_with_literal_keys_on_par_states(pi_spec, monkeypatch):
-    # Orbit keys change no transition, fresh atom or truncation. A first
-    # tree may name a binder differently: the literal search tries the
-    # subject's own binder first, and that choice is not the image of the
-    # representative's under the permutation.
+def _oracle_cases(pi_spec):
+    """The oracle's searches as (spec, args, budget, orbit): args is a state
+    or a claim, and orbit asks to check the orbit-keyed engine too."""
     rng = random.Random(2026)
     states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
-    literal, orbit = _literal_and_orbit(
-        monkeypatch, lambda: [enumerate_transitions(pi_spec, s) for s in states]
-    )
-    for lit, orb in zip(literal, orbit):
-        _assert_enumerations_agree(pi_spec, lit, orb)
+    states.append(_t(pi_spec, _RECURRING))
+    budgets = [Budget(depth, fresh) for fresh in (1, 2, 3) for depth in (1, 2, 3, 4)]
+    for s in states:
+        least = engine._applications(normalize(s)) + 1  # the least depth that shares
+        yield from ((pi_spec, (s,), budget, False) for budget in [*budgets, Budget(least)])
+        yield pi_spec, (s,), Budget(), True
+    for a, b in (("a", "b"), ("h", "c")):
+        for _, src, tgt in _claims(a, b):
+            yield pi_spec, (_t(pi_spec, src), _t(pi_spec, tgt)), Budget(), True
+    rep = nomsos.load_corpus("pi-rep.spec")
+    cyclic = ["rep(out(a,b,null))", "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"]
+    for state, deepest in [*((s, 20) for s in cyclic), *((s, 8) for s in _CYCLIC_DIGESTS)]:
+        for depth in range(1, deepest + 1):
+            yield rep, (_t(rep, state),), Budget(depth), depth == deepest
+    tick, broken = _tick_spec(), nomsos.load_corpus("pi-broken.spec")
+    observed, edge = parse_spec(_OBSERVED_SPEC), parse_spec(_EDGE_SPEC)
+    small = [(tick, _t(tick, "par(rep(out(a,a,null)), in(a,[c]out(c,b,null)))"))]
+    small += [(spec, s) for spec in (tick, broken) for s in states[:10]]
+    small += [(observed, _t(observed, s)) for s in _OBSERVED_ROWS]
+    small += [(edge, _t(edge, s)) for s in _EDGE_ROWS]
+    for (spec, s), fresh in product(small, (1, 2, 3)):
+        yield spec, (s,), Budget(fresh=fresh), fresh > 1
 
 
-def test_orbit_keys_agree_with_literal_keys_on_prove_claims(pi_spec, monkeypatch):
-    claims = [
-        (_t(pi_spec, src), _t(pi_spec, tgt))
-        for a, b in (("a", "b"), ("h", "c"))
-        for _, src, tgt in _claims(a, b)
-    ]
-    literal, orbit = _literal_and_orbit(
-        monkeypatch, lambda: [prove(pi_spec, src, tgt) for src, tgt in claims]
-    )
-    for lit, orb in zip(literal, orbit):
-        assert (orb.tree is None, orb.truncated) == (lit.tree is None, lit.truncated)
-        if lit.tree is not None:
-            _same_but_binder_names(pi_spec, lit.tree, orb.tree)
-            assert tree_text(orb.tree) == tree_text(lit.tree)
-            assert replay(pi_spec, orb.tree) == []
+def _search(search, spec, args, budget):
+    call = search.enumerate_transitions if len(args) == 1 else search.prove
+    return call(spec, *args, budget)
 
 
-def test_orbit_keys_agree_with_literal_keys_on_a_cyclic_rule(monkeypatch):
-    spec = nomsos.load_corpus("pi-rep.spec")
-    states = [
-        _t(spec, "rep(out(a,b,null))"),
-        _t(spec, "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"),
-    ]
-    literal, orbit = _literal_and_orbit(
-        monkeypatch,
-        lambda: [enumerate_transitions(spec, s, Budget(depth=20)) for s in states],
-    )
-    for lit, orb in zip(literal, orbit):
-        assert lit.truncated
-        _assert_enumerations_agree(spec, lit, orb)
+def _rows(result) -> tuple[bool, list]:
+    """A search's truncation and (transition, fresh atoms, tree) rows."""
+    if isinstance(result, engine.ProveOutcome):
+        tree = result.tree
+        return result.truncated, [] if tree is None else [(tree.transition, (), tree)]
+    return result.truncated, [(d.transition, d.fresh_atoms, d.tree) for d in result.derivations]
 
 
-def _reference_conclude(self, plan, st, children, entry):
-    """`_Search._conclude` that binds every schematic atom of the conclusion
-    target and the freshness assertions left unbound, and then evaluates
-    every assertion from scratch, once per candidate."""
-    rule = plan.rule
-    if rule.excluded_label(st.subst) is not None:
-        return
-    pending = set(meta_atoms(rule.conclusion.target))
-    for ra in rule.env:
-        pending |= meta_atoms(ra.term)
-        if isinstance(ra.atom, MetaAtom):
-            pending.add(ra.atom)
-    for st1 in bind_metas(sorted(pending, key=lambda m: m.name), st, entry.pool):
-        discharged = []
-        for ra in rule.env:
-            atom = resolve(ra.atom, st1.metas)
-            t = interpreted.instance(ra.term, st1.metas, st1.subst)
-            if not nt_fresh(atom, t):
-                break
-            discharged.append((atom, t))
-        else:
-            residual = interpreted.instance(rule.conclusion.target, st1.metas, st1.subst)
-            if residual not in entry.residuals:
-                entry.residuals[residual] = engine.ProofTree(
-                    rule_name=rule.name,
-                    atoms=tuple(sorted(st1.metas.items())),
-                    subst=tuple(sorted(st1.subst.items(), key=lambda kv: kv[0].name)),
-                    transition=engine.Transition(entry.state, residual),
-                    children=children,
-                    discharged=tuple(discharged),
-                )
-                self.changed = True
+def test_the_engine_agrees_with_the_reference_search(pi_spec, monkeypatch):
+    # Keyed by the literal subgoal, the engine returns what the reference
+    # returns, trees included. Keyed by orbit, it lists the same rows, with
+    # trees that replay and may name a binder otherwise, except at one fresh
+    # atom or under a depth cut on pi.spec, where orbit keys may pick other
+    # representatives. Deep pi-rep.spec trees are slow to replay, so only
+    # each of those states' deepest budget is checked by orbit.
+    cases = list(_oracle_cases(pi_spec))
+    shared, hits = engine._Search._shared, []
 
-
-def _reference_and_indexed(monkeypatch, call):
-    """The results of `call` with a reference search, which tries every
-    rule on every subgoal and decides every freshness assertion once per
-    candidate, and with the engine's search."""
-    init = engine._Search.__init__
-
-    def every_rule(self, spec, budget):
-        init(self, spec, budget)
-        self.by_head = {None: tuple(map(engine._RulePlan.of, spec.rules))}
+    def counted(self, *args):
+        hits.append(shared(self, *args))
+        return hits[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(engine._Search, "__init__", every_rule)
-        m.setattr(engine._Search, "_conclude", _reference_conclude)
-        reference = call()
-    return reference, call()
-
-
-def _oracle_searches(pi_spec):
-    """The oracle tests' searches: the 60 `_random_par` states, the 18
-    prove claims under two renamings and the two `pi-rep.spec` cyclic
-    states at depth 20, as one call."""
-    rng = random.Random(2026)
-    states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
-    claims = [
-        (_t(pi_spec, src), _t(pi_spec, tgt))
-        for a, b in (("a", "b"), ("h", "c"))
-        for _, src, tgt in _claims(a, b)
-    ]
-    rep = nomsos.load_corpus("pi-rep.spec")
-    cyclic = [
-        _t(rep, "rep(out(a,b,null))"),
-        _t(rep, "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"),
-    ]
-
-    def run():
-        return (
-            [enumerate_transitions(pi_spec, s) for s in states],
-            [prove(pi_spec, src, tgt) for src, tgt in claims],
-            [enumerate_transitions(rep, s, Budget(depth=20)) for s in cyclic],
-        )
-
-    return run
-
-
-def test_head_index_and_fixed_freshness_agree_with_the_oracle(pi_spec, monkeypatch):
-    # The head index and the freshness split change no derivation, tree,
-    # discharged pair or truncation: results are equal, binders included.
-    reference, indexed = _reference_and_indexed(monkeypatch, _oracle_searches(pi_spec))
-    for ref, new in zip(reference, indexed):
-        assert new == ref
-    assert sum(o.tree is not None for o in indexed[1]) == 24
+        m.setattr(engine._Search, "_canonical", lambda self, pool: {})
+        m.setattr(engine._Search, "_shared", counted)
+        literal = [_search(nomsos, *case[:3]) for case in cases]
+    for (spec, args, budget, orbit), lit in zip(cases, literal):
+        ref = _search(reference, spec, args, budget)
+        assert lit == ref, (args, budget)
+        if not orbit:
+            continue
+        (truncated, rows), (cut, got) = _rows(ref), _rows(_search(nomsos, spec, args, budget))
+        assert cut == truncated and [g[:2] for g in got] == [r[:2] for r in rows]
+        for (*_, r), (*_, o) in zip(rows, got):
+            _same_but_binder_names(spec, r, o)
+            assert replay(spec, o) == []
+            assert len(args) == 1 or tree_text(o) == tree_text(r)
+    assert any(hits)
+    assert any("[In]" in tree_text(row[2]) for result in literal for row in _rows(result)[1])
+    assert sum(o.tree is not None for o in literal if isinstance(o, engine.ProveOutcome)) == 24
 
 
 def _marked(spec) -> dict[str, list[str]]:
-    """The binders each rule's plan marks unobserved, for the rules that
-    have one."""
-    plans = {p.rule.name: p for bucket in engine._plans(spec).by_head.values() for p in bucket}
-    return {n: sorted(m.name for m in p.unobserved) for n, p in plans.items() if p.unobserved}
-
-
-def test_unobserved_binders_agree_with_the_oracle(pi_spec, monkeypatch):
-    # A binder matched at the subject's binder alone changes no derivation,
-    # tree, discharged pair or truncation: results are equal to those of
-    # plans that mark no binder, whose source matchers try every candidate.
-    plans = engine._plans
-
-    def unmarked(spec):
-        kept = plans(spec)
-        return kept._replace(
-            by_head={
-                head: tuple(
-                    replace(p, unobserved=frozenset(), source=matcher(p.rule.conclusion.source))
-                    for p in bucket
-                )
-                for head, bucket in kept.by_head.items()
-            }
-        )
-
-    run = _oracle_searches(pi_spec)
-    with monkeypatch.context() as m:
-        m.setattr(engine, "_plans", unmarked)
-        reference = run()
-    marked = run()
-    for ref, new in zip(reference, marked):
-        assert new == ref
-    inputs = sum("[In]" in tree_text(d.tree) for e in marked[0] for d in e.derivations)
-    assert inputs > 0
+    """The binders `_unobserved_binders` marks in each rule, for the rules
+    that have one."""
+    marked = {rule.name: engine._unobserved_binders(rule) for rule in spec.rules}
+    return {name: sorted(m.name for m in ms) for name, ms in marked.items() if ms}
 
 
 def test_an_unobserved_binder_adds_a_residual_per_target_normalisation(pi_spec, monkeypatch):
@@ -1008,43 +917,45 @@ rule Alpha forall c e :
 """
 
 
+# The rows of _OBSERVED_SPEC's states. Each rule but Alpha breaks one
+# condition. All but Twice show the binder options they keep in their rows;
+# Twice is kept out on the letter of the conditions.
+_OBSERVED_ROWS = {
+    "new([a]out(a, null))": [
+        "(bind(a), new([a]out(a, null))) [Show] c=a",
+        "(bind(b), new([a]out(a, null))) [Show] c=b",
+    ],
+    "conc([a]out(b, null))": [
+        "(tick, out(a, null)) [Conc] c=a",
+        "(tick, out(b, null)) [Conc] c=a",
+        "(tick, out(c, null)) [Conc] c=c",
+    ],
+    "away(a, [a]null)": ["(tick, new([a]null)) [Away] c=b"],
+    "bare([a]out(a, null))": [
+        "(tick, out(a, null)) [Bare] c=a",
+        "(tick, out(b, null)) [Bare] c=b",
+    ],
+    "lift(new([a]null), [a]out(b, out(c, null)))": [
+        "(bind(a), new([a]out(b, out(c, null)))) [Lift] c=a",
+        "(bind(b), new([a]out(b, out(c, null)))) [Lift] c=a",
+        "(bind(c), new([a]out(b, out(c, null)))) [Lift] c=a",
+        "(bind(d), new([a]out(b, out(c, null)))) [Lift] c=d",
+    ],
+    "peek([a]out(a, null))": [
+        "(bind(a), new([a]out(a, null))) [Peek] c=b",
+        "(bind(b), new([a]out(a, null))) [Peek] c=a",
+    ],
+    "twice([a]out(a, null), [a]out(a, null))": [
+        "(tick, new([a]out(a, null))) [Twice] c=a",
+    ],
+    "alpha([a]out(a, out(b, null)))": [
+        "(tick, out(a, out(b, null))) [Alpha] c=a",
+        "(tick, out(c, out(b, null))) [Alpha] c=a",
+    ],
+}
+
+
 def test_unobserved_binder_needs_every_condition(monkeypatch):
-    # Each rule but Alpha breaks one condition. All but Twice show the
-    # binder options they keep in their rows; Twice is kept out on the
-    # letter of the conditions.
-    expected = {
-        "new([a]out(a, null))": [
-            "(bind(a), new([a]out(a, null))) [Show] c=a",
-            "(bind(b), new([a]out(a, null))) [Show] c=b",
-        ],
-        "conc([a]out(b, null))": [
-            "(tick, out(a, null)) [Conc] c=a",
-            "(tick, out(b, null)) [Conc] c=a",
-            "(tick, out(c, null)) [Conc] c=c",
-        ],
-        "away(a, [a]null)": ["(tick, new([a]null)) [Away] c=b"],
-        "bare([a]out(a, null))": [
-            "(tick, out(a, null)) [Bare] c=a",
-            "(tick, out(b, null)) [Bare] c=b",
-        ],
-        "lift(new([a]null), [a]out(b, out(c, null)))": [
-            "(bind(a), new([a]out(b, out(c, null)))) [Lift] c=a",
-            "(bind(b), new([a]out(b, out(c, null)))) [Lift] c=a",
-            "(bind(c), new([a]out(b, out(c, null)))) [Lift] c=a",
-            "(bind(d), new([a]out(b, out(c, null)))) [Lift] c=d",
-        ],
-        "peek([a]out(a, null))": [
-            "(bind(a), new([a]out(a, null))) [Peek] c=b",
-            "(bind(b), new([a]out(a, null))) [Peek] c=a",
-        ],
-        "twice([a]out(a, null), [a]out(a, null))": [
-            "(tick, new([a]out(a, null))) [Twice] c=a",
-        ],
-        "alpha([a]out(a, out(b, null)))": [
-            "(tick, out(a, out(b, null))) [Alpha] c=a",
-            "(tick, out(c, out(b, null))) [Alpha] c=a",
-        ],
-    }
     # The row that marking the rule's c anyway would lose, per state.
     lost = {
         "new([a]out(a, null))": ("Show", 1),
@@ -1067,7 +978,7 @@ def test_unobserved_binder_needs_every_condition(monkeypatch):
 
     spec = parse_spec(_OBSERVED_SPEC)
     assert _marked(spec) == {"Alpha": ["c"]}
-    for state, want in expected.items():
+    for state, want in _OBSERVED_ROWS.items():
         assert rows(spec, state) == want, state
     for state, (name, row) in lost.items():
         with monkeypatch.context() as m:
@@ -1078,7 +989,7 @@ def test_unobserved_binder_needs_every_condition(monkeypatch):
             )
             forced = parse_spec(_OBSERVED_SPEC)
             assert _marked(forced) == {name: ["c"]}
-            want = expected[state]
+            want = _OBSERVED_ROWS[state]
             assert rows(forced, state) == want[:row] + want[row + 1 :], state
 
 
@@ -1097,14 +1008,12 @@ def test_orbit_keys_shrink_the_table(pi_spec, monkeypatch):
     sizes = [_table_size(pi_spec, _wrap(k, "out(a,b,null)")) for k in range(2, 13, 2)]
     assert sizes == [(4, 6), (11, 18), (22, 38), (37, 66), (56, 102), (79, 146)]
     nest = _wrap(8, "out(a,b,null)")
-    literal, orbit = _literal_and_orbit(monkeypatch, lambda: _table_size(pi_spec, nest))
+    with monkeypatch.context() as m:
+        m.setattr(engine._Search, "_canonical", lambda self, pool: {})
+        literal = _table_size(pi_spec, nest)
     assert literal == (157, 157)
-    assert orbit == sizes[3]
-    text = corpus_path("pi.spec").read_text(encoding="utf-8")
-    text = text.replace(
-        "rule In", "rule Tick :\n  conclusion rep(out(a,a,x)) -> (tauA, x) ;\n\nrule In", 1
-    )
-    concrete = parse_spec(text)
+    assert _table_size(pi_spec, nest) == sizes[3]
+    concrete = _tick_spec()
     assert any(rule.atoms() for rule in concrete.rules)
     assert _table_size(concrete, nest) == literal
 
@@ -1149,43 +1058,6 @@ _RECURRING = (
     " par(par(sum(null, sum(null, null)), in(b,[c]out(c,a,null))),"
     " par(new([c]null), rep(null))))))"
 )
-
-
-def test_shared_records_change_no_enumeration_or_proof(pi_spec, monkeypatch):
-    # A key whose extra atoms differ from a settled key's only in atoms
-    # that entry absorbs takes its record. The results are equal as
-    # dataclasses, trees included, with the lookup and without it.
-    rng = random.Random(2026)
-    states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
-    states.append(_t(pi_spec, _RECURRING))
-    budgets = [Budget(depth, fresh) for fresh in (1, 2, 3) for depth in (1, 2, 3, 4)]
-
-    def par_states():
-        out = []
-        for s in states:
-            least = engine._applications(normalize(s)) + 1  # the least depth that shares
-            for budget in budgets + [Budget(), Budget(depth=least)]:
-                out.append(enumerate_transitions(pi_spec, s, budget))
-        return out
-
-    unshared, shared, hits = _unshared_and_shared(monkeypatch, par_states)
-    assert shared == unshared
-    assert hits > 0
-
-    claims = [(_t(pi_spec, src), _t(pi_spec, tgt)) for _, src, tgt in _claims("a", "b")]
-    unshared, shared, _ = _unshared_and_shared(
-        monkeypatch, lambda: [prove(pi_spec, src, tgt) for src, tgt in claims]
-    )
-    assert shared == unshared
-    assert sum(o.tree is not None for o in shared) == 12
-
-    tick = _tick_spec()
-    ticking = [_t(tick, "par(rep(out(a,a,null)), in(a,[c]out(c,b,null)))"), *states[:10]]
-    unshared, shared, hits = _unshared_and_shared(
-        monkeypatch, lambda: [enumerate_transitions(tick, s) for s in ticking]
-    )
-    assert shared == unshared
-    assert hits > 0
 
 
 def test_shared_records_stay_off_on_a_cyclic_spec(monkeypatch):
