@@ -742,33 +742,21 @@ def _same_but_binder_names(spec, lit, orb) -> None:
         _same_but_binder_names(spec, c, d)
 
 
-def _oracle_cases(pi_spec):
-    """The oracle's searches as (spec, args, budget, orbit): args is a state
-    or a claim, and orbit asks to check the orbit-keyed engine too."""
+def _par_states(pi_spec):
+    """The oracle's 60 seeded `_random_par` states of pi.spec and
+    `_RECURRING`."""
     rng = random.Random(2026)
     states = [_random_par(rng, pi_spec, rng.randint(2, 5)) for _ in range(60)]
-    states.append(_t(pi_spec, _RECURRING))
-    budgets = [Budget(depth, fresh) for fresh in (1, 2, 3) for depth in (1, 2, 3, 4)]
-    for s in states:
-        least = engine._applications(normalize(s)) + 1  # the least depth that shares
-        yield from ((pi_spec, (s,), budget, False) for budget in [*budgets, Budget(least)])
-        yield pi_spec, (s,), Budget(), True
-    for a, b in (("a", "b"), ("h", "c")):
-        for _, src, tgt in _claims(a, b):
-            yield pi_spec, (_t(pi_spec, src), _t(pi_spec, tgt)), Budget(), True
-    rep = nomsos.load_corpus("pi-rep.spec")
-    cyclic = ["rep(out(a,b,null))", "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"]
-    for state, deepest in [*((s, 20) for s in cyclic), *((s, 8) for s in _CYCLIC_DIGESTS)]:
-        for depth in range(1, deepest + 1):
-            yield rep, (_t(rep, state),), Budget(depth), depth == deepest
-    tick, broken = _tick_spec(), nomsos.load_corpus("pi-broken.spec")
-    observed, edge = parse_spec(_OBSERVED_SPEC), parse_spec(_EDGE_SPEC)
-    small = [(tick, _t(tick, "par(rep(out(a,a,null)), in(a,[c]out(c,b,null)))"))]
-    small += [(spec, s) for spec in (tick, broken) for s in states[:10]]
-    small += [(observed, _t(observed, s)) for s in _OBSERVED_ROWS]
-    small += [(edge, _t(edge, s)) for s in _EDGE_ROWS]
-    for (spec, s), fresh in product(small, (1, 2, 3)):
-        yield spec, (s,), Budget(fresh=fresh), fresh > 1
+    return [*states, _t(pi_spec, _RECURRING)]
+
+
+def _small_cases(pairs):
+    """Each (spec, state) at one, two and three fresh atoms, checked by
+    orbit where more than one is drawn."""
+    return [
+        (spec, (s,), Budget(fresh=fresh), fresh > 1)
+        for (spec, s), fresh in product(pairs, (1, 2, 3))
+    ]
 
 
 def _search(search, spec, args, budget):
@@ -784,19 +772,23 @@ def _rows(result) -> tuple[bool, list]:
     return result.truncated, [(d.transition, d.fresh_atoms, d.tree) for d in result.derivations]
 
 
-def test_the_engine_agrees_with_the_reference_search(pi_spec, monkeypatch):
-    # Keyed by the literal subgoal, the engine returns what the reference
-    # returns, trees included. Keyed by orbit, it lists the same rows, with
-    # trees that replay and may name a binder otherwise, except at one fresh
-    # atom or under a depth cut on pi.spec, where orbit keys may pick other
-    # representatives. Deep pi-rep.spec trees are slow to replay, so only
-    # each of those states' deepest budget is checked by orbit.
-    cases = list(_oracle_cases(pi_spec))
+def _agree_with_reference(monkeypatch, cases) -> tuple[list, list]:
+    """Checks each case (spec, args, budget, orbit), where args is a state
+    or a claim, against the reference search, and returns the results keyed
+    by the literal subgoal and whether each record lookup found a shared
+    record.
+
+    Keyed by the literal subgoal, the engine returns what the reference
+    returns, trees included. Where orbit is set, the orbit-keyed engine
+    lists the same rows, with trees that replay and may name a binder
+    otherwise. Orbit is left unset at one fresh atom and under a depth cut
+    on pi.spec, where orbit keys may pick other representatives."""
     shared, hits = engine._Search._shared, []
 
     def counted(self, *args):
-        hits.append(shared(self, *args))
-        return hits[-1]
+        record = shared(self, *args)
+        hits.append(record is not None)
+        return record
 
     with monkeypatch.context() as m:
         m.setattr(engine._Search, "_canonical", lambda self, pool: {})
@@ -813,9 +805,82 @@ def test_the_engine_agrees_with_the_reference_search(pi_spec, monkeypatch):
             _same_but_binder_names(spec, r, o)
             assert replay(spec, o) == []
             assert len(args) == 1 or tree_text(o) == tree_text(r)
-    assert any(hits)
+    return literal, hits
+
+
+def test_head_index_and_fixed_freshness_agree_with_the_oracle(pi_spec, monkeypatch):
+    # The reference tries every rule on every subgoal and decides every
+    # freshness assertion once per candidate. The edge spec has a state
+    # whose head no rule reads, a rule whose source is a bare variable and
+    # assertions whose terms only the conclusion binds.
+    edge, broken = parse_spec(_EDGE_SPEC), nomsos.load_corpus("pi-broken.spec")
+    pairs = [(edge, _t(edge, s)) for s in _EDGE_ROWS]
+    pairs += [(broken, s) for s in _par_states(pi_spec)[:10]]
+    _agree_with_reference(monkeypatch, _small_cases(pairs))
+
+
+def test_unobserved_binders_agree_with_the_oracle(pi_spec, monkeypatch):
+    # The reference matches every binder at every candidate. Each rule of
+    # _OBSERVED_SPEC but Alpha breaks one condition for taking its binder
+    # at the subject's binder alone; pi.spec's In meets them all.
+    observed = parse_spec(_OBSERVED_SPEC)
+    pairs = [(observed, _t(observed, s)) for s in _OBSERVED_ROWS]
+    pairs += [(pi_spec, s) for s in _par_states(pi_spec)[:10]]
+    literal, _ = _agree_with_reference(monkeypatch, _small_cases(pairs))
     assert any("[In]" in tree_text(row[2]) for result in literal for row in _rows(result)[1])
-    assert sum(o.tree is not None for o in literal if isinstance(o, engine.ProveOutcome)) == 24
+
+
+def test_shared_records_change_no_enumeration_or_proof(pi_spec, monkeypatch):
+    # The reference shares no record. A key whose extra atoms differ from a
+    # settled key's only in atoms that entry absorbs takes its record, and
+    # the results are still the reference's, trees included, at every
+    # budget, down to the least depth that shares. Under Tick, a rule with
+    # a concrete atom, every key is its own representative.
+    budgets = [Budget(depth, fresh) for fresh in (1, 2, 3) for depth in (1, 2, 3, 4)]
+    cases = []
+    for s in _par_states(pi_spec):
+        least = engine._applications(normalize(s)) + 1  # the least depth that shares
+        cases += [(pi_spec, (s,), budget, False) for budget in [*budgets, Budget(least)]]
+    _, hits = _agree_with_reference(monkeypatch, cases)
+    assert any(hits)
+    tick = _tick_spec()
+    pairs = [(tick, _t(tick, "par(rep(out(a,a,null)), in(a,[c]out(c,b,null)))"))]
+    pairs += [(tick, s) for s in _par_states(pi_spec)[:10]]
+    _, hits = _agree_with_reference(monkeypatch, _small_cases(pairs))
+    assert any(hits)
+
+
+def test_orbit_keys_agree_with_literal_keys_on_par_states(pi_spec, monkeypatch):
+    # Orbit keys change no transition, fresh atom or truncation. A first
+    # tree may name a binder differently: the literal search tries the
+    # subject's own binder first, and that choice is not the image of the
+    # representative's under the permutation.
+    cases = [(pi_spec, (s,), Budget(), True) for s in _par_states(pi_spec)]
+    _agree_with_reference(monkeypatch, cases)
+
+
+def test_orbit_keys_agree_with_literal_keys_on_prove_claims(pi_spec, monkeypatch):
+    cases = [
+        (pi_spec, (_t(pi_spec, src), _t(pi_spec, tgt)), Budget(), True)
+        for a, b in (("a", "b"), ("h", "c"))
+        for _, src, tgt in _claims(a, b)
+    ]
+    literal, _ = _agree_with_reference(monkeypatch, cases)
+    assert sum(o.tree is not None for o in literal) == 24
+
+
+def test_orbit_keys_agree_with_literal_keys_on_a_cyclic_rule(monkeypatch):
+    # Deep pi-rep.spec trees are slow to replay, so each state is checked
+    # by orbit at its deepest budget only.
+    rep = nomsos.load_corpus("pi-rep.spec")
+    cyclic = ["rep(out(a,b,null))", "par(rep(out(a,b,null)), new([c]in(c,[d]null)))"]
+    cases = [
+        (rep, (_t(rep, state),), Budget(depth), depth == deepest)
+        for state, deepest in [*((s, 20) for s in cyclic), *((s, 8) for s in _CYCLIC_DIGESTS)]
+        for depth in range(1, deepest + 1)
+    ]
+    literal, _ = _agree_with_reference(monkeypatch, cases)
+    assert all(lit.truncated for lit, (_, _, budget, _) in zip(literal, cases) if budget.depth == 20)
 
 
 def _marked(spec) -> dict[str, list[str]]:
