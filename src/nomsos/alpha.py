@@ -20,7 +20,13 @@ The kernel (`_rename` and `_close`) moves a term by `Permutation.image`, the
 dict that maps each atom a permutation moves to its image, and closing a
 binder extends a copy of that dict by one swap. No `Permutation` is built
 per node: a delayed permutation is composed once, by `perm_of`, and the
-kernel reads its `image`."""
+kernel reads its `image`. The walks that run per node of every derived
+term (`_free_atoms`, `_rename`, `normalize`) branch on `type(t)`, since a
+class pattern costs an `isinstance` test and attribute reads at every node.
+`_free_atoms` is one iterative walk that fills one set. `normalize` and
+`_rename` stay recursive: a term too deep for the recursion limit must
+raise `RecursionError` in `normalize` before anything hashes it, because
+the tuple hash recurses in C with no depth guard."""
 
 from __future__ import annotations
 
@@ -47,23 +53,28 @@ class NotGroundError(ValueError):
     pass
 
 
-def _free_atoms(t: RawTerm) -> frozenset[Atom]:
-    """Free atoms of a susp-free ground term; each binder removes itself."""
-    match t:
-        case Atm(a):
-            assert isinstance(a, Atom)
-            return frozenset({a})
-        case Abs(a, s):
-            assert isinstance(a, Atom)
-            return _free_atoms(s) - {a}
-        case Tup(items):
-            out: frozenset[Atom] = frozenset()
-            for s in items:
-                out |= _free_atoms(s)
-            return out
-        case App(_, s):
-            return _free_atoms(s)
-    raise TypeError(f"unexpected node in susp-free term: {t!r}")
+def _free_atoms(t: RawTerm) -> set[Atom]:
+    """Free atoms of a susp-free ground term; each binder removes itself.
+    One iterative walk, each node paired with the binders above it."""
+    out: set[Atom] = set()
+    stack: list[tuple[RawTerm, frozenset[Atom]]] = [(t, frozenset())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, bound = pop()
+        kind = type(node)
+        if kind is App:
+            push((node.arg, bound))
+        elif kind is Tup:
+            for s in node.items:
+                push((s, bound))
+        elif kind is Atm:
+            if node.atom not in bound:
+                out.add(node.atom)
+        elif kind is Abs:
+            push((node.body, bound | {node.binder}))
+        else:
+            raise TypeError(f"unexpected node in susp-free term: {node!r}")
+    return out
 
 
 def _close(image: dict[Atom, Atom], a: Atom, body: RawTerm) -> RawTerm:
@@ -94,34 +105,34 @@ def _rename(image: dict[Atom, Atom], t: RawTerm) -> RawTerm:
     key of `image` to its value and fixes every other atom."""
     if not image:
         return t
-    match t:
-        case Atm(a):
-            return Atm(image.get(a, a))
-        case Abs(a, s):
-            return _close(image, a, s)
-        case Tup(items):
-            return Tup(tuple(_rename(image, s) for s in items))
-        case App(f, s):
-            return App(f, _rename(image, s))
+    kind = type(t)
+    if kind is App:
+        return App(t.func, _rename(image, t.arg))
+    if kind is Tup:
+        return Tup(tuple([_rename(image, s) for s in t.items]))
+    if kind is Atm:
+        return Atm(image.get(t.atom, t.atom))
+    if kind is Abs:
+        return _close(image, t.binder, t.body)
     raise TypeError(f"unexpected node in canonical term: {t!r}")
 
 
 def normalize(t: RawTerm) -> RawTerm:
     """Canonical form of a ground raw term: susp-free, binders canonically
     renamed. normalize(p) == normalize(q) iff p and q are alpha-equivalent."""
-    match t:
-        case Var(v):
-            raise NotGroundError(f"term is not ground: variable {v.name}")
-        case Atm(_):
-            return t
-        case Susp(p, s):
-            return _rename(perm_of(p).image, normalize(s))
-        case Abs(a, s):
-            return _close({}, a, normalize(s))
-        case Tup(items):
-            return Tup(tuple(normalize(s) for s in items))
-        case App(f, s):
-            return App(f, normalize(s))
+    kind = type(t)
+    if kind is App:
+        return App(t.func, normalize(t.arg))
+    if kind is Tup:
+        return Tup(tuple([normalize(s) for s in t.items]))
+    if kind is Atm:
+        return t
+    if kind is Abs:
+        return _close({}, t.binder, normalize(t.body))
+    if kind is Susp:
+        return _rename(perm_of(t.perm).image, normalize(t.term))
+    if kind is Var:
+        raise NotGroundError(f"term is not ground: variable {t.var.name}")
     raise TypeError(f"not a raw term: {t!r}")
 
 
@@ -175,7 +186,7 @@ def alpha_eq(p: RawTerm, q: RawTerm) -> bool:
 def nt_support(p: RawTerm) -> frozenset[Atom]:
     """Support of the nominal term denoted by a ground term: the free atoms
     of its canonical form."""
-    return _free_atoms(normalize(p))
+    return frozenset(_free_atoms(normalize(p)))
 
 
 def nt_fresh(a: Atom, p: RawTerm) -> bool:

@@ -387,7 +387,7 @@ class _Entry:
         self.reached = 0
         self.settled = False
         self.joined: Optional[dict[_Record, int]] = None
-        self.absorbed: Optional[frozenset[Atom]] = None
+        self.absorbed: Optional[set[Atom]] = None
 
 
 class _Record:
@@ -421,7 +421,7 @@ class _Record:
         return frozenset([image.get(a, a) for a in atoms])
 
 
-def _absorbed(entry: _Entry) -> frozenset[Atom]:
+def _absorbed(entry: _Entry) -> set[Atom]:
     """The free atoms of a settled entry's state whose presence among its
     extra atoms no subgoal below can see: each record its solve joined
     absorbs such an atom too, or has it among the premise's own atoms."""
@@ -574,7 +574,7 @@ class _Search:
             return
         # Each fixed term, built once per match with its free atoms; an
         # assertion whose atom is fixed too is decided here.
-        known: list[Optional[tuple[RawTerm, frozenset[Atom]]]] = []
+        known: list[Optional[tuple[RawTerm, set[Atom]]]] = []
         for fp in plan.env:
             if not fp.term_fixed:
                 known.append(None)
@@ -675,7 +675,7 @@ def prove(
     s = normalize(source)
     search = _Search(spec, budget)
     try:
-        tree = search.run(s, _free_atoms(r)).get(r)
+        tree = search.run(s, frozenset(_free_atoms(r))).get(r)
         if tree is None:
             return ProveOutcome(None, search.truncated)
         return ProveOutcome(_force(tree), False)

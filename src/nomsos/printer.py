@@ -46,22 +46,22 @@ def _swaplist_str(pairs) -> str:
 
 
 def term_str(t: RawTerm) -> str:
-    match t:
-        case Var(v):
-            return v.name
-        case Atm(a):
-            return atom_str(a)
-        case Susp(p, s):
-            return f"({_swaplist_str(p)})*{term_str(s)}"
-        case Abs(a, s):
-            return f"[{atom_str(a)}]{term_str(s)}"
-        case Tup(items):
-            return "(" + ", ".join(term_str(s) for s in items) + ")"
-        case App(f, _):
-            args = app_args(t)
-            if not args:
-                return f
-            return f + "(" + ", ".join(term_str(s) for s in args) + ")"
+    kind = type(t)
+    if kind is App:
+        args = app_args(t)
+        if not args:
+            return t.func
+        return t.func + "(" + ", ".join([term_str(s) for s in args]) + ")"
+    if kind is Atm:
+        return atom_str(t.atom)
+    if kind is Tup:
+        return "(" + ", ".join([term_str(s) for s in t.items]) + ")"
+    if kind is Abs:
+        return f"[{atom_str(t.binder)}]{term_str(t.body)}"
+    if kind is Var:
+        return t.var.name
+    if kind is Susp:
+        return f"({_swaplist_str(t.perm)})*{term_str(t.term)}"
     raise TypeError(f"not a raw term: {t!r}")
 
 

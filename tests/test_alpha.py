@@ -14,6 +14,8 @@ from nomsos import (
     Permutation,
     Susp,
     Tup,
+    Var,
+    Variable,
     alpha_eq,
     act,
     app,
@@ -22,14 +24,16 @@ from nomsos import (
     nt_support,
     parse_spec,
 )
-from nomsos.alpha import _rename
+from nomsos.alpha import _free_atoms, _rename
 from nomsos.atoms import PermutationError
 from nomsos.terms import perm_of
 
 from conftest import (
     CH,
+    PR,
     atoms,
     oracle_alpha,
+    oracle_free_atoms,
     random_perm,
     random_state,
     random_swaps,
@@ -163,6 +167,40 @@ def _two_sort_cases(seed: int, n: int):
     for _ in range(n):
         t = random_term(rng, TWO_SORTS, depth=5, pool=TWO_SORT_POOL)
         yield t, _sorted_swaps(rng)
+
+
+def test_free_atoms_agree_with_the_recursive_definition(pi_spec):
+    # The kernel's iterative walk against the textbook recursion
+    # (`oracle_free_atoms`), on raw and canonical terms of both signatures.
+    rng = random.Random(47)
+    terms = [random_state(rng, pi_spec) for _ in range(300)]
+    terms += [t for t, _ in _two_sort_cases(53, 300)]
+    terms += [normalize(t) for t in terms]
+    a, b = atoms(2)
+    l0, l1 = Atom(LOC, 0), Atom(LOC, 1)
+    shadowing = [
+        (Abs(a, Abs(a, Atm(a))), set()),  # [a][a]a
+        (Abs(a, Tup((Atm(a), Abs(a, Atm(b))))), {b}),  # [a](a, [a]b)
+        (Tup((Abs(a, Atm(a)), Atm(a))), {a}),  # a binder scopes over its body only
+        (Abs(a, Atm(l0)), {l0}),  # a binder binds atoms of its own sort only
+        # [l0][a](a, l0, l1, [l1](l1, b)): binders of two sorts nested
+        (
+            Abs(l0, Abs(a, Tup((Atm(a), Atm(l0), Atm(l1), Abs(l1, Tup((Atm(l1), Atm(b)))))))),
+            {l1, b},
+        ),
+    ]
+    for t in terms:
+        assert _free_atoms(t) == oracle_free_atoms(t)
+    for t, free in shadowing:
+        assert _free_atoms(t) == oracle_free_atoms(t) == free
+    # Both kernel walks take canonical terms only.
+    x = Var(Variable("x", PR))
+    for bad in (x, Susp(((a, b),), app("null"))):
+        for t in (bad, app("par", app("null"), Abs(a, bad))):
+            with pytest.raises(TypeError):
+                _free_atoms(t)
+            with pytest.raises(TypeError):
+                _rename({a: b, b: a}, t)
 
 
 def test_kernel_move_is_the_action_over_two_sorts():

@@ -21,10 +21,12 @@ from nomsos import (
     act,
     app,
     is_ground,
+    normalize,
     sort_check,
     subst_apply,
     support,
 )
+from nomsos.alpha import _free_atoms
 from nomsos.atoms import AtomSortRef, BaseSort
 from nomsos.terms import SortError, meta_atoms, subst_act, term_vars
 
@@ -123,6 +125,21 @@ def test_collectors_on_a_deep_term():
         t = App("rep", t)
     assert support(t) == {a, b}
     assert term_vars(t) == {X}
+
+
+def test_free_atoms_of_a_deep_canonical_term():
+    # Every tenth level binds c, the least atom not free below it, so the
+    # term stays canonical; the kernel's walk must not recurse on depth.
+    a, b, c = atoms(3)
+    t = app("out", Atm(a), Atm(b), app("null"))
+    for i in range(5000):
+        if i % 10:
+            t = App("rep", t)
+        else:
+            t = app("new", Abs(c, app("out", Atm(c), Atm(c), t)))
+        if i == 50:
+            assert normalize(t) == t
+    assert _free_atoms(t) == {a, b}
 
 
 def test_substitution_permits_capture():
