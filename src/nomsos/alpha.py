@@ -23,14 +23,27 @@ per node: a delayed permutation is composed once, by `perm_of`, and the
 kernel reads its `image`. The walks that run per node of every derived
 term (`_free_atoms`, `_rename`, `normalize`) branch on `type(t)`, since a
 class pattern costs an `isinstance` test and attribute reads at every node.
-`_free_atoms` is one iterative walk that fills one set. `normalize` and
-`_rename` stay recursive: a term too deep for the recursion limit must
+`_free_atoms` is one iterative walk and returns a `frozenset`. `normalize`
+and `_rename` stay recursive: a term too deep for the recursion limit must
 raise `RecursionError` in `normalize` before anything hashes it, because
-the tuple hash recurses in C with no depth guard."""
+the tuple hash recurses in C with no depth guard.
+
+A search meets the same terms again and again: it closes the same binder
+over the same body, and asks the free atoms of the same state, body or
+freshness term from `_close`, the matcher and the table. So while a search
+runs (`search_memo`, which `engine.enumerate_transitions` and `engine.prove`
+open and drop when they return or raise), the kernel keeps two maps: each
+term to its free atoms, and each (binder, body) pair to the abstraction
+that `_close` builds from it with an empty renaming. Both are keyed by
+value, as the search's table is: a term's free atoms and the canonical
+form of `[a]body` depend on nothing but the term and the pair, so a stored
+result is the one a walk would return, and no answer can change. Outside a
+search, the kernel walks every time and keeps nothing."""
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping, Optional
 
 from .atoms import Atom
 from .terms import (
@@ -53,9 +66,34 @@ class NotGroundError(ValueError):
     pass
 
 
-def _free_atoms(t: RawTerm) -> set[Atom]:
+# The memo of the running search (see the module docstring); None outside one.
+_free_memo: Optional[dict[RawTerm, frozenset[Atom]]] = None
+_close_memo: Optional[dict[tuple[Atom, RawTerm], Abs]] = None
+
+
+@contextmanager
+def search_memo() -> Iterator[None]:
+    """Keep the kernel's results for the duration of one search, and drop
+    them at its end. A search opened inside another uses the outer memo."""
+    global _free_memo, _close_memo
+    if _free_memo is not None:
+        yield
+        return
+    _free_memo, _close_memo = {}, {}
+    try:
+        yield
+    finally:
+        _free_memo = _close_memo = None
+
+
+def _free_atoms(t: RawTerm) -> frozenset[Atom]:
     """Free atoms of a susp-free ground term; each binder removes itself.
     One iterative walk, each node paired with the binders above it."""
+    memo = _free_memo
+    if memo is not None:
+        done = memo.get(t)
+        if done is not None:
+            return done
     out: set[Atom] = set()
     stack: list[tuple[RawTerm, frozenset[Atom]]] = [(t, frozenset())]
     pop, push = stack.pop, stack.append
@@ -74,7 +112,10 @@ def _free_atoms(t: RawTerm) -> set[Atom]:
             push((node.body, bound | {node.binder}))
         else:
             raise TypeError(f"unexpected node in susp-free term: {node!r}")
-    return out
+    done = frozenset(out)
+    if memo is not None:
+        memo[t] = done
+    return done
 
 
 def _close(image: dict[Atom, Atom], a: Atom, body: RawTerm) -> RawTerm:
@@ -82,6 +123,11 @@ def _close(image: dict[Atom, Atom], a: Atom, body: RawTerm) -> RawTerm:
     moves each key of `image` to its value. Its binder is the least atom of
     the sort not free in the moved abstraction; the body is then moved
     once, by π followed by the swap of the moved binder with that atom."""
+    memo = None if image else _close_memo
+    if memo is not None:
+        done = memo.get((a, body))
+        if done is not None:
+            return done
     sort = a.sort
     taken = {image.get(x, x).index for x in _free_atoms(body) if x != a and x.sort == sort}
     i = 0
@@ -97,7 +143,10 @@ def _close(image: dict[Atom, Atom], a: Atom, body: RawTerm) -> RawTerm:
         for x in (a, back):
             if image[x] == x:
                 del image[x]
-    return Abs(c, _rename(image, body))
+    done = Abs(c, _rename(image, body))
+    if memo is not None:
+        memo[a, body] = done
+    return done
 
 
 def _rename(image: dict[Atom, Atom], t: RawTerm) -> RawTerm:
@@ -186,7 +235,7 @@ def alpha_eq(p: RawTerm, q: RawTerm) -> bool:
 def nt_support(p: RawTerm) -> frozenset[Atom]:
     """Support of the nominal term denoted by a ground term: the free atoms
     of its canonical form."""
-    return frozenset(_free_atoms(normalize(p)))
+    return _free_atoms(normalize(p))
 
 
 def nt_fresh(a: Atom, p: RawTerm) -> bool:

@@ -84,7 +84,16 @@ subject only where it flips it under an abstraction or a delayed
 permutation.  `replay` does not rely on
 this: it checks the raw instance `Rule.instance` against the tree, with
 `alpha_eq`, and normalises each freshness term of the instance to decide it
-and to compare it with the tree's discharged term."""
+and to compare it with the tree's discharged term.
+
+`enumerate_transitions` and `prove` run their search inside the kernel's
+memo (`alpha.search_memo`), once the state and target are normalised: it
+maps each term to its free atoms and each (binder, body) pair to its closed
+abstraction, and is dropped when the call returns or raises. It is keyed by
+value, as the table is, and each result it holds depends on its key alone,
+so the table's free atoms, the matcher's binder tests and the builders'
+abstractions are the ones a fresh walk would give. `replay` and every
+other entry point run without it."""
 
 from __future__ import annotations
 
@@ -92,7 +101,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
-from .alpha import Builder, _free_atoms, _rename, alpha_eq, builder, normalize
+from .alpha import Builder, _free_atoms, _rename, alpha_eq, builder, normalize, search_memo
 from .atoms import Atom, Permutation
 from .matching import AtomPool, Matcher, MatchState, bind_metas, matcher
 from .printer import assertion_str, atom_str, formula_str, term_str
@@ -387,7 +396,7 @@ class _Entry:
         self.reached = 0
         self.settled = False
         self.joined: Optional[dict[_Record, int]] = None
-        self.absorbed: Optional[set[Atom]] = None
+        self.absorbed: Optional[frozenset[Atom]] = None
 
 
 class _Record:
@@ -421,7 +430,7 @@ class _Record:
         return frozenset([image.get(a, a) for a in atoms])
 
 
-def _absorbed(entry: _Entry) -> set[Atom]:
+def _absorbed(entry: _Entry) -> frozenset[Atom]:
     """The free atoms of a settled entry's state whose presence among its
     extra atoms no subgoal below can see: each record its solve joined
     absorbs such an atom too, or has it among the premise's own atoms."""
@@ -429,7 +438,7 @@ def _absorbed(entry: _Entry) -> set[Atom]:
         atoms = _free_atoms(entry.state)
         for record in entry.joined:
             absorbed = record.moved(_absorbed(record.entry))
-            atoms &= absorbed | (record.moved(record.entry.extra) - entry.extra)
+            atoms = atoms & (absorbed | (record.moved(record.entry.extra) - entry.extra))
         entry.absorbed = atoms
     return entry.absorbed
 
@@ -574,7 +583,7 @@ class _Search:
             return
         # Each fixed term, built once per match with its free atoms; an
         # assertion whose atom is fixed too is decided here.
-        known: list[Optional[tuple[RawTerm, set[Atom]]]] = []
+        known: list[Optional[tuple[RawTerm, frozenset[Atom]]]] = []
         for fp in plan.env:
             if not fp.term_fixed:
                 known.append(None)
@@ -653,13 +662,14 @@ def enumerate_transitions(spec: Spec, state: RawTerm, budget: Budget = Budget())
     nested too deeply to normalise raises `RecursionError`; a search whose
     subgoals or trees nest too deeply raises `ValueError`."""
     s = normalize(state)
-    base = _free_atoms(s)
     search = _Search(spec, budget)
     derivations = []
     try:
-        for residual, tree in search.run(s, frozenset()).items():
-            fresh = tuple(sorted(_free_atoms(residual) - base))
-            derivations.append(Derivation(Transition(s, residual), _force(tree), fresh))
+        with search_memo():
+            base = _free_atoms(s)
+            for residual, tree in search.run(s, frozenset()).items():
+                fresh = tuple(sorted(_free_atoms(residual) - base))
+                derivations.append(Derivation(Transition(s, residual), _force(tree), fresh))
     except RecursionError:
         raise ValueError(_SEARCH_TOO_DEEP) from None
     derivations.sort(key=lambda d: term_str(d.transition.residual))
@@ -675,10 +685,11 @@ def prove(
     s = normalize(source)
     search = _Search(spec, budget)
     try:
-        tree = search.run(s, frozenset(_free_atoms(r))).get(r)
-        if tree is None:
-            return ProveOutcome(None, search.truncated)
-        return ProveOutcome(_force(tree), False)
+        with search_memo():
+            tree = search.run(s, _free_atoms(r)).get(r)
+            if tree is None:
+                return ProveOutcome(None, search.truncated)
+            return ProveOutcome(_force(tree), False)
     except RecursionError:
         raise ValueError(_SEARCH_TOO_DEEP) from None
 

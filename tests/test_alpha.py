@@ -22,9 +22,11 @@ from nomsos import (
     normalize,
     nt_fresh,
     nt_support,
+    enumerate_transitions,
     parse_spec,
 )
-from nomsos.alpha import _free_atoms, _rename
+from nomsos import alpha
+from nomsos.alpha import _close, _free_atoms, _rename, search_memo
 from nomsos.atoms import PermutationError
 from nomsos.terms import perm_of
 
@@ -169,16 +171,12 @@ def _two_sort_cases(seed: int, n: int):
         yield t, _sorted_swaps(rng)
 
 
-def test_free_atoms_agree_with_the_recursive_definition(pi_spec):
-    # The kernel's iterative walk against the textbook recursion
-    # (`oracle_free_atoms`), on raw and canonical terms of both signatures.
-    rng = random.Random(47)
-    terms = [random_state(rng, pi_spec) for _ in range(300)]
-    terms += [t for t, _ in _two_sort_cases(53, 300)]
-    terms += [normalize(t) for t in terms]
+def _shadowing():
+    """Terms where a binder shadows another or binds one sort only, each with
+    its free atoms."""
     a, b = atoms(2)
     l0, l1 = Atom(LOC, 0), Atom(LOC, 1)
-    shadowing = [
+    return [
         (Abs(a, Abs(a, Atm(a))), set()),  # [a][a]a
         (Abs(a, Tup((Atm(a), Abs(a, Atm(b))))), {b}),  # [a](a, [a]b)
         (Tup((Abs(a, Atm(a)), Atm(a))), {a}),  # a binder scopes over its body only
@@ -189,9 +187,19 @@ def test_free_atoms_agree_with_the_recursive_definition(pi_spec):
             {l1, b},
         ),
     ]
+
+
+def test_free_atoms_agree_with_the_recursive_definition(pi_spec):
+    # The kernel's iterative walk against the textbook recursion
+    # (`oracle_free_atoms`), on raw and canonical terms of both signatures.
+    rng = random.Random(47)
+    terms = [random_state(rng, pi_spec) for _ in range(300)]
+    terms += [t for t, _ in _two_sort_cases(53, 300)]
+    terms += [normalize(t) for t in terms]
+    a, b = atoms(2)
     for t in terms:
         assert _free_atoms(t) == oracle_free_atoms(t)
-    for t, free in shadowing:
+    for t, free in _shadowing():
         assert _free_atoms(t) == oracle_free_atoms(t) == free
     # Both kernel walks take canonical terms only.
     x = Var(Variable("x", PR))
@@ -201,6 +209,44 @@ def test_free_atoms_agree_with_the_recursive_definition(pi_spec):
                 _free_atoms(t)
             with pytest.raises(TypeError):
                 _rename({a: b, b: a}, t)
+
+
+def test_the_search_memo_agrees_with_the_plain_walk(pi_spec):
+    # Inside a search the kernel answers from its memo; every answer must be
+    # the one the walk gives outside a search. Canonical pi.spec states and
+    # their residuals, two-sort terms and the shadowing cases; each body is
+    # closed under its own binder, an atom free in it and an atom of the
+    # other sort, and under the first two with the swap of both.
+    rng = random.Random(59)
+    states = [normalize(random_state(rng, pi_spec)) for _ in range(40)]
+    terms = [*states, *(normalize(t) for t, _ in _two_sort_cases(61, 200))]
+    terms += [normalize(t) for t, _ in _shadowing()]
+    for s in states[:20]:
+        terms += [d.transition.residual for d in enumerate_transitions(pi_spec, s).derivations]
+    assert alpha._free_memo is None and alpha._close_memo is None
+    subterms = [u for t in terms for u in _subterms(t)]
+    closes = []
+    for u in subterms:
+        if type(u) is Abs:
+            a = u.binder
+            x = min(_free_atoms(u.body) - {a}, default=Atom(a.sort, 7))
+            if x.sort == a.sort:
+                closes += [({a: x, x: a}, a, u.body), ({a: x, x: a}, x, u.body)]
+            other = Atom(LOC if a.sort == CH else CH, 0)
+            closes += [({}, c, u.body) for c in (a, x, other)]
+    plain = [_free_atoms(u) for u in subterms], [_close(*c) for c in closes]
+    with search_memo():
+        for _ in range(2):  # the first round fills the memo, the second reads it
+            memo = [_free_atoms(u) for u in subterms], [_close(*c) for c in closes]
+            assert memo == plain
+        assert all(_free_atoms(u) is alpha._free_memo[u] for u in subterms)
+        assert alpha._close_memo and all(
+            _close(*c) is alpha._close_memo[c[1:]] for c in closes if not c[0]
+        )
+    assert alpha._free_memo is None and alpha._close_memo is None
+    # A free-atom set, memoised or not, cannot be changed by its caller.
+    for free in [*plain[0], *memo[0]]:
+        assert type(free) is frozenset
 
 
 def test_kernel_move_is_the_action_over_two_sorts():

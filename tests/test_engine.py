@@ -20,6 +20,7 @@ from nomsos import (
     Budget,
     Susp,
     Tup,
+    check_all,
     corpus_path,
     enumerate_transitions,
     normalize,
@@ -34,8 +35,8 @@ from nomsos import (
     tree_text,
     validate_spec,
 )
-from nomsos import engine
-from nomsos.alpha import builder
+from nomsos import alpha, engine
+from nomsos.alpha import builder, search_memo
 from nomsos.matching import AtomPool, MatchState, matcher
 from nomsos.terms import (
     MetaAtom,
@@ -232,6 +233,59 @@ def test_a_search_past_the_recursion_limit_names_the_search_and_its_depth():
     for call in calls:
         with pytest.raises(ValueError, match=r"proof search .*\(--depth, Budget\.depth\)"):
             call()
+
+
+def _memo_closed() -> bool:
+    return alpha._free_memo is None and alpha._close_memo is None
+
+
+def test_the_kernel_memo_lives_for_one_search(pi_spec, monkeypatch):
+    # The kernel's memo is open while a search runs and dropped when the
+    # search returns or raises; no other entry point opens it, and a search
+    # run inside an open memo leaves it open.
+    opened = []
+    run = engine._Search.run
+
+    def observed(self, *args):
+        opened.append(not _memo_closed())
+        return run(self, *args)
+
+    monkeypatch.setattr(engine._Search, "run", observed)
+    state = _t(pi_spec, "par(new([b]out(a,b,null)), in(a,[c]out(c,c,null)))")
+    enum = enumerate_transitions(pi_spec, state)
+    assert _memo_closed()
+    outcome = prove(pi_spec, state, enum.derivations[-1].transition.residual)
+    assert _memo_closed() and outcome.tree is not None
+    rep = nomsos.load_corpus("pi-rep.spec")
+    with pytest.raises(ValueError, match="nests too deeply"):
+        enumerate_transitions(rep, _t(rep, "rep(out(a,b,null))"))
+    assert _memo_closed() and opened == [True, True, True]
+    assert normalize(state) == enum.state and all(r.passed for r in check_all(pi_spec))
+    assert replay(pi_spec, outcome.tree) == [] and _memo_closed()
+    with search_memo():
+        enumerate_transitions(pi_spec, state)
+        assert alpha._free_memo and alpha._close_memo
+    assert _memo_closed()
+
+
+def test_comm_spec_derives_and_replays_a_free_communication():
+    # pi-comm.spec is pi.spec with CommL and CommR, a tau on a free name.
+    # The defined order covers outA and boutA only, so the ACR check has no
+    # instance of either rule to decide.
+    comm = nomsos.load_corpus("pi-comm.spec")
+    reports = check_all(comm)
+    assert len(reports) == 4 and all(r.passed for r in reports)
+    acr = reports[-1].text().splitlines()
+    assert acr[0] == "residual alpha-conversion format: pass"
+    for name in ("CommL", "CommR"):
+        assert f"  {name}: skipped -- no defined-order instance" in acr
+    state = _t(comm, "par(in(a,[c]out(c,c,null)), out(a,e,null))")
+    rows = {
+        term_str(d.transition.residual): d.tree
+        for d in enumerate_transitions(comm, state).derivations
+    }
+    tree = rows["(tauA, par(out(e, e, null), null))"]
+    assert tree.rule_name == "CommL" and replay(comm, tree) == []
 
 
 # Recorded when every pass solved again every subgoal it reached: for each
@@ -855,8 +909,18 @@ def test_orbit_keys_agree_with_literal_keys_on_par_states(pi_spec, monkeypatch):
     # tree may name a binder differently: the literal search tries the
     # subject's own binder first, and that choice is not the image of the
     # representative's under the permutation.
-    cases = [(pi_spec, (s,), Budget(), True) for s in _par_states(pi_spec)]
-    _agree_with_reference(monkeypatch, cases)
+    # On pi-comm.spec an input also receives a sibling's free name. In the
+    # pinned state that name, e, is outside the input subgoal's pool, so the
+    # literal search and the reference miss `inA(a, e)` and the tau row;
+    # the orbit-keyed search renames e into the pool and lists both
+    # (ROADMAP item 1). There only the literal keys are compared.
+    comm = nomsos.load_corpus("pi-comm.spec")
+    rng = random.Random(2027)
+    pinned = _t(comm, "par(in(a,[c]out(c,c,null)), out(a,e,null))")
+    states = [(pi_spec, s) for s in _par_states(pi_spec)]
+    states += [(comm, _random_par(rng, comm, rng.randint(2, 4))) for _ in range(12)]
+    states.append((comm, pinned))
+    _agree_with_reference(monkeypatch, [(sp, (s,), Budget(), s is not pinned) for sp, s in states])
 
 
 def test_orbit_keys_agree_with_literal_keys_on_prove_claims(pi_spec, monkeypatch):
@@ -916,7 +980,7 @@ def test_an_unobserved_binder_adds_a_residual_per_target_normalisation(pi_spec, 
 def test_only_the_input_binder_is_unobserved_in_the_corpus():
     # In reads c through [c]x and ((c b))*x at a b fresh for [c]x; Res and
     # Open observe their binders, and every other rule has none.
-    for name in ("pi.spec", "pi-rep.spec", "pi-broken.spec"):
+    for name in ("pi.spec", "pi-rep.spec", "pi-broken.spec", "pi-comm.spec"):
         assert _marked(nomsos.load_corpus(name)) == {"In": ["c"]}, name
 
 
