@@ -10,6 +10,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
+# `_new(Cls, fields)` builds a named tuple from the tuple of its fields
+# without the generated `__new__`, a Python function around this same call.
+# The kernel's hot construction sites use it; `fields` must be a tuple of
+# the type's arity, so a one-field node takes a 1-tuple.
+_new = tuple.__new__
+
+
 class AtomSort(NamedTuple):
     """A sort of atoms (e.g. channel names)."""
 
@@ -238,6 +245,6 @@ def fresh_atoms(sort: AtomSort, avoid: Iterable[Atom], n: int) -> list[Atom]:
     i = 0
     while len(out) < n:
         if i not in taken:
-            out.append(Atom(sort, i))
+            out.append(_new(Atom, (sort, i)))
         i += 1
     return out

@@ -92,8 +92,8 @@ maps each term to its free atoms and each (binder, body) pair to its closed
 abstraction, and is dropped when the call returns or raises. It is keyed by
 value, as the table is, and each result it holds depends on its key alone,
 so the table's free atoms, the matcher's binder tests and the builders'
-abstractions are the ones a fresh walk would give. `replay` and every
-other entry point run without it."""
+abstractions are the ones a fresh walk would give. `replay` checks a whole
+tree inside one memo too; every other entry point runs without it."""
 
 from __future__ import annotations
 
@@ -701,19 +701,31 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
     lacks; its transition and premises must be alpha-equivalent to the
     rule instance's; and its discharged conditions must be the instance's
     freshness assertions in rule order, each with its term in canonical
-    form, and hold."""
+    form, and hold. The whole tree is checked inside the kernel's memo."""
+    with search_memo():
+        return _replay(spec, tree, {})
 
+
+# What `_replay` works out once per rule: the rule, the schematic atoms that
+# a term or freshness atom of it uses (an unused one needs no binding), its
+# variables and the names of its schematic atoms.
+_RuleFacts = tuple[Rule, set[MetaAtom], set[Variable], set[str]]
+
+
+def _replay(spec: Spec, tree: ProofTree, facts: dict[str, _RuleFacts]) -> list[str]:
     errors: list[str] = []
-    rule = spec.rule(tree.rule_name)
-    if rule is None:
-        return [f"unknown rule {tree.rule_name!r}"]
+    known = facts.get(tree.rule_name)
+    if known is None:
+        rule = spec.rule(tree.rule_name)
+        if rule is None:
+            return [f"unknown rule {tree.rule_name!r}"]
+        used = {ra.atom for ra in rule.env}.union(*map(meta_atoms, rule.terms()))
+        variables = set().union(*map(term_vars, rule.terms()))
+        known = facts[tree.rule_name] = rule, used, variables, {m.name for m in rule.metas}
+    rule, used, variables, names = known
     asg = dict(tree.atoms)
     subst = dict(tree.subst)
     where = f"node {tree.rule_name}"
-    # A schematic atom that no term or freshness atom of the rule uses
-    # needs no binding.
-    used = {ra.atom for ra in rule.env}.union(*map(meta_atoms, rule.terms()))
-    variables = set().union(*map(term_vars, rule.terms()))
     unbound = [m.name for m in rule.metas if m in used and m.name not in asg]
     unbound += sorted(v.name for v in variables if v not in subst)
     if unbound:
@@ -721,7 +733,6 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
     loose = sorted(v.name for v, t in subst.items() if not is_ground(t))
     if loose:
         return [f"{where}: {name} is bound to a term that is not ground" for name in loose]
-    names = {m.name for m in rule.metas}
     errors += [f"{where}: the rule has no atom {n}" for n in asg if n not in names]
     errors += [f"{where}: the rule has no variable {v.name}" for v in subst if v not in variables]
 
@@ -738,7 +749,7 @@ def replay(spec: Spec, tree: ProofTree) -> list[str]:
                 errors.append(f"{where}: premise source mismatch")
             if not alpha_eq(premise.target, child.transition.residual):
                 errors.append(f"{where}: premise target mismatch")
-            errors.extend(replay(spec, child))
+            errors.extend(_replay(spec, child, facts))
     discharged = []
     for ra in r.env:
         t = normalize(ra.term)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
-from .atoms import Atom, AtomSort, fresh_atoms
-from .alpha import _free_atoms, _rename, normalize
+from .atoms import Atom, AtomSort, _new, fresh_atoms
+from .alpha import _free_atoms, _rename, _swap, normalize
 from .terms import (
     Abs,
     App,
@@ -38,10 +38,10 @@ class MatchState(NamedTuple):
     subst: dict[Variable, RawTerm] = {}
 
     def with_meta(self, name: str, atom: Atom) -> "MatchState":
-        return MatchState({**self.metas, name: atom}, self.subst)
+        return _new(MatchState, ({**self.metas, name: atom}, self.subst))
 
     def with_var(self, var: Variable, term: RawTerm) -> "MatchState":
-        return MatchState(self.metas, {**self.subst, var: term})
+        return _new(MatchState, (self.metas, {**self.subst, var: term}))
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def matcher(pattern: RawTerm, unobserved: frozenset[MetaAtom] = frozenset()) -> 
                 free_q = _free_atoms(q)
                 for a, st in options:
                     if a not in free_q:
-                        out.extend(body(_rename({a: d, d: a}, q), st, pool))
+                        out.extend(body(_swap(a, d, q), st, pool))
                 return out
 
             return match_abs

@@ -21,6 +21,7 @@ from nomsos import (
     Variable,
     load_corpus,
 )
+from nomsos import alpha
 from nomsos.atoms import AbsSort, AtomSortRef, BaseSort, ProdSort
 
 CH = AtomSort("ch")
@@ -215,3 +216,9 @@ def all_ground_terms(spec, sort, size: int, pool: list[Atom]) -> list[RawTerm]:
                     out.append(App(decl.name, t))
             return out
     raise AssertionError(sort)
+
+
+def memo_closed() -> bool:
+    """No search or replay is running: all three maps of the kernel's memo
+    are dropped."""
+    return alpha._free_memo is None and alpha._close_memo is None and alpha._swap_memo is None

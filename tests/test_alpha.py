@@ -26,14 +26,16 @@ from nomsos import (
     parse_spec,
 )
 from nomsos import alpha
-from nomsos.alpha import _close, _free_atoms, _rename, search_memo
-from nomsos.atoms import PermutationError
+from nomsos.alpha import _close, _free_atoms, _rename, _swap, builder, search_memo
+from nomsos.atoms import PermutationError, fresh_atoms
+from nomsos.matching import MatchState
 from nomsos.terms import perm_of
 
 from conftest import (
     CH,
     PR,
     atoms,
+    memo_closed,
     oracle_alpha,
     oracle_free_atoms,
     random_perm,
@@ -223,30 +225,111 @@ def test_the_search_memo_agrees_with_the_plain_walk(pi_spec):
     terms += [normalize(t) for t, _ in _shadowing()]
     for s in states[:20]:
         terms += [d.transition.residual for d in enumerate_transitions(pi_spec, s).derivations]
-    assert alpha._free_memo is None and alpha._close_memo is None
+    assert memo_closed()
     subterms = [u for t in terms for u in _subterms(t)]
     closes = []
+    # A binder swap: the abstraction's binder with an atom free in its body,
+    # an atom with itself, and atoms of each sort under any binder.
+    swaps = [(a, b, u) for u in subterms for a, b in _SWAPS]
     for u in subterms:
         if type(u) is Abs:
             a = u.binder
             x = min(_free_atoms(u.body) - {a}, default=Atom(a.sort, 7))
             if x.sort == a.sort:
                 closes += [({a: x, x: a}, a, u.body), ({a: x, x: a}, x, u.body)]
+                swaps += [(a, x, u.body), (x, a, u.body)]
             other = Atom(LOC if a.sort == CH else CH, 0)
             closes += [({}, c, u.body) for c in (a, x, other)]
-    plain = [_free_atoms(u) for u in subterms], [_close(*c) for c in closes]
+
+    def walks():
+        return (
+            [_free_atoms(u) for u in subterms],
+            [_close(*c) for c in closes],
+            [_swap(*s) for s in swaps],
+        )
+
+    plain = walks()
+    assert plain[2] == [_rename({a: b, b: a}, t) for a, b, t in swaps]
     with search_memo():
         for _ in range(2):  # the first round fills the memo, the second reads it
-            memo = [_free_atoms(u) for u in subterms], [_close(*c) for c in closes]
+            memo = walks()
             assert memo == plain
         assert all(_free_atoms(u) is alpha._free_memo[u] for u in subterms)
         assert alpha._close_memo and all(
             _close(*c) is alpha._close_memo[c[1:]] for c in closes if not c[0]
         )
-    assert alpha._free_memo is None and alpha._close_memo is None
+        assert all(_swap(*s) is alpha._swap_memo[s] for s in swaps)
+    assert memo_closed()
     # A free-atom set, memoised or not, cannot be changed by its caller.
     for free in [*plain[0], *memo[0]]:
         assert type(free) is frozenset
+
+
+_SWAPS = [
+    (Atom(CH, 0), Atom(CH, 1)),
+    (Atom(CH, 1), Atom(CH, 1)),
+    (Atom(LOC, 0), Atom(LOC, 2)),
+]
+
+
+def _nodes_are_well_formed(t) -> None:
+    """Each node of a canonical term, and each atom in it, is a node or atom
+    of its type's arity, equal to what its public constructor builds."""
+    todo = [t]
+    while todo:
+        n = todo.pop()
+        kind = type(n)
+        assert kind in (App, Tup, Atm, Abs, Atom), n
+        assert len(n) == len(kind._fields) and n == kind(*n), n
+        if kind is App:
+            todo.append(n.arg)
+        elif kind is Tup:
+            todo += n.items
+        elif kind is Atm:
+            todo.append(n.atom)
+        elif kind is Abs:
+            todo += [n.binder, n.body]
+
+
+def test_the_kernel_builds_well_formed_nodes(pi_spec):
+    # The kernel builds nodes by `tuple.__new__(Cls, fields)`, which checks
+    # no arity: `tuple.__new__(Tup, items)` without the wrapping 1-tuple
+    # would build a Tup with one field per item. Every node that
+    # `normalize`, `_rename`, `_close`, `_swap` and a rule's builders return
+    # must be the node the public constructors build.
+    rng = random.Random(67)
+    states = [random_state(rng, pi_spec) for _ in range(60)]
+    cases = [(t, ()) for t in states] + list(_two_sort_cases(71, 200))
+    cases += [(t, ()) for t, _ in _shadowing()]
+    built = []
+    for t, perm in cases:
+        n = normalize(t)
+        built += [n, _rename(perm_of(perm).image, n)]
+        for u in _subterms(n):
+            built += [_swap(a, b, u) for a, b in _SWAPS]
+            if type(u) is Abs:
+                a = u.binder
+                x = min(_free_atoms(u.body) - {a}, default=Atom(a.sort, 7))
+                built += [_close({}, x, u.body), _close({a: x, x: a}, a, u.body)]
+    # Each rule's builders, at the bindings of every node of every tree.
+    trees = [d.tree for s in states[:30] for d in enumerate_transitions(pi_spec, s).derivations]
+    while trees:
+        tree = trees.pop()
+        trees += tree.children
+        rule = pi_spec.rule(tree.rule_name)
+        metas, subst = dict(tree.atoms), dict(tree.subst)
+        made = [builder(p)(metas, subst) for p in rule.terms()]
+        assert made[1] == tree.transition.residual
+        built += made
+    assert len(built) > 5000
+    for n in built:
+        _nodes_are_well_formed(n)
+    for a in fresh_atoms(CH, [Atom(CH, 1)], 3):
+        _nodes_are_well_formed(a)
+    state = MatchState().with_meta("a", Atom(CH, 0)).with_var(Variable("x", PR), built[0])
+    assert type(state) is MatchState and len(state) == 2 and state == MatchState(*state)
+    assert state.metas == {"a": Atom(CH, 0)} and state.subst == {Variable("x", PR): built[0]}
+    assert MatchState() == ({}, {})  # the shared defaults stay empty
 
 
 def test_kernel_move_is_the_action_over_two_sorts():

@@ -47,7 +47,7 @@ from nomsos.terms import (
 )
 
 import reference
-from conftest import atoms, random_state, random_term
+from conftest import atoms, memo_closed, random_state, random_term
 
 
 def _t(spec, s):
@@ -235,37 +235,60 @@ def test_a_search_past_the_recursion_limit_names_the_search_and_its_depth():
             call()
 
 
-def _memo_closed() -> bool:
-    return alpha._free_memo is None and alpha._close_memo is None
-
-
 def test_the_kernel_memo_lives_for_one_search(pi_spec, monkeypatch):
-    # The kernel's memo is open while a search runs and dropped when the
-    # search returns or raises; no other entry point opens it, and a search
-    # run inside an open memo leaves it open.
+    # The kernel's memo is open while a search or a replay runs and dropped
+    # when it returns or raises; a search or replay run inside an open memo
+    # leaves it open.
     opened = []
     run = engine._Search.run
 
     def observed(self, *args):
-        opened.append(not _memo_closed())
+        opened.append(not memo_closed())
         return run(self, *args)
 
     monkeypatch.setattr(engine._Search, "run", observed)
     state = _t(pi_spec, "par(new([b]out(a,b,null)), in(a,[c]out(c,c,null)))")
     enum = enumerate_transitions(pi_spec, state)
-    assert _memo_closed()
+    assert memo_closed()
     outcome = prove(pi_spec, state, enum.derivations[-1].transition.residual)
-    assert _memo_closed() and outcome.tree is not None
+    assert memo_closed() and outcome.tree is not None
     rep = nomsos.load_corpus("pi-rep.spec")
     with pytest.raises(ValueError, match="nests too deeply"):
         enumerate_transitions(rep, _t(rep, "rep(out(a,b,null))"))
-    assert _memo_closed() and opened == [True, True, True]
+    assert memo_closed() and opened == [True, True, True]
     assert normalize(state) == enum.state and all(r.passed for r in check_all(pi_spec))
-    assert replay(pi_spec, outcome.tree) == [] and _memo_closed()
+    assert memo_closed()
     with search_memo():
         enumerate_transitions(pi_spec, state)
-        assert alpha._free_memo and alpha._close_memo
-    assert _memo_closed()
+        assert alpha._free_memo and alpha._close_memo and alpha._swap_memo
+        assert replay(pi_spec, outcome.tree) == []
+        assert alpha._free_memo and alpha._close_memo and alpha._swap_memo
+    assert memo_closed()
+    # One memo is open for the whole replay, and it is dropped after the
+    # replay returns, returns early on an unknown rule, or raises.
+    tree = outcome.tree
+    inside = []
+    alpha_eq = engine.alpha_eq
+
+    def seen(p, q):
+        inside.append(alpha._swap_memo)
+        return alpha_eq(p, q)
+
+    monkeypatch.setattr(engine, "alpha_eq", seen)
+    assert replay(pi_spec, tree) == [] and memo_closed()
+    assert len(inside) > 2 and inside[0] is not None
+    assert all(memo is inside[0] for memo in inside)
+    unknown = replace(tree, rule_name="NoSuchRule")
+    assert replay(pi_spec, unknown) == ["unknown rule 'NoSuchRule'"] and memo_closed()
+
+    def failing(p, q):
+        assert not memo_closed()
+        raise RuntimeError("alpha_eq failed")
+
+    monkeypatch.setattr(engine, "alpha_eq", failing)
+    with pytest.raises(RuntimeError, match="alpha_eq failed"):
+        replay(pi_spec, tree)
+    assert memo_closed()
 
 
 def test_comm_spec_derives_and_replays_a_free_communication():
