@@ -29,11 +29,10 @@ matched only against its bucket (first-argument indexing), so it finds the
 same matches in the same order. Matching binds every schematic atom it
 meets, so by the time a rule's conclusion is reached the atoms of its
 conclusion source and of each premise's source and target are fixed, and so
-is every variable. Per match, each freshness term that these alone fix is
-built once, with its free atoms; an assertion whose atom is fixed too is
-decided then, and a failure rejects the match before any pending atom is
-bound. Only a term that mentions a pending atom is built per candidate;
-every other assertion is a set membership test. A rule without
+is every variable. The conclusion binds each remaining (pending) atom to
+every candidate in turn, and each freshness assertion `a # t` is decided on
+that rule instance: its term is built and the instance is rejected if the
+atom is free in it. A rule without
 premises may also have unobserved binders (`_unobserved_binders`): a
 schematic binder `c` of its source that it reads only through `[c]x` and
 through concretions `((c e))*x` at an `e # [c]x`. Both are invariant under
@@ -195,18 +194,6 @@ class _PremisePlan:
     target: Matcher
 
 
-@dataclass(frozen=True)
-class _FreshnessPlan:
-    """A freshness assertion of a rule: its atom, whether its term and its
-    atom are fixed when the search reaches the conclusion, and the builder
-    of its term."""
-
-    atom: AtomLike
-    term_fixed: bool
-    atom_fixed: bool
-    build: Builder
-
-
 def _unobserved_binders(rule: Rule) -> frozenset[MetaAtom]:
     """The schematic binders of an axiom that the rule reads only up to
     alpha-equivalence: each `c` that the conclusion source has once, as the
@@ -242,10 +229,11 @@ def _unobserved_binders(rule: Rule) -> frozenset[MetaAtom]:
 class _RulePlan:
     """What the search needs of a rule beyond the rule itself, worked out
     once: the schematic atoms each premise source and the conclusion still
-    have to bind, sorted by name, and the split of its freshness
-    assertions. Matching binds every schematic atom it meets, so those of
-    the conclusion source and of each premise's source and target are fixed
-    by the time the conclusion is reached.
+    have to bind, sorted by name, and each freshness assertion as its atom
+    and the builder of its term. Matching binds every schematic atom it
+    meets, so those of the conclusion source and of each premise's source
+    and target are fixed by the time the conclusion is reached; `pending`
+    holds the rest, which the conclusion binds to each candidate in turn.
 
     Each pattern the search reads is compiled here, once: the matcher of the
     conclusion source (which takes each binder of `_unobserved_binders` at
@@ -257,7 +245,7 @@ class _RulePlan:
 
     rule: Rule
     premises: tuple[_PremisePlan, ...]
-    env: tuple[_FreshnessPlan, ...]
+    env: tuple[tuple[AtomLike, Builder], ...]
     pending: tuple[MetaAtom, ...]
     source: Matcher
     target: Builder
@@ -270,15 +258,10 @@ class _RulePlan:
         fixed = meta_atoms(source).union(
             *(meta_atoms(p.source) | meta_atoms(p.target) for p in rule.premises)
         )
-        pending = meta_atoms(target) - fixed
-        env = []
-        for ra in rule.env:
-            term_metas = meta_atoms(ra.term)
-            atom_fixed = not isinstance(ra.atom, MetaAtom) or ra.atom in fixed
-            pending |= term_metas - fixed
-            if not atom_fixed:
-                pending |= {ra.atom}
-            env.append(_FreshnessPlan(ra.atom, term_metas <= fixed, atom_fixed, builder(ra.term)))
+        pending = meta_atoms(target).union(
+            *(meta_atoms(ra.term) for ra in rule.env),
+            (ra.atom for ra in rule.env if isinstance(ra.atom, MetaAtom)),
+        ) - fixed
         bound_vars = term_vars(source).union(*(term_vars(p.target) for p in rule.premises))
         return _RulePlan(
             rule=rule,
@@ -286,7 +269,7 @@ class _RulePlan:
                 _PremisePlan(_by_name(meta_atoms(p.source)), builder(p.source), matcher(p.target))
                 for p in rule.premises
             ),
-            env=tuple(env),
+            env=tuple((ra.atom, builder(ra.term)) for ra in rule.env),
             pending=_by_name(pending),
             source=matcher(source, _unobserved_binders(rule)),
             target=builder(target),
@@ -581,48 +564,28 @@ class _Search:
         rule = plan.rule
         if rule.excluded_label(st.subst) is not None:
             return
-        # Each fixed term, built once per match with its free atoms; an
-        # assertion whose atom is fixed too is decided here.
-        known: list[Optional[tuple[RawTerm, frozenset[Atom]]]] = []
-        for fp in plan.env:
-            if not fp.term_fixed:
-                known.append(None)
-                continue
-            t = fp.build(st.metas, st.subst)
-            free = _free_atoms(t)
-            if fp.atom_fixed and resolve(fp.atom, st.metas) in free:
-                return
-            known.append((t, free))
         residuals = entry.residuals
         for st1 in bind_metas(plan.pending, st, entry.pool):
             metas, subst = st1.metas, st1.subst
             discharged = []
-            ok = True
-            for fp, fixed in zip(plan.env, known):
-                atom = resolve(fp.atom, metas)
-                if fixed is None:
-                    t = fp.build(metas, subst)
-                    free = _free_atoms(t)
-                else:
-                    t, free = fixed
-                if atom in free:
-                    ok = False
+            for a, build in plan.env:
+                atom, t = resolve(a, metas), build(metas, subst)
+                if atom in _free_atoms(t):
                     break
                 discharged.append((atom, t))
-            if not ok:
-                continue
-            residual = plan.target(metas, subst)
-            if residual in residuals:
-                continue
-            residuals[residual] = ProofTree(
-                rule_name=rule.name,
-                atoms=tuple([(n, metas[n]) for n in plan.names]),
-                subst=tuple([(v, subst[v]) for v in plan.variables]),
-                transition=Transition(entry.state, residual),
-                children=children,
-                discharged=tuple(discharged),
-            )
-            self.changed = True
+            else:
+                residual = plan.target(metas, subst)
+                if residual in residuals:
+                    continue
+                residuals[residual] = ProofTree(
+                    rule_name=rule.name,
+                    atoms=tuple([(n, metas[n]) for n in plan.names]),
+                    subst=tuple([(v, subst[v]) for v in plan.variables]),
+                    transition=Transition(entry.state, residual),
+                    children=children,
+                    discharged=tuple(discharged),
+                )
+                self.changed = True
 
 
 def _force(

@@ -1,8 +1,11 @@
 """Deterministic concrete-syntax printing for atoms, terms, formulas and
-environments, and the reading of an atom's name, which the parser uses. In a
-spec with one atom sort, the printed form parses back to the same object.
-With several atom sorts it does not: atoms print by index alone, as `a`,
-`b`, ..., so the sort is lost and the letters do not parse. A schematic
+environments, and the reading of an atom's name, which the parser uses. The
+printed form need not parse back to the same object: an atom of index below
+26 prints as a bare letter, as `a`, `b`, ..., even where that letter names
+a variable of the spec (in `pi.spec`, `out(ch23, a, null)` prints as
+`out(x, a, null)`, and `in(a, [ch11]...)` as `in(a, [l]...)`), and with
+several atom sorts the sort is lost and the letters do not parse. ROADMAP
+item 9 is the fix. A schematic
 atom prints by its name, and an environment, such as the frozenset that
 `freshness.nf` returns, by its assertions in sorted order."""
 

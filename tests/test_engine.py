@@ -398,11 +398,11 @@ def test_rule_plans_are_built_once_per_spec(monkeypatch):
     assert compiled == patterns
     once = Counter(rule.name for rule in spec.rules) + Counter(["head index"])
     assert built == once
-    # The plans hold each rule's split of its freshness assertions: In's
-    # term [c]x is fixed by its source, its atom b only at the conclusion.
+    # The plans hold each rule's freshness assertions as (atom, builder)
+    # pairs: In's `fresh b # [c]x`, whose atom b only the conclusion binds.
     (in_plan,) = [p for p in engine._plans(spec).by_head["in"] if p.rule.name == "In"]
-    (fresh,) = in_plan.env
-    assert (fresh.term_fixed, fresh.atom_fixed) == (True, False)
+    ((atom, _),) = in_plan.env
+    assert atom.name == "b"
     assert [m.name for m in in_plan.pending] == ["b"]
     # Another spec, or the same spec given other rules, plans again.
     enumerate_transitions(nomsos.load_corpus("pi.spec"), state)
@@ -425,8 +425,8 @@ class _Closures:
         def counted(rule):
             plan = of(rule)
             env = tuple(
-                replace(fp, build=self._build(rule, ra.term, fp.build))
-                for fp, ra in zip(plan.env, rule.env)
+                (atom, self._build(rule, ra.term, build))
+                for (atom, build), ra in zip(plan.env, rule.env)
             )
             target = self._build(rule, rule.conclusion.target, plan.target)
             return replace(plan, source=self._match(rule, plan.source), target=target, env=env)
@@ -459,18 +459,17 @@ def test_a_subgoal_is_matched_only_against_rules_of_its_head(pi_spec, monkeypatc
     assert closures.subjects == Counter({"par(null, null)": 6})
 
 
-def test_a_fixed_freshness_term_is_normalised_once_per_match(pi_spec, monkeypatch):
-    # In's `fresh b # [c]x`: its term is fixed by the source, so it is
-    # normalised once per source match, not once per candidate for b. In
-    # never observes c, so its source matches once, at the state's binder.
+def test_a_freshness_assertion_is_decided_on_each_rule_instance(pi_spec, monkeypatch):
+    # In's `fresh b # [c]x` is decided once b is bound: its term is built
+    # once per candidate for b. In never observes c, so its source matches
+    # once, at the state's binder.
     (in_rule,) = [rule for rule in pi_spec.rules if rule.name == "In"]
     (assertion,) = in_rule.env
     closures = _Closures(monkeypatch, pi_spec)
     enumerate_transitions(pi_spec, _t(pi_spec, "in(a,[c]out(c,a,null))"))
-    found = closures.found
     candidates = 3  # the state's free atom a and two fresh atoms
-    assert found["In"] == 1
-    assert closures.built["In", assertion.term] == found["In"] < found["In"] * candidates
+    assert closures.found["In"] == 1
+    assert closures.built["In", assertion.term] == candidates
 
 
 _EDGE_SPEC = """
