@@ -7,7 +7,8 @@ the wrong sort, an ill-formed spec given to `derive` or `prove`, or a term
 or proof search nested too deeply for the recursion limit.
 
 Each command returns its exit code, JSON document and text lines; `main`
-alone reads the spec, builds the budget and prints the one or the other."""
+alone reads the spec, builds the budget and prints the one or the other,
+turning a document's proof trees into JSON (`tree_dict`) as it prints it."""
 
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def _cmd_derive(spec: Spec, args) -> tuple[int, dict, list[str]]:
                 "residual": term_str(d.transition.residual),
                 "fresh_atoms": [atom_str(a) for a in d.fresh_atoms],
                 "orbit_representative": bool(d.fresh_atoms),
-                "tree": tree_dict(d.tree),
+                "tree": d.tree,
             }
         )
         note = ""
@@ -89,7 +90,7 @@ def _cmd_prove(spec: Spec, args) -> tuple[int, dict, list[str]]:
         "claim": args.claim,
         "provable": outcome.tree is not None,
         "truncated": outcome.truncated,
-        "tree": tree_dict(outcome.tree) if outcome.tree else None,
+        "tree": outcome.tree,
     }
     if outcome.tree is not None:
         line = tree_text(outcome.tree)
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
             args.budget = Budget(depth=args.depth, fresh=args.fresh)
         code, doc, lines = args.run(spec, args)
         if args.json:
-            print(json.dumps({"command": args.command, **doc}, indent=2))
+            print(json.dumps({"command": args.command, **doc}, indent=2, default=tree_dict))
         else:
             for line in lines:
                 print(line)

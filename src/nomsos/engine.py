@@ -85,14 +85,16 @@ this: it checks the raw instance `Rule.instance` against the tree, with
 `alpha_eq`, and normalises each freshness term of the instance to decide it
 and to compare it with the tree's discharged term.
 
-`enumerate_transitions` and `prove` run their search inside the kernel's
-memo (`alpha.search_memo`), once the state and target are normalised: it
-maps each term to its free atoms and each (binder, body) pair to its closed
-abstraction, and is dropped when the call returns or raises. It is keyed by
-value, as the table is, and each result it holds depends on its key alone,
-so the table's free atoms, the matcher's binder tests and the builders'
-abstractions are the ones a fresh walk would give. `replay` checks a whole
-tree inside one memo too; every other entry point runs without it."""
+`enumerate_transitions` and `prove` search, move their trees and sort their
+rows inside the kernel's memo (`alpha.search_memo`) and one boundary that
+turns a `RecursionError` into the search's `ValueError`, once the state and
+target are normalised. The memo maps each term to its free atoms and each
+(binder, body) pair to its closed abstraction, and is dropped when the call
+returns or raises. It is keyed by value, as the table is, and each result it
+holds depends on its key alone, so the table's free atoms, the matcher's
+binder tests and the builders' abstractions are the ones a fresh walk would
+give. `replay` checks a whole tree inside one memo too; every other entry
+point runs without it."""
 
 from __future__ import annotations
 
@@ -621,9 +623,9 @@ _SEARCH_TOO_DEEP = (
 
 
 def enumerate_transitions(spec: Spec, state: RawTerm, budget: Budget = Budget()) -> Enumeration:
-    """The transitions of `state`, each with its first proof tree. A state
-    nested too deeply to normalise raises `RecursionError`; a search whose
-    subgoals or trees nest too deeply raises `ValueError`."""
+    """The transitions of `state` with their first proof trees, built and
+    sorted inside the search: subgoals, trees or rows nested too deeply raise
+    `ValueError`, and a state too deep to normalise `RecursionError`."""
     s = normalize(state)
     search = _Search(spec, budget)
     derivations = []
@@ -633,9 +635,9 @@ def enumerate_transitions(spec: Spec, state: RawTerm, budget: Budget = Budget())
             for residual, tree in search.run(s, frozenset()).items():
                 fresh = tuple(sorted(_free_atoms(residual) - base))
                 derivations.append(Derivation(Transition(s, residual), _force(tree), fresh))
+            derivations.sort(key=lambda d: term_str(d.transition.residual))
     except RecursionError:
         raise ValueError(_SEARCH_TOO_DEEP) from None
-    derivations.sort(key=lambda d: term_str(d.transition.residual))
     return Enumeration(tuple(derivations), search.truncated, s)
 
 
@@ -644,15 +646,12 @@ def prove(
 ) -> ProveOutcome:
     """The first proof tree of `source -> target`; raises as
     `enumerate_transitions` does."""
-    r = normalize(target)
-    s = normalize(source)
+    r, s = normalize(target), normalize(source)
     search = _Search(spec, budget)
     try:
         with search_memo():
             tree = search.run(s, _free_atoms(r)).get(r)
-            if tree is None:
-                return ProveOutcome(None, search.truncated)
-            return ProveOutcome(_force(tree), False)
+            return ProveOutcome(tree and _force(tree), tree is None and search.truncated)
     except RecursionError:
         raise ValueError(_SEARCH_TOO_DEEP) from None
 

@@ -6,7 +6,10 @@ candidate, and every freshness assertion is built per candidate and decided
 with `nt_fresh`. No rule plans, head index, orbit keys, shared records,
 unobserved binders or delta joins: the engine keyed by the literal subgoal
 must return exactly what this search returns, trees included. It keeps
-built instances and pools, which the oracle test builds many times over."""
+built instances and pools, which the oracle test builds many times over.
+
+`LeastFixedPoint` is ground truth for `derive` on a decreasing spec: the
+same rules over one atom universe, with no depth cut."""
 
 from functools import cache
 from types import SimpleNamespace
@@ -106,6 +109,33 @@ class ReferenceSearch:
                         rule.name, atoms, subst, transition, children, tuple(discharged)
                     )
                     self.changed = True
+
+
+class LeastFixedPoint(ReferenceSearch):
+    """The least set of transitions closed under the rules, over one atom
+    universe: free(root) plus `Budget.fresh` fresh atoms per sort, the pool of
+    every subgoal. The table is keyed by the state alone, a cycle reads the
+    entry as it stands, and passes run, with no depth cut, until one adds
+    nothing. It ends only where the subgoal states are finite, as on a spec
+    whose rules decrease from conclusion to premises."""
+
+    def run(self, state, extra=frozenset()) -> dict:
+        self.pool = AtomPool(tuple(sorted(_support(state))), self.budget.fresh)
+        self.changed = True
+        while self.changed:
+            self.passes += 1
+            self.changed = False
+            residuals = self.solve(state, extra, 0)
+        return residuals
+
+    def solve(self, state, extra, depth) -> dict:
+        entry = self.table.setdefault(state, SimpleNamespace(residuals={}, reached=0))
+        if entry.reached < self.passes:
+            entry.reached = self.passes
+            for rule in self.spec.rules:
+                for st in match_term(rule.conclusion.source, state, MatchState(), self.pool):
+                    self.join(rule, 0, st, (), (state, extra, self.pool, depth, entry))
+        return entry.residuals
 
 
 def enumerate_transitions(spec, state, budget: Budget = Budget()) -> Enumeration:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nomsos import corpus_path
+from nomsos import cli, corpus_path
 from nomsos.cli import main
 
 PI = str(corpus_path("pi.spec"))
@@ -239,6 +239,24 @@ def test_a_search_past_the_recursion_limit_exits_2(capsys):
         "error: the proof search nests too deeply for the recursion limit: "
         "lower the depth budget (--depth, Budget.depth)\n"
     )
+
+
+def test_text_mode_builds_no_tree_dict(monkeypatch, capsys):
+    # Trees become JSON only where `main` prints a JSON document.
+    def refused(tree):
+        raise AssertionError("tree_dict called in text mode")
+
+    monkeypatch.setattr(cli, "tree_dict", refused)
+    claim = "new([b]out(a, b, null)) -> (boutA(a, b), null)"
+    for argv in (
+        ["derive", PI, "par(out(a,b,null), in(a,[c]null))"],
+        ["derive", PI, "par(out(a,b,null), in(a,[c]null))", "--trees"],
+        ["prove", PI, claim],
+    ):
+        assert main(argv) == 0
+        assert "[" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="tree_dict called"):
+        main(["prove", PI, claim, "--json"])
 
 
 def test_ill_formed_spec_is_refused(capsys, tmp_path):
